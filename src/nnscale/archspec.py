@@ -1,17 +1,24 @@
-"""Architecture descriptors: typed block specs, validation, JSON format, presets, rescaling.
+"""Architecture descriptors: typed block specs and their per-kind rules, validation,
+JSON format, presets, rescaling.
 
 A descriptor is an ordered list of block specs plus the input geometry. Stage-structured
 families (convnext, resnet_bottleneck) additionally carry their stage widths/depths so
 that width/depth multipliers can be applied; flat families (ran_e, generic) are plain
 block lists and cannot be rescaled.
+
+Each block kind is one class that carries all of its rules: kind name, output channels,
+stride, expanded width, validation, output shape, MACs/parameters, non-linear units
+and NN-Mass terms. costmodel and topology only walk the block list and add up.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
-from typing import Optional, Union
+import numbers
+from dataclasses import dataclass, fields, replace
+from fractions import Fraction
+from typing import Optional, Union, get_args
 
 FAMILIES = ("convnext", "resnet_bottleneck", "ran_e", "generic")
 STAGE_FAMILIES = ("convnext", "resnet_bottleneck")
@@ -21,6 +28,10 @@ ACTIVATION_KINDS = ("none", "relu", "relu6", "prelu", "gelu", "hswish", "exp_ker
 
 class ArchError(ValueError):
     """Raised for malformed architecture files or invariant violations."""
+
+
+class CostError(ValueError):
+    """Raised for shape mismatches or non-integral stride divisions."""
 
 
 def round_half_up(x: float) -> int:
@@ -36,6 +47,39 @@ def int_ceil(x: float, eps: float = 1e-9) -> int:
     return int(math.ceil(x))
 
 
+# Every number in a descriptor lies within +-2**31, so expanded widths, costs and
+# masses derived from it convert to float without overflow.
+_BOUND = 2**31
+
+
+def _is_number(value, integer: bool = False) -> bool:
+    """A real int (or, unless `integer`, a float) within +-_BOUND. Bools, strings,
+    None, NaN and infinities are not numbers here."""
+    if type(value) is not int and (integer or type(value) is not float):
+        kind = numbers.Integral if integer else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            return False
+    return -_BOUND <= value <= _BOUND
+
+
+# Field annotation -> (test, what a value must be). Block fields are checked
+# against their dataclass annotation, so a new field needs no check of its own.
+_TYPES = {
+    "int": (lambda v: _is_number(v, integer=True), "an integer in [-2**31, 2**31]"),
+    "Optional[int]": (lambda v: v is None or _is_number(v, integer=True),
+                      "null or an integer in [-2**31, 2**31]"),
+    "float": (_is_number, "a finite number in [-2**31, 2**31]"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "Activation": (lambda v: isinstance(v, Activation), "an activation"),
+}
+
+
+def _check_type(value, annotation: str, what: str) -> None:
+    test, expected = _TYPES[annotation]
+    if not test(value):
+        raise ArchError(f"{what} must be {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Activation:
     """Elementwise non-linearity tag. `alpha` is the prelu slope, `clamp` bounds the
@@ -48,8 +92,8 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
             raise ArchError(f"unknown activation kind {self.kind!r}")
-        if not math.isfinite(self.alpha):
-            raise ArchError("prelu alpha must be finite")
+        _check_type(self.alpha, "float", "prelu alpha")
+        _check_type(self.clamp, "float", "exp_kernel clamp")
         if self.kind == "exp_kernel" and not self.clamp > 0:
             raise ArchError("exp_kernel clamp must be > 0")
 
@@ -70,22 +114,122 @@ def exp_kernel(clamp: float = 10.0) -> Activation:
 
 
 @dataclass(frozen=True)
-class Stem:
+class Shape:
+    channels: int
+    height: int
+    width: int
+
+    def __post_init__(self):
+        if self.channels <= 0 or self.height <= 0 or self.width <= 0:
+            raise CostError(f"shape fields must be positive, got {self}")
+
+
+def _conv_cost(cin: int, cout: int, k: int, out_hw: int):
+    """k x k dense conv with bias, then a norm affine pair per out channel."""
+    macs = out_hw * k * k * cin * cout
+    params = k * k * cin * cout + cout + 2 * cout
+    return macs, params
+
+
+def _dw_cost(c: int, k: int, out_hw: int):
+    """k x k depthwise conv with bias and norm."""
+    return out_hw * k * k * c, k * k * c + c + 2 * c
+
+
+def _odd(k: int) -> bool:
+    return k >= 1 and k % 2 == 1
+
+
+def _require(ok: bool, i: int, rule: str) -> None:
+    if not ok:
+        raise ArchError(f"block {i}: {rule}")
+
+
+class _Block:
+    """Rules of a block kind at input width c or shape s: channels_out(c), out_shape(s),
+    the expanded width mid(c), validate(i, c, last), cost(s) -> (MACs, params),
+    non-linear units(c), and the NN-Mass terms mass_inputs(c) (i_b) and cell_density
+    (rho_b, non-zero exactly for the kinds that carry mass). Each kind below sets
+    `kind` and `stride` and overrides what differs from: same shape, no units, no mass."""
+
+    kind = ""
+    _field_types = ()  # (name, test, expected) per dataclass field, set below
+    cell_density = Fraction(0)
+
+    def channels_out(self, c: int) -> int:
+        return c
+
+    def out_shape(self, s: Shape) -> Shape:
+        return s
+
+    def mid(self, c: int) -> int:
+        return round_half_up(self.expansion * c)
+
+    def validate(self, i: int, c: int, last: bool) -> None:
+        for name, test, expected in self._field_types:
+            value = getattr(self, name)
+            if not test(value):
+                raise ArchError(f"block {i}: {name} must be {expected}, got {value!r}")
+
+    def units(self, c: int) -> int:
+        return 0
+
+    def mass_inputs(self, c: int) -> int:
+        return 0
+
+
+class _Conv(_Block):
+    """A convolution with its own out_channels and stride (same padding, so the
+    output side is the input side / stride, which must divide evenly)."""
+
+    def channels_out(self, c: int) -> int:
+        return self.out_channels
+
+    def validate(self, i: int, c: int, last: bool) -> None:
+        super().validate(i, c, last)
+        _require(self.out_channels > 0, i, "out_channels must be positive")
+        _require(self.stride in (1, 2, 4), i, "stride must be one of 1, 2, 4")
+
+    def out_shape(self, s: Shape) -> Shape:
+        st = self.stride
+        for side in (s.height, s.width):
+            if side % st != 0:
+                raise CostError(f"{self.kind}: spatial size {side} not divisible by stride {st}")
+        return Shape(self.out_channels, s.height // st, s.width // st)
+
+    def cost(self, s: Shape) -> tuple:
+        out = self.out_shape(s)
+        return _conv_cost(s.channels, self.out_channels, self.kernel, out.height * out.width)
+
+
+@dataclass(frozen=True)
+class Stem(_Conv):
     kernel: int
     stride: int
     out_channels: int
 
+    kind = "stem"
+
 
 @dataclass(frozen=True)
-class RegularConv:
+class RegularConv(_Conv):
     kernel: int
     stride: int
     out_channels: int
     activation: Activation = RELU
 
+    kind = "regular_conv"
+
+    def validate(self, i: int, c: int, last: bool) -> None:
+        super().validate(i, c, last)
+        _require(_odd(self.kernel), i, "regular_conv kernel must be odd")
+
+    def units(self, c: int) -> int:
+        return self.out_channels if self.activation.kind != "none" else 0
+
 
 @dataclass(frozen=True)
-class Ibn:
+class Ibn(_Conv):
     """Inverted bottleneck: 1x1 expand -> depthwise k x k -> 1x1 project."""
 
     expansion: float
@@ -94,17 +238,64 @@ class Ibn:
     out_channels: int
     residual: bool = False
 
+    kind = "ibn"
+
+    def validate(self, i: int, c: int, last: bool) -> None:
+        super().validate(i, c, last)
+        _require(self.expansion > 0, i, "expansion must be > 0")
+        _require(_odd(self.dw_kernel), i, "ibn depthwise kernel must be odd")
+        if self.residual and (self.stride != 1 or self.out_channels != c):
+            raise ArchError(
+                f"block {i}: residual ibn requires stride=1 and matching in/out "
+                f"channels (got stride={self.stride}, in={c}, out={self.out_channels})"
+            )
+
+    def cost(self, s: Shape) -> tuple:
+        c, mid, out = s.channels, self.mid(s.channels), self.out_shape(s)
+        out_hw = out.height * out.width
+        m1, p1 = _conv_cost(c, mid, 1, s.height * s.width)
+        m2, p2 = _dw_cost(mid, self.dw_kernel, out_hw)
+        m3, p3 = _conv_cost(mid, self.out_channels, 1, out_hw)
+        return m1 + m2 + m3, p1 + p2 + p3
+
+    def units(self, c: int) -> int:
+        return 2 * self.mid(c)
+
 
 @dataclass(frozen=True)
-class ConvNextBlock:
+class ConvNextBlock(_Block):
     """Depthwise k x k -> norm -> 1x1 expand -> gelu -> 1x1 project, residual add."""
 
     expansion: float = 4.0
     dw_kernel: int = 7
 
+    kind = "convnext_block"
+    stride = 1
+    cell_density = Fraction(1, 3)
+
+    def validate(self, i: int, c: int, last: bool) -> None:
+        _Block.validate(self, i, c, last)  # not super(): the split block reuses this
+        _require(self.expansion > 0, i, "expansion must be > 0")
+        _require(_odd(self.dw_kernel), i, "depthwise kernel must be odd")
+
+    def cost(self, s: Shape) -> tuple:
+        c, hw, k = s.channels, s.height * s.width, self.dw_kernel
+        mid = self.mid(c)
+        macs = hw * (k * k * c + c * mid + mid * c)
+        # depthwise + bias, norm pair, two pointwise + biases, layer scale
+        params = k * k * c + c + 2 * c + c * mid + mid + mid * c + c + c
+        return macs, params
+
+    def units(self, c: int) -> int:
+        return self.mid(c)
+
+    def mass_inputs(self, c: int) -> int:
+        # depthwise sees c, the expand 1x1 sees c, the project 1x1 sees mid
+        return 2 * c + self.mid(c)
+
 
 @dataclass(frozen=True)
-class ConvNextSplitBlock:
+class ConvNextSplitBlock(_Block):
     """ConvNext block with the MLP split into a non-linear branch keeping
     ceil(nonlinear_fraction * expansion * w1) channels and a linear branch merged
     into a single 1x1 w1->w1 convolution (optionally followed by branch_activation)."""
@@ -114,30 +305,122 @@ class ConvNextSplitBlock:
     nonlinear_fraction: float
     branch_activation: Activation = NONE
 
+    kind = "convnext_split_block"
+    stride = 1
+    cell_density = ConvNextBlock.cell_density
+    mass_inputs = ConvNextBlock.mass_inputs
+
+    def kept(self, c: int) -> int:
+        """Width of the non-linear branch at input width c."""
+        return int_ceil(self.nonlinear_fraction * self.expansion * c)
+
+    def validate(self, i: int, c: int, last: bool) -> None:
+        ConvNextBlock.validate(self, i, c, last)
+        _require(0 < self.nonlinear_fraction < 1, i, "nonlinear_fraction must lie in (0, 1)")
+
+    def cost(self, s: Shape) -> tuple:
+        c, hw, k = s.channels, s.height * s.width, self.dw_kernel
+        mid, kept = self.mid(c), self.kept(c)
+        if kept >= mid:
+            raise CostError(
+                f"split keeps all {mid} expanded channels (fraction "
+                f"{self.nonlinear_fraction} at width {c}); use a plain block"
+            )
+        macs = hw * (k * k * c + c * kept + kept * c + c * c)
+        params = k * k * c + c + 2 * c          # depthwise + norm
+        params += c * kept + kept + kept * c + c  # non-linear branch two 1x1
+        params += c * c + c                      # linear branch single 1x1
+        params += c                              # layer scale
+        return macs, params
+
+    def units(self, c: int) -> int:
+        # with a branch activation the linear branch's mid - kept channels count too
+        return self.kept(c) if self.branch_activation.kind == "none" else self.mid(c)
+
 
 @dataclass(frozen=True)
-class ResNetBottleneckBlock:
+class ResNetBottleneckBlock(_Block):
     """1x1 -> k x k -> 1x1 bottleneck with residual add; mid width = expansion * w1."""
 
     expansion: float
     mid_kernel: int = 3
 
+    kind = "resnet_bottleneck"
+    stride = 1
+
+    @property
+    def cell_density(self) -> Fraction:
+        return 1 / (2 + Fraction(self.expansion))
+
+    def validate(self, i: int, c: int, last: bool) -> None:
+        super().validate(i, c, last)
+        _require(self.expansion > 0, i, "expansion must be > 0")
+        _require(_odd(self.mid_kernel), i, "mid kernel must be odd")
+
+    def cost(self, s: Shape) -> tuple:
+        c, hw, mid = s.channels, s.height * s.width, self.mid(s.channels)
+        m1, p1 = _conv_cost(c, mid, 1, hw)
+        m2, p2 = _conv_cost(mid, mid, self.mid_kernel, hw)
+        m3, p3 = _conv_cost(mid, c, 1, hw)
+        return m1 + m2 + m3, p1 + p2 + p3
+
+    def units(self, c: int) -> int:
+        return 2 * self.mid(c)
+
+    def mass_inputs(self, c: int) -> int:
+        # the first 1x1 sees c, the k x k and the last 1x1 see mid each
+        return c + 2 * self.mid(c)
+
 
 @dataclass(frozen=True)
-class Downsample:
+class Downsample(_Conv):
     kernel: int
     stride: int
     out_channels: int
 
+    kind = "downsample"
+
+    def cost(self, s: Shape) -> tuple:
+        macs, params = super().cost(s)
+        # the norm sits before the conv, so its affine pair is per input channel
+        return macs, params - 2 * self.out_channels + 2 * s.channels
+
 
 @dataclass(frozen=True)
-class Head:
+class Head(_Block):
     """Classifier head. With hidden_channels set: 1x1 conv (+ optional depthwise
     dw_kernel conv) then global pool then linear. Without: norm-pool-linear."""
 
     classes: int
     hidden_channels: Optional[int] = None
     dw_kernel: Optional[int] = None
+
+    kind = "head"
+    stride = 1
+
+    def channels_out(self, c: int) -> int:
+        return self.classes
+
+    def validate(self, i: int, c: int, last: bool) -> None:
+        super().validate(i, c, last)
+        _require(self.classes > 0, i, "classes must be positive")
+        _require(self.hidden_channels is None or self.hidden_channels > 0, i,
+                 "hidden_channels must be positive")
+        _require(last, i, "head must be the final block")
+
+    def out_shape(self, s: Shape) -> Shape:
+        return Shape(self.classes, 1, 1)
+
+    def cost(self, s: Shape) -> tuple:
+        feat, hw = s.channels, s.height * s.width
+        macs, params = 0, 2 * feat  # final norm before the classifier
+        if self.hidden_channels is not None:
+            macs, params = _conv_cost(feat, self.hidden_channels, 1, hw)
+            feat = self.hidden_channels
+            if self.dw_kernel is not None:
+                m, p = _dw_cost(feat, self.dw_kernel, hw)
+                macs, params = macs + m, params + p
+        return macs + feat * self.classes, params + feat * self.classes + self.classes
 
 
 BlockSpec = Union[
@@ -151,21 +434,14 @@ BlockSpec = Union[
     Head,
 ]
 
-_KIND_TO_CLS = {
-    "stem": Stem,
-    "regular_conv": RegularConv,
-    "ibn": Ibn,
-    "convnext_block": ConvNextBlock,
-    "convnext_split_block": ConvNextSplitBlock,
-    "resnet_bottleneck": ResNetBottleneckBlock,
-    "downsample": Downsample,
-    "head": Head,
-}
-_CLS_TO_KIND = {v: k for k, v in _KIND_TO_CLS.items()}
+_KIND_TO_CLS = {cls.kind: cls for cls in get_args(BlockSpec)}
+for _cls in _KIND_TO_CLS.values():
+    _cls._field_types = tuple((f.name, *_TYPES[f.type]) for f in fields(_cls))
+del _cls
 
 
 def block_kind(block: BlockSpec) -> str:
-    return _CLS_TO_KIND[type(block)]
+    return block.kind
 
 
 @dataclass(frozen=True)
@@ -192,34 +468,34 @@ class ArchDescriptor:
     stages: Optional[StageConfig] = None
 
 
-def _block_out_channels(block: BlockSpec, current: int) -> int:
-    if isinstance(block, (Stem, RegularConv, Ibn, Downsample)):
-        return block.out_channels
-    if isinstance(block, Head):
-        return block.classes
-    return current
-
-
 def input_channels_per_block(arch: ArchDescriptor) -> list:
     """In-channel count seen by each block, walking the main path."""
     chain = []
     c = arch.input_channels
     for block in arch.blocks:
         chain.append(c)
-        c = _block_out_channels(block, c)
+        c = block.channels_out(c)
     return chain
 
 
-def _stride_of(block: BlockSpec) -> int:
-    if isinstance(block, (Stem, RegularConv, Ibn, Downsample)):
-        return block.stride
-    return 1
+def _stage_lists(widths, depths):
+    """Stage widths and depths as int tuples, type-checked before any block is built."""
+    for what, values in (("stage_widths", widths), ("stage_depths", depths)):
+        if not isinstance(values, (list, tuple)):
+            raise ArchError(f"{what} must be a list of integers")
+        for v in values:
+            _check_type(v, "int", f"{what} entry")
+    if not widths:
+        raise ArchError("stage_widths must be non-empty")
+    return tuple(map(int, widths)), tuple(map(int, depths))
 
 
 def validate_arch(arch: ArchDescriptor) -> None:
     """Check all structural invariants; raises ArchError naming block index and rule."""
     if arch.family not in FAMILIES:
         raise ArchError(f"unknown family {arch.family!r}")
+    _check_type(arch.input_resolution, "int", "input_resolution")
+    _check_type(arch.input_channels, "int", "input_channels")
     if arch.input_resolution <= 0 or arch.input_channels <= 0:
         raise ArchError("input_resolution and input_channels must be positive")
     if not arch.blocks:
@@ -228,44 +504,9 @@ def validate_arch(arch: ArchDescriptor) -> None:
     c = arch.input_channels
     stride_product = 1
     for i, block in enumerate(arch.blocks):
-        if isinstance(block, (Stem, RegularConv, Ibn, Downsample)):
-            if block.out_channels <= 0:
-                raise ArchError(f"block {i}: out_channels must be positive")
-            if block.stride not in (1, 2, 4):
-                raise ArchError(f"block {i}: stride must be one of 1, 2, 4")
-            stride_product *= block.stride
-        if isinstance(block, RegularConv):
-            if block.kernel < 1 or block.kernel % 2 == 0:
-                raise ArchError(f"block {i}: regular_conv kernel must be odd")
-        if isinstance(block, Ibn):
-            if block.expansion <= 0:
-                raise ArchError(f"block {i}: expansion must be > 0")
-            if block.dw_kernel < 1 or block.dw_kernel % 2 == 0:
-                raise ArchError(f"block {i}: ibn depthwise kernel must be odd")
-            if block.residual and (block.stride != 1 or block.out_channels != c):
-                raise ArchError(
-                    f"block {i}: residual ibn requires stride=1 and matching in/out "
-                    f"channels (got stride={block.stride}, in={c}, out={block.out_channels})"
-                )
-        if isinstance(block, (ConvNextBlock, ConvNextSplitBlock)):
-            if block.expansion <= 0:
-                raise ArchError(f"block {i}: expansion must be > 0")
-            if block.dw_kernel < 1 or block.dw_kernel % 2 == 0:
-                raise ArchError(f"block {i}: depthwise kernel must be odd")
-        if isinstance(block, ConvNextSplitBlock):
-            if not 0 < block.nonlinear_fraction < 1:
-                raise ArchError(f"block {i}: nonlinear_fraction must lie in (0, 1)")
-        if isinstance(block, ResNetBottleneckBlock):
-            if block.expansion <= 0:
-                raise ArchError(f"block {i}: expansion must be > 0")
-            if block.mid_kernel < 1 or block.mid_kernel % 2 == 0:
-                raise ArchError(f"block {i}: mid kernel must be odd")
-        if isinstance(block, Head):
-            if block.classes <= 0:
-                raise ArchError(f"block {i}: classes must be positive")
-            if i != len(arch.blocks) - 1:
-                raise ArchError(f"block {i}: head must be the final block")
-        c = _block_out_channels(block, c)
+        block.validate(i, c, i == len(arch.blocks) - 1)
+        stride_product *= block.stride
+        c = block.channels_out(c)
 
     if arch.input_resolution % stride_product != 0:
         raise ArchError(
@@ -276,10 +517,38 @@ def validate_arch(arch: ArchDescriptor) -> None:
         if arch.family not in STAGE_FAMILIES:
             raise ArchError(f"family {arch.family!r} cannot carry stage structure")
         st = arch.stages
+        _stage_lists(st.widths, st.depths)
+        if st.split_fraction is not None and arch.family != "convnext":
+            raise ArchError("split requires the convnext family")
         if len(st.widths) != len(st.depths):
             raise ArchError("stage widths and depths must have equal length")
         if any(w <= 0 for w in st.widths) or any(d <= 0 for d in st.depths):
             raise ArchError("stage widths and depths must be positive")
+
+
+def _stage_arch(name: str, family: str, st: StageConfig, resolution, input_channels):
+    """Stage-structured descriptor: stem, the body block repeated per stage depth,
+    a downsample between stages, head (see convnext_arch, resnet_bottleneck_arch)."""
+    widths, depths = _stage_lists(st.widths, st.depths)
+    st = replace(st, widths=widths, depths=depths)
+    convnext = family == "convnext"
+    if not convnext:
+        body = ResNetBottleneckBlock(st.expansion, st.dw_kernel)
+    elif st.split_fraction is None:
+        body = ConvNextBlock(st.expansion, st.dw_kernel)
+    else:
+        body = ConvNextSplitBlock(
+            st.expansion, st.dw_kernel, st.split_fraction, st.split_activation
+        )
+    blocks = [Stem(kernel=4 if convnext else 7, stride=4, out_channels=widths[0])]
+    for si, (w, d) in enumerate(zip(widths, depths)):
+        if si > 0:
+            blocks.append(Downsample(kernel=2 if convnext else 1, stride=2, out_channels=w))
+        blocks.extend([body] * d)
+    blocks.append(Head(classes=st.classes))
+    arch = ArchDescriptor(name, family, resolution, input_channels, tuple(blocks), st)
+    validate_arch(arch)
+    return arch
 
 
 def convnext_arch(
@@ -296,41 +565,10 @@ def convnext_arch(
 ) -> ArchDescriptor:
     """Stage-structured ConvNext-family descriptor: 4x4/s4 stem, 2x2/s2 downsamples
     between stages, norm-pool-linear head."""
-    widths = tuple(int(w) for w in widths)
-    depths = tuple(int(d) for d in depths)
-    blocks = [Stem(kernel=4, stride=4, out_channels=widths[0])]
-    if split_fraction is None:
-        body = ConvNextBlock(expansion=expansion, dw_kernel=dw_kernel)
-    else:
-        body = ConvNextSplitBlock(
-            expansion=expansion,
-            dw_kernel=dw_kernel,
-            nonlinear_fraction=split_fraction,
-            branch_activation=split_activation,
-        )
-    for si, (w, d) in enumerate(zip(widths, depths)):
-        if si > 0:
-            blocks.append(Downsample(kernel=2, stride=2, out_channels=w))
-        blocks.extend([body] * d)
-    blocks.append(Head(classes=classes))
-    arch = ArchDescriptor(
-        name=name,
-        family="convnext",
-        input_resolution=resolution,
-        input_channels=input_channels,
-        blocks=tuple(blocks),
-        stages=StageConfig(
-            widths=widths,
-            depths=depths,
-            expansion=expansion,
-            dw_kernel=dw_kernel,
-            classes=classes,
-            split_fraction=split_fraction,
-            split_activation=split_activation,
-        ),
+    st = StageConfig(
+        widths, depths, expansion, dw_kernel, classes, split_fraction, split_activation
     )
-    validate_arch(arch)
-    return arch
+    return _stage_arch(name, "convnext", st, resolution, input_channels)
 
 
 def resnet_bottleneck_arch(
@@ -345,30 +583,8 @@ def resnet_bottleneck_arch(
 ) -> ArchDescriptor:
     """Stage-structured bottleneck-ResNet-family descriptor (stem stride 4 stands in
     for conv+pool, 1x1/s2 projections between stages)."""
-    widths = tuple(int(w) for w in widths)
-    depths = tuple(int(d) for d in depths)
-    blocks = [Stem(kernel=7, stride=4, out_channels=widths[0])]
-    for si, (w, d) in enumerate(zip(widths, depths)):
-        if si > 0:
-            blocks.append(Downsample(kernel=1, stride=2, out_channels=w))
-        blocks.extend([ResNetBottleneckBlock(expansion=expansion, mid_kernel=mid_kernel)] * d)
-    blocks.append(Head(classes=classes))
-    arch = ArchDescriptor(
-        name=name,
-        family="resnet_bottleneck",
-        input_resolution=resolution,
-        input_channels=input_channels,
-        blocks=tuple(blocks),
-        stages=StageConfig(
-            widths=widths,
-            depths=depths,
-            expansion=expansion,
-            dw_kernel=mid_kernel,
-            classes=classes,
-        ),
-    )
-    validate_arch(arch)
-    return arch
+    st = StageConfig(widths, depths, expansion, mid_kernel, classes)
+    return _stage_arch(name, "resnet_bottleneck", st, resolution, input_channels)
 
 
 # RAN-e SuperNet body rows as (expansion, stride, out_channels, residual).
@@ -437,15 +653,10 @@ def preset(name: str) -> ArchDescriptor:
     raise ArchError(f"unknown preset {name!r} (known: {', '.join(PRESET_NAMES)})")
 
 
-def scale_arch(
-    base: ArchDescriptor,
-    w_m: float,
-    d_m: float,
-    channel_divisor: Optional[int] = None,
-) -> ArchDescriptor:
+def scale_arch(base: ArchDescriptor, w_m: float, d_m: float) -> ArchDescriptor:
     """Rescale a stage-structured descriptor: widths x w_m and depths x d_m, both
-    rounded half-up (depths floored at 1). channel_divisor optionally snaps widths
-    to a multiple (off by default; published configs use unsnapped widths)."""
+    rounded half-up (depths floored at 1). Widths are not snapped to a multiple:
+    the published configs use unsnapped widths such as 511."""
     if w_m <= 0 or d_m <= 0:
         raise ArchError("multipliers must be positive")
     if base.family not in STAGE_FAMILIES or base.stages is None:
@@ -454,35 +665,12 @@ def scale_arch(
     widths = []
     for w in st.widths:
         nw = round_half_up(w * w_m)
-        if channel_divisor:
-            nw = max(channel_divisor, channel_divisor * round_half_up(nw / channel_divisor))
         if nw < 8:
             raise ArchError(f"degenerate width {nw} (stage width {w} x {w_m})")
         widths.append(nw)
     depths = [max(1, round_half_up(d * d_m)) for d in st.depths]
-    if base.family == "convnext":
-        return convnext_arch(
-            base.name,
-            widths,
-            depths,
-            expansion=st.expansion,
-            dw_kernel=st.dw_kernel,
-            resolution=base.input_resolution,
-            input_channels=base.input_channels,
-            classes=st.classes,
-            split_fraction=st.split_fraction,
-            split_activation=st.split_activation,
-        )
-    return resnet_bottleneck_arch(
-        base.name,
-        widths,
-        depths,
-        expansion=st.expansion,
-        mid_kernel=st.dw_kernel,
-        resolution=base.input_resolution,
-        input_channels=base.input_channels,
-        classes=st.classes,
-    )
+    st = replace(st, widths=widths, depths=depths)
+    return _stage_arch(base.name, base.family, st, base.input_resolution, base.input_channels)
 
 
 # --- JSON file format ---------------------------------------------------------
@@ -504,12 +692,18 @@ def _activation_from_json(obj) -> Activation:
         kind = obj.get("kind")
         if kind == "prelu":
             _require_keys(obj, {"kind", "alpha"}, "activation")
-            return Activation("prelu", alpha=float(obj["alpha"]))
+            return Activation("prelu", alpha=_float(obj.get("alpha"), "prelu alpha"))
         if kind == "exp_kernel":
             _require_keys(obj, {"kind", "clamp"}, "activation")
-            return Activation("exp_kernel", clamp=float(obj["clamp"]))
+            return Activation("exp_kernel", clamp=_float(obj.get("clamp"), "exp_kernel clamp"))
         raise ArchError(f"unknown activation object kind {kind!r}")
     raise ArchError(f"bad activation value {obj!r}")
+
+
+def _float(value, what: str) -> float:
+    """A number read from a file, type-checked, as a float."""
+    _check_type(value, "float", what)
+    return float(value)
 
 
 def _require_keys(obj: dict, allowed: set, where: str) -> None:
@@ -533,18 +727,15 @@ def _block_from_json(obj: dict, index: int) -> BlockSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ArchError(f"block {index}: expected an object with a 'kind' field")
     kind = obj["kind"]
-    cls = _KIND_TO_CLS.get(kind)
+    cls = _KIND_TO_CLS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ArchError(f"block {index}: unknown block kind {kind!r}")
     allowed = {"kind"} | {f.name for f in fields(cls)}
     _require_keys(obj, allowed, f"block {index} ({kind})")
-    kwargs = {}
+    kwargs = {k: v for k, v in obj.items() if k != "kind"}
     for f in fields(cls):
-        if f.name in obj:
-            v = obj[f.name]
-            if f.name in ("activation", "branch_activation"):
-                v = _activation_from_json(v)
-            kwargs[f.name] = v
+        if f.type == "Activation" and f.name in kwargs:
+            kwargs[f.name] = _activation_from_json(kwargs[f.name])
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -552,17 +743,8 @@ def _block_from_json(obj: dict, index: int) -> BlockSpec:
 
 
 _TOP_KEYS_FULL = {"name", "family", "input_resolution", "input_channels", "blocks"}
-_TOP_KEYS_STAGE = {
-    "name",
-    "family",
-    "input_resolution",
-    "input_channels",
-    "stage_widths",
-    "stage_depths",
-    "expansion",
-    "dw_kernel",
-    "classes",
-    "split",
+_TOP_KEYS_STAGE = _TOP_KEYS_FULL - {"blocks"} | {
+    "stage_widths", "stage_depths", "expansion", "dw_kernel", "classes", "split"
 }
 
 
@@ -584,35 +766,26 @@ def parse_arch(text: str) -> ArchDescriptor:
         if family not in STAGE_FAMILIES:
             raise ArchError(f"stage shorthand requires a stage-structured family, got {family!r}")
         split = obj.get("split")
-        split_fraction = None
-        split_act = NONE
+        split_fraction, split_act = None, NONE
         if split is not None:
+            if not isinstance(split, dict):
+                raise ArchError("split must be an object")
             _require_keys(split, {"fraction", "branch_activation"}, "split")
-            split_fraction = float(split["fraction"])
+            split_fraction = _float(split.get("fraction"), "split fraction")
             split_act = _activation_from_json(split.get("branch_activation", "none"))
-        kwargs = dict(
-            resolution=int(obj["input_resolution"]),
-            input_channels=int(obj["input_channels"]),
-            classes=int(obj.get("classes", 1000)),
+        convnext = family == "convnext"
+        # integers go through unconverted: validate_arch type-checks them
+        st = StageConfig(
+            widths=obj.get("stage_widths"),
+            depths=obj.get("stage_depths"),
+            expansion=_float(obj.get("expansion", 4.0 if convnext else 0.25), "expansion"),
+            dw_kernel=obj.get("dw_kernel", 7 if convnext else 3),
+            classes=obj.get("classes", 1000),
+            split_fraction=split_fraction,
+            split_activation=split_act,
         )
-        if family == "convnext":
-            return convnext_arch(
-                obj["name"],
-                obj["stage_widths"],
-                obj["stage_depths"],
-                expansion=float(obj.get("expansion", 4.0)),
-                dw_kernel=int(obj.get("dw_kernel", 7)),
-                split_fraction=split_fraction,
-                split_activation=split_act,
-                **kwargs,
-            )
-        return resnet_bottleneck_arch(
-            obj["name"],
-            obj["stage_widths"],
-            obj["stage_depths"],
-            expansion=float(obj.get("expansion", 0.25)),
-            mid_kernel=int(obj.get("dw_kernel", 3)),
-            **kwargs,
+        return _stage_arch(
+            obj["name"], family, st, obj["input_resolution"], obj["input_channels"]
         )
 
     _require_keys(obj, _TOP_KEYS_FULL, "architecture")
@@ -622,8 +795,8 @@ def parse_arch(text: str) -> ArchDescriptor:
     arch = ArchDescriptor(
         name=str(obj["name"]),
         family=str(obj["family"]),
-        input_resolution=int(obj["input_resolution"]),
-        input_channels=int(obj["input_channels"]),
+        input_resolution=obj["input_resolution"],
+        input_channels=obj["input_channels"],
         blocks=tuple(_block_from_json(b, i) for i, b in enumerate(blocks)),
     )
     validate_arch(arch)
@@ -632,30 +805,26 @@ def parse_arch(text: str) -> ArchDescriptor:
 
 def serialize_arch(arch: ArchDescriptor) -> str:
     """Canonical JSON text; deterministic, round-trips through parse_arch."""
-    if arch.stages is not None:
-        st = arch.stages
-        obj = {
-            "name": arch.name,
-            "family": arch.family,
-            "input_resolution": arch.input_resolution,
-            "input_channels": arch.input_channels,
-            "stage_widths": list(st.widths),
-            "stage_depths": list(st.depths),
-            "expansion": st.expansion,
-            "dw_kernel": st.dw_kernel,
-            "classes": st.classes,
-        }
+    obj = {
+        "name": arch.name,
+        "family": arch.family,
+        "input_resolution": arch.input_resolution,
+        "input_channels": arch.input_channels,
+    }
+    st = arch.stages
+    if st is None:
+        obj["blocks"] = [_block_to_json(b) for b in arch.blocks]
+    else:
+        obj.update(
+            stage_widths=list(st.widths),
+            stage_depths=list(st.depths),
+            expansion=st.expansion,
+            dw_kernel=st.dw_kernel,
+            classes=st.classes,
+        )
         if st.split_fraction is not None:
             obj["split"] = {
                 "fraction": st.split_fraction,
                 "branch_activation": _activation_to_json(st.split_activation),
             }
-    else:
-        obj = {
-            "name": arch.name,
-            "family": arch.family,
-            "input_resolution": arch.input_resolution,
-            "input_channels": arch.input_channels,
-            "blocks": [_block_to_json(b) for b in arch.blocks],
-        }
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -78,6 +78,14 @@ def _grid_from(args) -> scaler.MultiplierGrid:
                                  args.dmin, args.dmax, args.dsteps)
 
 
+def _int_list(text: str) -> list:
+    """argparse type for a comma list of integers such as 2,3,4."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
+
+
 def _human(v: float) -> str:
     for unit, div in (("B", 1e9), ("M", 1e6), ("K", 1e3)):
         if v >= div:
@@ -238,9 +246,8 @@ def _cmd_ldi(args) -> int:
 
 
 def _cmd_regions(args) -> int:
-    layer_counts = [int(v) for v in args.layers.split(",")]
     trend = verify.montufar_trend(
-        args.n, args.n0, layer_counts, args.trials,
+        args.n, args.n0, args.layers, args.trials,
         grid=args.grid, box_radius=args.radius, seed=args.seed)
     _emit(json.dumps(trend, sort_keys=True, indent=2) + "\n", args.out)
     return 0
@@ -375,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regions", help="linear-region counting trend report")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--n0", type=int, default=2)
-    p.add_argument("--layers", default="2,3,4", help="comma list of depths")
+    p.add_argument("--layers", type=_int_list, default="2,3,4", help="comma list of depths")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--radius", type=float, default=2.0)

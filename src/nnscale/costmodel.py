@@ -1,4 +1,5 @@
-"""Shape propagation and MAC/parameter counting for architecture descriptors.
+"""Shape propagation and MAC/parameter counting for architecture descriptors: walks
+the block list; each block kind's shape and cost rules live on its archspec class.
 
 Conventions: MACs are counted for convolution and linear layers only (normalization,
 activation, and pooling cost zero); parameters include conv weights, biases, norm
@@ -16,36 +17,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Union
 
-from .archspec import (
-    ArchDescriptor,
-    BlockSpec,
-    ConvNextBlock,
-    ConvNextSplitBlock,
-    Downsample,
-    Head,
-    Ibn,
-    RegularConv,
-    ResNetBottleneckBlock,
-    Stem,
-    block_kind,
-    int_ceil,
-    round_half_up,
-)
-
-
-class CostError(ValueError):
-    """Raised for shape mismatches or non-integral stride divisions."""
-
-
-@dataclass(frozen=True)
-class Shape:
-    channels: int
-    height: int
-    width: int
-
-    def __post_init__(self):
-        if self.channels <= 0 or self.height <= 0 or self.width <= 0:
-            raise CostError(f"shape fields must be positive, got {self}")
+from .archspec import ArchDescriptor, BlockSpec, CostError, Ibn, Shape, round_half_up
 
 
 @dataclass(frozen=True)
@@ -84,32 +56,6 @@ class CostReport:
         return buf.getvalue()
 
 
-def _strided_side(side: int, stride: int, where: str) -> int:
-    if side % stride != 0:
-        raise CostError(f"{where}: spatial size {side} not divisible by stride {stride}")
-    return side // stride
-
-
-def _out_shape(block: BlockSpec, s: Shape) -> Shape:
-    if isinstance(block, (Stem, RegularConv, Downsample)):
-        return Shape(
-            block.out_channels,
-            _strided_side(s.height, block.stride, block_kind(block)),
-            _strided_side(s.width, block.stride, block_kind(block)),
-        )
-    if isinstance(block, Ibn):
-        return Shape(
-            block.out_channels,
-            _strided_side(s.height, block.stride, "ibn"),
-            _strided_side(s.width, block.stride, "ibn"),
-        )
-    if isinstance(block, (ConvNextBlock, ConvNextSplitBlock, ResNetBottleneckBlock)):
-        return s
-    if isinstance(block, Head):
-        return Shape(block.classes, 1, 1)
-    raise CostError(f"unknown block type {type(block).__name__}")
-
-
 def propagate_shapes(arch: ArchDescriptor, input_shape: Shape) -> list:
     """Per-block input shapes along the main path."""
     if input_shape.channels != arch.input_channels:
@@ -120,94 +66,13 @@ def propagate_shapes(arch: ArchDescriptor, input_shape: Shape) -> list:
     s = input_shape
     for block in arch.blocks:
         shapes.append(s)
-        s = _out_shape(block, s)
+        s = block.out_shape(s)
     return shapes
-
-
-def _conv_cost(cin: int, cout: int, k: int, out_hw: int, norm: bool = True):
-    """k x k dense conv with bias; norm adds the affine pair per out channel."""
-    macs = out_hw * k * k * cin * cout
-    params = k * k * cin * cout + cout + (2 * cout if norm else 0)
-    return macs, params
-
-
-def _dw_cost(c: int, k: int, out_hw: int, norm: bool = True):
-    macs = out_hw * k * k * c
-    params = k * k * c + c + (2 * c if norm else 0)
-    return macs, params
 
 
 def count_block(block: BlockSpec, in_shape: Shape):
     """MACs and parameters of one block at the given input shape -> (macs, params)."""
-    c = in_shape.channels
-    hw = in_shape.height * in_shape.width
-    if isinstance(block, Stem):
-        out = _out_shape(block, in_shape)
-        return _conv_cost(c, block.out_channels, block.kernel, out.height * out.width)
-    if isinstance(block, RegularConv):
-        out = _out_shape(block, in_shape)
-        return _conv_cost(c, block.out_channels, block.kernel, out.height * out.width)
-    if isinstance(block, Downsample):
-        out = _out_shape(block, in_shape)
-        macs, params = _conv_cost(
-            c, block.out_channels, block.kernel, out.height * out.width, norm=False
-        )
-        return macs, params + 2 * c  # pre-downsample norm
-    if isinstance(block, Ibn):
-        mid = round_half_up(block.expansion * c)
-        out = _out_shape(block, in_shape)
-        out_hw = out.height * out.width
-        m1, p1 = _conv_cost(c, mid, 1, hw)
-        m2, p2 = _dw_cost(mid, block.dw_kernel, out_hw)
-        m3, p3 = _conv_cost(mid, block.out_channels, 1, out_hw)
-        return m1 + m2 + m3, p1 + p2 + p3
-    if isinstance(block, ConvNextBlock):
-        mid = round_half_up(block.expansion * c)
-        k = block.dw_kernel
-        macs = hw * (k * k * c + c * mid + mid * c)
-        # depthwise + bias, norm pair, two pointwise + biases, layer scale
-        params = k * k * c + c + 2 * c + c * mid + mid + mid * c + c + c
-        return macs, params
-    if isinstance(block, ConvNextSplitBlock):
-        mid = round_half_up(block.expansion * c)
-        kept = int_ceil(block.nonlinear_fraction * block.expansion * c)
-        if kept >= mid:
-            raise CostError(
-                f"split keeps all {mid} expanded channels (fraction "
-                f"{block.nonlinear_fraction} at width {c}); use a plain block"
-            )
-        k = block.dw_kernel
-        macs = hw * (k * k * c + c * kept + kept * c + c * c)
-        params = k * k * c + c + 2 * c          # depthwise + norm
-        params += c * kept + kept + kept * c + c  # non-linear branch two 1x1
-        params += c * c + c                      # linear branch single 1x1
-        params += c                              # layer scale
-        return macs, params
-    if isinstance(block, ResNetBottleneckBlock):
-        mid = round_half_up(block.expansion * c)
-        m1, p1 = _conv_cost(c, mid, 1, hw)
-        m2, p2 = _conv_cost(mid, mid, block.mid_kernel, hw)
-        m3, p3 = _conv_cost(mid, c, 1, hw)
-        return m1 + m2 + m3, p1 + p2 + p3
-    if isinstance(block, Head):
-        macs = 0
-        params = 0
-        feat = c
-        if block.hidden_channels is not None:
-            m, p = _conv_cost(c, block.hidden_channels, 1, hw)
-            macs += m
-            params += p
-            feat = block.hidden_channels
-            if block.dw_kernel is not None:
-                m, p = _dw_cost(feat, block.dw_kernel, hw)
-                macs += m
-                params += p
-        else:
-            params += 2 * feat  # final norm before the classifier
-        macs += feat * block.classes
-        params += feat * block.classes + block.classes
-        return macs, params
-    raise CostError(f"unknown block type {type(block).__name__}")
+    return block.cost(in_shape)
 
 
 def count_arch(arch: ArchDescriptor, resolution: int) -> CostReport:
@@ -218,9 +83,7 @@ def count_arch(arch: ArchDescriptor, resolution: int) -> CostReport:
     total_params = 0
     for i, (block, s) in enumerate(zip(arch.blocks, shapes)):
         macs, params = count_block(block, s)
-        per_block.append(
-            BlockCost(i, block_kind(block), macs, params, s, _out_shape(block, s))
-        )
+        per_block.append(BlockCost(i, block.kind, macs, params, s, block.out_shape(s)))
         total_macs += macs
         total_params += params
     return CostReport(total_macs, total_params, tuple(per_block))
@@ -242,7 +105,7 @@ def ibn_pointwise_macs(n: int, e: Union[int, float, Fraction], height: int, widt
     (expand n -> en plus project en -> n): 2 e n^2 H W (12 n^2 H W at e=6)."""
     if n <= 0 or height <= 0 or width <= 0:
         raise CostError("dimensions must be positive")
-    mid = round_half_up(float(e) * n)
+    mid = Ibn(float(e), dw_kernel=1, stride=1, out_channels=n).mid(n)
     return height * width * (n * mid + mid * n)
 
 

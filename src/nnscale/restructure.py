@@ -27,8 +27,6 @@ from .archspec import (
     RELU,
     RegularConv,
     convnext_arch,
-    int_ceil,
-    round_half_up,
 )
 from .tensor import ConvWeights, conv2d, fold_bn
 
@@ -232,9 +230,9 @@ def restructure_arch(
     if not 0 < fraction < 1:
         raise RestructureError(f"fraction must lie in (0, 1), got {fraction}")
     st = arch.stages
+    body = ConvNextSplitBlock(st.expansion, st.dw_kernel, fraction, branch_activation)
     for w in st.widths:
-        mid = round_half_up(st.expansion * w)
-        kept = int_ceil(fraction * st.expansion * w)
+        mid, kept = body.mid(w), body.kept(w)
         if kept >= mid:
             raise RestructureError(
                 f"fraction {fraction} keeps all {mid} expanded channels at width {w}"
@@ -266,7 +264,7 @@ def random_ibn_sequence(
     from .tensor import rand_tensor
 
     c_out = c_in if c_out is None else c_out
-    mid = max(1, round_half_up(expansion * c_in))
+    mid = max(1, Ibn(expansion, kernel, stride, c_out).mid(c_in))
     p1 = rand_tensor((mid, c_in, 1, 1), ("normal", 0.0, 1.0 / c_in), seed, 0)
     d = rand_tensor((mid, 1, kernel, kernel), ("normal", 0.0, 1.0 / (kernel * kernel)), seed, 1)
     p2 = rand_tensor((c_out, mid, 1, 1), ("normal", 0.0, 1.0 / mid), seed, 2)

@@ -7,7 +7,8 @@ Closed forms for uniform residual families:
   ConvNext block           i_b = (2+e) w1, rho_b = 1/3, mass = (2+e)/3 w1,
                            X = e w1 per block, k_C = 3e/(2+e)
 Only blocks with residual additions carry mass; stems, downsamplers, heads, and
-non-residual inverted bottlenecks contribute zero.
+non-residual inverted bottlenecks contribute zero. Per-block terms come from the block
+rules in archspec; the closed forms hold exactly whenever e w1 is whole.
 """
 
 from __future__ import annotations
@@ -17,17 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .archspec import (
-    ArchDescriptor,
-    ConvNextBlock,
-    ConvNextSplitBlock,
-    Ibn,
-    RegularConv,
-    ResNetBottleneckBlock,
-    int_ceil,
-    input_channels_per_block,
-    round_half_up,
-)
+from .archspec import ArchDescriptor, input_channels_per_block
 
 
 class TopologyError(ValueError):
@@ -81,30 +72,10 @@ def proportionality_constant(family: str, e) -> Fraction:
     raise TopologyError(f"unsupported family {family!r}")
 
 
-def _block_units(block, c: int) -> int:
-    """Non-linear activation sites contributed by one block at input width c."""
-    if isinstance(block, Ibn):
-        return 2 * round_half_up(block.expansion * c)
-    if isinstance(block, ConvNextBlock):
-        return round_half_up(block.expansion * c)
-    if isinstance(block, ConvNextSplitBlock):
-        mid = round_half_up(block.expansion * c)
-        kept = int_ceil(block.nonlinear_fraction * block.expansion * c)
-        units = kept
-        if block.branch_activation.kind != "none":
-            units += mid - kept
-        return units
-    if isinstance(block, ResNetBottleneckBlock):
-        return 2 * round_half_up(block.expansion * c)
-    if isinstance(block, RegularConv):
-        return block.out_channels if block.activation.kind != "none" else 0
-    return 0
-
-
 def nonlinear_units(arch: ArchDescriptor) -> int:
     """Total count of scalar non-linear activation sites in the network."""
     chain = input_channels_per_block(arch)
-    return sum(_block_units(b, c) for b, c in zip(arch.blocks, chain))
+    return sum(b.units(c) for b, c in zip(arch.blocks, chain))
 
 
 def nn_mass(arch: ArchDescriptor) -> MassReport:
@@ -118,22 +89,11 @@ def nn_mass(arch: ArchDescriptor) -> MassReport:
     expansions = set()
     mass = 0.0
     for i, (block, c) in enumerate(zip(arch.blocks, chain)):
-        if isinstance(block, (ConvNextBlock, ConvNextSplitBlock)):
-            e = Fraction(block.expansion)
-            expansions.add(e)
-            i_b = int((2 + e) * c)
-            rho = Fraction(1, 3)
-            bm = float(Fraction(i_b) * rho)
-        elif isinstance(block, ResNetBottleneckBlock):
-            e = Fraction(block.expansion)
-            expansions.add(e)
-            i_b = int((1 + 2 * e) * c)
-            rho = 1 / (2 + e)
-            bm = float(Fraction(i_b) * rho)
-        else:
-            i_b = 0
-            rho = Fraction(0)
-            bm = 0.0
+        rho = block.cell_density
+        if rho:
+            expansions.add(Fraction(block.expansion))
+        i_b = block.mass_inputs(c)
+        bm = float(Fraction(i_b) * rho)
         per_block.append(BlockMass(i, i_b, rho, bm))
         mass += bm
     if not expansions:

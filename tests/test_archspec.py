@@ -137,6 +137,8 @@ def test_stage_shorthand_parses():
 
 def test_scale_arch_reproduces_published_configs():
     base = A.preset("convnext-t")
+    # widths are never snapped to a divisor: 768 x 0.666 gives 511
+    assert A.scale_arch(base, 0.666, 1.65).stages.widths[-1] == 511
     for (w_m, d_m), widths, depths in [
         ((0.666, 1.65), (64, 128, 256, 511), (5, 5, 15, 5)),
         ((0.789, 1.65), (76, 151, 303, 606), (5, 5, 15, 5)),
@@ -170,14 +172,6 @@ def test_scale_arch_degenerate_width():
 def test_scale_arch_rejects_flat_families():
     with pytest.raises(A.ArchError, match="stage-structured"):
         A.scale_arch(A.preset("ran-e-supernet"), 1.2, 1.0)
-
-
-def test_scale_arch_channel_divisor_opt_in():
-    base = A.preset("convnext-t")
-    snapped = A.scale_arch(base, 0.666, 1.65, channel_divisor=8)
-    assert all(w % 8 == 0 for w in snapped.stages.widths)
-    # default stays unsnapped and can produce widths like 511
-    assert A.scale_arch(base, 0.666, 1.65).stages.widths[-1] == 511
 
 
 def test_round_half_up_matches_published_rounding():

@@ -196,3 +196,51 @@ def test_no_partial_file_on_error(tmp_path, capsys):
     assert code == 1  # directory does not exist
     assert not target.exists()
     assert not list(tmp_path.glob("*.nnscale-*"))
+
+
+def test_regions_bad_layers_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["regions", "--layers", "2,x"])
+    assert exc.value.code == 2
+    assert "comma list of integers" in capsys.readouterr().err
+
+
+def _full(blocks, **top):
+    obj = {"name": "x", "family": "generic", "input_resolution": 32,
+           "input_channels": 3, "blocks": blocks}
+    obj.update(top)
+    return obj
+
+
+def _stages(**top):
+    obj = {"name": "x", "family": "convnext", "input_resolution": 32,
+           "input_channels": 3, "stage_widths": [16], "stage_depths": [1]}
+    obj.update(top)
+    return obj
+
+
+STEM = {"kind": "stem", "kernel": 4, "stride": 4, "out_channels": 16}
+HEAD = {"kind": "head", "classes": 10}
+
+
+@pytest.mark.parametrize("descriptor,message", [
+    (_full([dict(STEM, kernel="4"), HEAD]), "kernel must be an integer"),
+    (_full([dict(STEM, out_channels=16.5), HEAD]), "out_channels must be an integer"),
+    (_full([dict(STEM, stride=True), HEAD]), "stride must be an integer"),
+    (_stages(expansion=1e308), "expansion must be a finite number"),
+    (_stages(expansion=float("nan")), "expansion must be a finite number"),
+    (_full([STEM, HEAD], input_resolution=None), "input_resolution must be an integer"),
+    (_stages(stage_widths=[96.5]), "stage_widths entry must be an integer"),
+    (_stages(stage_widths=["a"]), "stage_widths entry must be an integer"),
+    (_full([STEM, dict(HEAD, hidden_channels=-5)]), "hidden_channels must be positive"),
+], ids=["kernel_str", "out_channels_float", "stride_bool", "expansion_huge",
+        "expansion_nan", "resolution_null", "stage_width_float", "stage_width_str",
+        "hidden_channels_negative"])
+def test_ill_typed_descriptor_is_domain_error(tmp_path, capsys, descriptor, message):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(descriptor))
+    code, out, err = run(capsys, "cost", "--arch", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

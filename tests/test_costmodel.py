@@ -39,9 +39,8 @@ def test_convnext_stage_resolutions():
 
 def test_stride1_conv_keeps_spatial():
     block = A.RegularConv(kernel=3, stride=1, out_channels=5)
-    shapes = C.propagate_shapes(
-        A.ArchDescriptor("x", "generic", 20, 4, (block,)), C.Shape(4, 20, 20))
-    out = C._out_shape(block, shapes[0])
+    report = C.count_arch(A.ArchDescriptor("x", "generic", 20, 4, (block,)), 20)
+    out = report.per_block[0].out_shape
     assert (out.height, out.width) == (20, 20)
 
 
@@ -143,3 +142,71 @@ def test_csv_and_json_reports():
     assert header == "block_index,kind,in_c,in_h,in_w,macs,params"
     assert first.startswith("0,stem,3,224,224,")
     assert '"total_macs"' in report.to_json()
+
+
+# Exact regression totals for what the presets do not cover: the bottleneck-ResNet
+# family, a RegularConv without activation, split blocks with a branch activation,
+# heads with and without hidden channels, and every kind at a non-integer e*c.
+ALL_KINDS = A.ArchDescriptor("mix", "generic", 32, 3, (
+    A.Stem(kernel=3, stride=2, out_channels=24),
+    A.RegularConv(kernel=3, stride=1, out_channels=40, activation=A.NONE),
+    A.Ibn(expansion=2.5, dw_kernel=5, stride=2, out_channels=40),
+    A.Ibn(expansion=2.5, dw_kernel=3, stride=1, out_channels=40, residual=True),
+    A.Downsample(kernel=2, stride=2, out_channels=52),
+    A.ConvNextBlock(expansion=0.3, dw_kernel=3),
+    A.ConvNextSplitBlock(expansion=2.5, dw_kernel=5, nonlinear_fraction=0.35,
+                         branch_activation=A.prelu(0.25)),
+    A.ResNetBottleneckBlock(expansion=0.3, mid_kernel=3),
+    A.Head(classes=10, hidden_channels=64),
+))
+
+GOLDEN_ARCHS = {
+    "resnet_bottleneck": A.resnet_bottleneck_arch(
+        "rb", [64, 128], [2, 3], expansion=0.25, resolution=64),
+    "resnet_bottleneck_e05_k5": A.resnet_bottleneck_arch(
+        "rb2", [48, 96, 192], [1, 2, 1], expansion=0.5, mid_kernel=5, resolution=64),
+    "regular_conv_none": A.ArchDescriptor("rc", "generic", 32, 3, (
+        A.Stem(kernel=3, stride=2, out_channels=16),
+        A.RegularConv(kernel=3, stride=1, out_channels=24, activation=A.NONE),
+        A.RegularConv(kernel=5, stride=2, out_channels=32),
+        A.Head(classes=10),
+    )),
+    "split_gelu": A.convnext_arch("sa", [32, 64], [2, 2], resolution=64,
+                                  split_fraction=0.6, split_activation=A.GELU),
+    "split_exp": A.convnext_arch("se", [32, 64], [2, 2], resolution=64,
+                                 split_fraction=0.3, split_activation=A.exp_kernel()),
+    "head_only": A.ArchDescriptor("h", "generic", 16, 8, (A.Head(classes=5),)),
+    "all_kinds": ALL_KINDS,
+}
+
+
+@pytest.mark.parametrize("name,macs,params", [
+    ("resnet_bottleneck", 8_631_296, 210_536),
+    ("resnet_bottleneck_e05_k5", 19_693_056, 644_392),
+    ("regular_conv_none", 2_224_448, 23_698),
+    ("split_gelu", 8_280_576, 145_622),
+    ("split_exp", 5_773_824, 120_816),
+    ("head_only", 40, 61),
+    ("all_kinds", 4_812_544, 58_716),
+])
+def test_golden_totals(name, macs, params):
+    arch = GOLDEN_ARCHS[name]
+    report = C.count_arch(arch, arch.input_resolution)
+    assert (report.total_macs, report.total_params) == (macs, params)
+
+
+def test_golden_per_block_all_kinds():
+    report = C.count_arch(ALL_KINDS, 32)
+    rows = [(b.kind, b.macs, b.params, b.out_shape.channels, b.out_shape.height)
+            for b in report.per_block]
+    assert rows == [
+        ("stem", 165_888, 720, 24, 16),
+        ("regular_conv", 2_211_840, 8_760, 40, 16),
+        ("ibn", 1_440_000, 11_220, 40, 8),
+        ("ibn", 569_600, 9_620, 40, 8),
+        ("downsample", 133_120, 8_452, 52, 4),
+        ("convnext_block", 34_112, 2_408, 52, 4),
+        ("convnext_split_block", 140_608, 9_146, 52, 4),
+        ("resnet_bottleneck", 63_488, 4_220, 52, 4),
+        ("head", 53_888, 4_170, 10, 1),
+    ]

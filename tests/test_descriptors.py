@@ -1,0 +1,133 @@
+"""Property tests at the descriptor boundary: random, partly ill-typed architecture
+files never crash the CLI, and every file that validates has non-negative integer
+costs and round-trips through the JSON format."""
+
+import contextlib
+import io
+import json
+from dataclasses import fields
+
+from hypothesis import given, settings, strategies as st
+
+import nnscale.archspec as A
+import nnscale.costmodel as C
+from nnscale.cli import main
+
+PROFILE = dict(derandomize=True, deadline=None, max_examples=150, database=None)
+
+# Values that are not descriptor numbers, plus numbers at and past the bounds.
+junk = st.sampled_from([
+    None, True, False, "3", "a", [], [3], {}, 16.5, -0.5, 0, -3, float("nan"),
+    float("inf"), -float("inf"), 1e308, 2**31 + 1, -(2**31) - 1, 10**40,
+])
+activation = st.one_of(
+    st.sampled_from(["none", "relu", "gelu", "hswish"]),
+    st.builds(lambda a: {"kind": "prelu", "alpha": a}, st.sampled_from([0.25, -1, 0])),
+    st.builds(lambda c: {"kind": "exp_kernel", "clamp": c}, st.sampled_from([10.0, 3])),
+)
+# Well-typed values by field name, chosen so that most blocks validate.
+GOOD = {
+    "kernel": st.sampled_from([1, 3, 5, 7]),
+    "dw_kernel": st.sampled_from([3, 5, 7]),
+    "mid_kernel": st.sampled_from([1, 3]),
+    "stride": st.sampled_from([1, 1, 2]),
+    "out_channels": st.sampled_from([8, 16, 24]),
+    "classes": st.sampled_from([2, 10]),
+    "hidden_channels": st.sampled_from([None, 32]),
+    "expansion": st.sampled_from([0.25, 0.3, 1, 2.5, 4, 6.0]),
+    "nonlinear_fraction": st.sampled_from([0.3, 0.5, 0.6]),
+    "residual": st.booleans(),
+    "activation": activation,
+    "branch_activation": activation,
+}
+# Ill-typed or out-of-range replacements, and bad activation values.
+BAD = st.one_of(junk, st.sampled_from(["swish", {"kind": "prelu"}, {"kind": []}]))
+
+
+@st.composite
+def block_dicts(draw):
+    cls = draw(st.sampled_from(list(A._KIND_TO_CLS.values())))
+    obj = {"kind": cls.kind}
+    for f in fields(cls):
+        obj[f.name] = draw(GOOD[f.name])
+    if draw(st.integers(0, 2)) == 0:  # spoil one field: a bad value or a missing one
+        name = draw(st.sampled_from(sorted(obj)))
+        if draw(st.booleans()):
+            obj[name] = draw(BAD)
+        else:
+            del obj[name]
+    return obj
+
+
+def _maybe_bad(draw, good):
+    return draw(BAD) if draw(st.integers(0, 7)) == 0 else draw(good)
+
+
+@st.composite
+def full_descriptors(draw):
+    blocks = draw(st.lists(block_dicts(), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        blocks.append({"kind": "head", "classes": 10})
+    return {
+        "name": "p",
+        "family": _maybe_bad(draw, st.sampled_from(A.FAMILIES)),
+        "input_resolution": _maybe_bad(draw, st.sampled_from([32, 64])),
+        "input_channels": _maybe_bad(draw, st.sampled_from([3, 8, 16])),
+        "blocks": blocks,
+    }
+
+
+@st.composite
+def stage_descriptors(draw):
+    n = draw(st.integers(1, 3))
+    obj = {
+        "name": "s",
+        "family": draw(st.sampled_from(A.STAGE_FAMILIES)),
+        "input_resolution": _maybe_bad(draw, st.sampled_from([32, 64])),
+        "input_channels": 3,
+        "stage_widths": [_maybe_bad(draw, st.sampled_from([8, 12, 16, 24]))
+                         for _ in range(n)],
+        "stage_depths": [_maybe_bad(draw, st.integers(1, 3)) for _ in range(n)],
+        "expansion": _maybe_bad(draw, GOOD["expansion"]),
+        "dw_kernel": _maybe_bad(draw, GOOD["dw_kernel"]),
+    }
+    if draw(st.booleans()):
+        obj["split"] = {"fraction": _maybe_bad(draw, GOOD["nonlinear_fraction"]),
+                        "branch_activation": _maybe_bad(draw, activation)}
+    return obj
+
+
+descriptors = st.one_of(full_descriptors(), full_descriptors(), stage_descriptors())
+
+
+@settings(**PROFILE)
+@given(descriptors)
+def test_cost_cli_never_raises(tmp_path_factory, descriptor):
+    path = tmp_path_factory.getbasetemp() / "property-arch.json"
+    path.write_text(json.dumps(descriptor))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["cost", "--arch", str(path)])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+
+
+@settings(**PROFILE)
+@given(descriptors)
+def test_valid_descriptors_have_int_costs_and_round_trip(descriptor):
+    try:
+        arch = A.parse_arch(json.dumps(descriptor))
+    except A.ArchError:
+        return
+    try:
+        report = C.count_arch(arch, arch.input_resolution)
+    except C.CostError:
+        pass  # e.g. a split that keeps every expanded channel at some width
+    else:
+        for b in report.per_block:
+            assert type(b.macs) is int and type(b.params) is int
+            assert b.macs >= 0 and b.params > 0
+    text = A.serialize_arch(arch)
+    assert A.parse_arch(text) == arch
+    assert A.serialize_arch(A.parse_arch(text)) == text

@@ -129,6 +129,54 @@ def test_split_block_units():
     assert T.nonlinear_units(arch) == 231 + (384 - 231)
 
 
+# Exact regression values for families and blocks the presets do not cover.
+@pytest.mark.parametrize("arch,mass,units", [
+    (A.resnet_bottleneck_arch("rb", [64, 128], [2, 3], expansion=0.25, resolution=64),
+     341.3333333333333, 256),
+    (A.resnet_bottleneck_arch("rb2", [48, 96, 192], [1, 2, 1], expansion=0.5,
+                              mid_kernel=5, resolution=64),
+     345.6, 432),
+    (A.convnext_arch("sa", [32, 64], [2, 2], resolution=64, split_fraction=0.6,
+                     split_activation=A.GELU),
+     384.0, 768),
+    (A.convnext_arch("se", [32, 64], [2, 2], resolution=64, split_fraction=0.3,
+                     split_activation=A.exp_kernel()),
+     384.0, 768),
+])
+def test_golden_mass(arch, mass, units):
+    report = T.nn_mass(arch)
+    assert (report.mass, report.nonlinear_units) == (mass, units)
+
+
+def test_golden_units_every_kind():
+    blocks = (
+        A.Stem(kernel=3, stride=2, out_channels=24),
+        A.RegularConv(kernel=3, stride=1, out_channels=40, activation=A.NONE),
+        A.Ibn(expansion=2.5, dw_kernel=5, stride=2, out_channels=40),
+        A.Ibn(expansion=2.5, dw_kernel=3, stride=1, out_channels=40, residual=True),
+        A.Downsample(kernel=2, stride=2, out_channels=52),
+        A.ConvNextBlock(expansion=0.3, dw_kernel=3),
+        A.ConvNextSplitBlock(expansion=2.5, dw_kernel=5, nonlinear_fraction=0.35,
+                             branch_activation=A.prelu(0.25)),
+        A.ResNetBottleneckBlock(expansion=0.3, mid_kernel=3),
+        A.Head(classes=10, hidden_channels=64),
+    )
+    assert T.nonlinear_units(A.ArchDescriptor("mix", "generic", 32, 3, blocks)) == 578
+
+
+@pytest.mark.parametrize("family,block,i_b", [
+    # 96 + 29 + 96: depthwise and expand see c, project sees round(0.3 * 96) = 29
+    ("convnext", A.ConvNextBlock(expansion=0.3), 221),
+    ("convnext", A.ConvNextSplitBlock(expansion=0.3, dw_kernel=7, nonlinear_fraction=0.5), 221),
+    # 96 + 29 + 29: first 1x1 sees c, the k x k and last 1x1 see the mid width
+    ("resnet_bottleneck", A.ResNetBottleneckBlock(expansion=0.3), 154),
+])
+def test_mass_inputs_use_the_expanded_width(family, block, i_b):
+    report = T.nn_mass(A.ArchDescriptor("x", family, 8, 96, (block,)))
+    assert report.per_block[0].input_channels == i_b
+    assert report.mass == pytest.approx(float(i_b * block.cell_density))
+
+
 def test_average_degree():
     assert T.average_degree(8, 4) == 10
     assert T.average_degree(32, 0) == 32
