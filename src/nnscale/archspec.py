@@ -210,6 +210,10 @@ class Stem(_Conv):
 
     kind = "stem"
 
+    def validate(self, i: int, c: int, last: bool) -> None:
+        _Conv.validate(self, i, c, last)  # not super(): downsample reuses this
+        _require(self.kernel >= 1, i, f"{self.kind} kernel must be >= 1")
+
 
 @dataclass(frozen=True)
 class RegularConv(_Conv):
@@ -379,6 +383,7 @@ class Downsample(_Conv):
     out_channels: int
 
     kind = "downsample"
+    validate = Stem.validate
 
     def cost(self, s: Shape) -> tuple:
         macs, params = super().cost(s)
@@ -406,6 +411,7 @@ class Head(_Block):
         _require(self.classes > 0, i, "classes must be positive")
         _require(self.hidden_channels is None or self.hidden_channels > 0, i,
                  "hidden_channels must be positive")
+        _require(self.dw_kernel is None or self.dw_kernel >= 1, i, "head dw_kernel must be >= 1")
         _require(last, i, "head must be the final block")
 
     def out_shape(self, s: Shape) -> Shape:

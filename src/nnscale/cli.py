@@ -86,6 +86,18 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    error = argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise error
+    if value < 1:
+        raise error
+    return value
+
+
 def _human(v: float) -> str:
     for unit, div in (("B", 1e9), ("M", 1e6), ("K", 1e3)):
         if v >= div:
@@ -339,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("collapse-verify", help="two-path collapse equivalence trials")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=12)
+    p.add_argument("--size", type=_positive_int, default=12)
     p.add_argument("--biased", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_collapse_verify)
@@ -360,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--noise", type=float, default=0.4)
     p.add_argument("--variants", default="a1,a1,a1", help="comma list of a1/a2/a3")
-    p.add_argument("--width", type=int, default=8)
+    p.add_argument("--width", type=_positive_int, default=8)
     p.add_argument("--lam", type=float, default=1e-3)
     p.add_argument("--lr", type=float, default=0.2)
     p.add_argument("--epochs", type=int, default=300)
@@ -380,11 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_ldi)
 
     p = sub.add_parser("regions", help="linear-region counting trend report")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--n0", type=int, default=2)
+    p.add_argument("--n", type=_positive_int, default=4)
+    p.add_argument("--n0", type=_positive_int, default=2)
     p.add_argument("--layers", type=_int_list, default="2,3,4", help="comma list of depths")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--trials", type=_positive_int, default=50)
+    p.add_argument("--grid", type=_positive_int, default=256)
     p.add_argument("--radius", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -1,5 +1,5 @@
 """Float64 numeric substrate: direct 2-D convolution, batch-norm folding, activation
-functions, Gram-Jacobi singular values, and seeded tensor generation.
+functions, LAPACK singular values, and seeded tensor generation.
 
 Tensors are plain C-contiguous float64 numpy arrays. Everything here is pure and
 deterministic; the random generator is counter-based (Philox, 64-bit keyed) so draws
@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf
 
 from .archspec import Activation
 
@@ -158,6 +157,8 @@ def activate(kind: Activation, t: np.ndarray) -> np.ndarray:
     if k == "prelu":
         return np.maximum(t, 0.0) + kind.alpha * np.minimum(t, 0.0)
     if k == "gelu":
+        from scipy.special import erf  # scipy only loads for gelu, not on CLI start
+
         return 0.5 * t * (1.0 + erf(t / math.sqrt(2.0)))
     if k == "hswish":
         return t * np.clip(t + 3.0, 0.0, 6.0) / 6.0
@@ -166,82 +167,12 @@ def activate(kind: Activation, t: np.ndarray) -> np.ndarray:
     raise TensorError(f"unknown activation {k!r}")
 
 
-def _round_robin_pairs(n: int):
-    """Tournament schedule covering all index pairs of 0..n-1 in rounds of disjoint
-    pairs (circle method; odd n gets a bye slot)."""
-    m = n + (n % 2)
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        p_idx, q_idx = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a < n and b < n:
-                p_idx.append(min(a, b))
-                q_idx.append(max(a, b))
-        rounds.append((np.array(p_idx), np.array(q_idx)))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
-def _jacobi_eigvals_batch(a: np.ndarray, tol_scale: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a batch of symmetric matrices [B, n, n] by cyclic Jacobi
-    rotations in round-robin order (each round rotates disjoint pairs at once);
-    sweeps stop once every matrix's off-diagonal Frobenius mass falls below
-    tol_scale (scaled by the matrix norm when that exceeds one). Internally the
-    batch axis sits last so pair gathers stay contiguous."""
-    a = np.asarray(a, dtype=np.float64)
-    _, n, _ = a.shape
-    if n == 1:
-        return a[:, :, 0].copy()
-    w = np.ascontiguousarray(np.moveaxis(a, 0, 2))  # [n, n, B]
-    norms = np.sqrt(np.einsum("ijb,ijb->b", w, w))
-    tol = tol_scale * np.maximum(1.0, norms)
-    idx = np.arange(n)
-    rounds = _round_robin_pairs(n)
-    off_mask = (~np.eye(n, dtype=bool))[:, :, None]
-    for _ in range(max_sweeps):
-        om = np.where(off_mask, w, 0.0)
-        off = np.sqrt(np.einsum("ijb,ijb->b", om, om))
-        if np.all(off <= tol):
-            break
-        for p_idx, q_idx in rounds:
-            apq = w[p_idx, q_idx]
-            app = w[p_idx, p_idx]
-            aqq = w[q_idx, q_idx]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t = np.where((apq != 0.0) & np.isfinite(t), t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            rp = w[p_idx]
-            rq = w[q_idx]
-            w[p_idx] = c[:, None, :] * rp - s[:, None, :] * rq
-            w[q_idx] = s[:, None, :] * rp + c[:, None, :] * rq
-            cp = w[:, p_idx]
-            cq = w[:, q_idx]
-            w[:, p_idx] = c[None, :, :] * cp - s[None, :, :] * cq
-            w[:, q_idx] = s[None, :, :] * cp + c[None, :, :] * cq
-            w[p_idx, q_idx] = 0.0
-            w[q_idx, p_idx] = 0.0
-    return np.ascontiguousarray(w[idx, idx].T)
-
-
 def singular_values_batch(ms: np.ndarray) -> np.ndarray:
-    """Singular values (descending) of a batch of equally-shaped matrices [B, r, c],
-    via Jacobi eigendecomposition of the smaller Gram matrix."""
+    """Singular values (descending) of a batch of equally-shaped matrices [B, r, c]."""
     ms = _as_f64(ms)
     if ms.ndim != 3:
         raise TensorError("expected a batch [B, r, c]")
-    _, r, c = ms.shape
-    if r <= c:
-        gram = np.einsum("bij,bkj->bik", ms, ms)
-    else:
-        gram = np.einsum("bji,bjk->bik", ms, ms)
-    eig = _jacobi_eigvals_batch(gram)
-    sv = np.sqrt(np.maximum(eig, 0.0))
-    return -np.sort(-sv, axis=1)
+    return np.linalg.svd(ms, compute_uv=False)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

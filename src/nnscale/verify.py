@@ -104,7 +104,7 @@ def ldi_report(cfg: LinearDensenetConfig, trials: int) -> LdiReport:
     if trials < 50:
         raise VerifyError("need at least 50 trials")
     bounds = ldi_bounds(cfg.q, cfg.width, cfg.k_hat)
-    # group matrices by shape so each group can run as one Jacobi batch
+    # group matrices by shape so each group can run as one batched SVD
     plain = []  # layers 0, 1 across trials: [w, w]
     skip = []   # layers >= 2: [w, w + s]
     for t in range(trials):
@@ -188,19 +188,15 @@ def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCo
     else:
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    if x_units == 0:
-        distinct = 1
-    else:
-        bits = np.empty((pts.shape[0], x_units), dtype=np.uint8)
-        h = pts
-        col = 0
-        for w, b in net.hidden:
-            pre = h @ w.T + b
-            bits[:, col:col + w.shape[0]] = (pre > 0).astype(np.uint8)
-            h = np.maximum(pre, 0.0)
-            col += w.shape[0]
-        packed = np.packbits(bits, axis=1)
-        distinct = int(np.unique(packed, axis=0).shape[0])
+    # one bit per ReLU unit, set where the unit is active; X <= 24 fits an int64
+    codes = np.zeros(pts.shape[0], dtype=np.int64)
+    h = pts
+    for w, b in net.hidden:
+        pre = h @ w.T + b
+        for unit in (pre > 0).T:
+            codes = (codes << 1) | unit
+        h = np.maximum(pre, 0.0)
+    distinct = int(np.unique(codes).size)
     if distinct > 2 ** x_units:
         raise VerifyError("pattern count exceeded 2^X; counter is broken")
     return RegionCount(

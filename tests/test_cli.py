@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -205,6 +208,34 @@ def test_regions_bad_layers_is_usage_error(capsys):
     assert "comma list of integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["afrb-search", "--width", "0"],
+    ["regions", "--n", "0"],
+    ["regions", "--n0", "0"],
+    ["regions", "--trials", "0"],
+    ["regions", "--grid", "0"],
+    ["collapse-verify", "--trials", "0"],
+    ["collapse-verify", "--size", "0"],
+    ["collapse-verify", "--size", "-2"],
+    ["regions", "--grid", "x"],
+], ids=lambda argv: "_".join(a.strip("-") for a in argv))
+def test_non_positive_count_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected a positive integer" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_scipy():
+    probe = "import sys, nnscale.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def _full(blocks, **top):
     obj = {"name": "x", "family": "generic", "input_resolution": 32,
            "input_channels": 3, "blocks": blocks}
@@ -233,9 +264,15 @@ HEAD = {"kind": "head", "classes": 10}
     (_stages(stage_widths=[96.5]), "stage_widths entry must be an integer"),
     (_stages(stage_widths=["a"]), "stage_widths entry must be an integer"),
     (_full([STEM, dict(HEAD, hidden_channels=-5)]), "hidden_channels must be positive"),
+    (_full([dict(STEM, kernel=0), HEAD]), "block 0: stem kernel must be >= 1"),
+    (_full([STEM, {"kind": "downsample", "kernel": 0, "stride": 2, "out_channels": 32}, HEAD]),
+     "block 1: downsample kernel must be >= 1"),
+    (_full([STEM, dict(HEAD, hidden_channels=8, dw_kernel=-3)]),
+     "block 1: head dw_kernel must be >= 1"),
 ], ids=["kernel_str", "out_channels_float", "stride_bool", "expansion_huge",
         "expansion_nan", "resolution_null", "stage_width_float", "stage_width_str",
-        "hidden_channels_negative"])
+        "hidden_channels_negative", "stem_kernel_zero", "downsample_kernel_zero",
+        "head_dw_kernel_negative"])
 def test_ill_typed_descriptor_is_domain_error(tmp_path, capsys, descriptor, message):
     path = tmp_path / "arch.json"
     path.write_text(json.dumps(descriptor))

@@ -117,6 +117,37 @@ def test_grid_refinement_never_decreases():
         assert c1024 >= c512
 
 
+def _oracle_patterns(net, box_radius, grid):
+    """Distinct per-point sign rows, counted as Python tuples."""
+    axis = np.linspace(-box_radius, box_radius, grid)
+    if net.input_dim == 1:
+        pts = axis[:, None]
+    else:
+        gx, gy = np.meshgrid(axis, axis, indexing="ij")
+        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    rows, h = [], pts
+    for w, b in net.hidden:
+        pre = h @ w.T + b
+        rows.append(pre > 0)
+        h = np.maximum(pre, 0.0)
+    sign_rows = np.concatenate(rows, axis=1)
+    return len(set(map(tuple, sign_rows.tolist())))
+
+
+@pytest.mark.parametrize("n0,n,layers,grid", [
+    (2, 1, 1, 64),     # X = 1
+    (1, 5, 2, 512),    # 1-D input
+    (2, 4, 3, 128),    # multi-layer
+    (2, 12, 2, 96),    # X = 24: the top bit of the code
+])
+def test_region_count_matches_tuple_oracle(n0, n, layers, grid):
+    for seed in range(3):
+        net = V.random_relu_net(n0, n, layers, seed=seed)
+        rc = V.count_linear_regions(net, 2.0, grid)
+        assert rc.relu_units == n * layers
+        assert rc.distinct_patterns == _oracle_patterns(net, 2.0, grid)
+
+
 def test_region_counting_limits():
     with pytest.raises(V.VerifyError, match="24"):
         V.count_linear_regions(V.random_relu_net(2, 13, 2, seed=0), 2.0, 64)
