@@ -321,15 +321,18 @@ class ConvNextSplitBlock(_Block):
     def validate(self, i: int, c: int, last: bool) -> None:
         ConvNextBlock.validate(self, i, c, last)
         _require(0 < self.nonlinear_fraction < 1, i, "nonlinear_fraction must lie in (0, 1)")
+        if self.kept(c) >= self.mid(c):
+            raise ArchError(f"block {i}: {self._keeps_all(c)}")
+
+    def _keeps_all(self, c: int) -> str:
+        return (f"split keeps all {self.mid(c)} expanded channels (fraction "
+                f"{self.nonlinear_fraction} at width {c}); use a plain block")
 
     def cost(self, s: Shape) -> tuple:
         c, hw, k = s.channels, s.height * s.width, self.dw_kernel
         mid, kept = self.mid(c), self.kept(c)
-        if kept >= mid:
-            raise CostError(
-                f"split keeps all {mid} expanded channels (fraction "
-                f"{self.nonlinear_fraction} at width {c}); use a plain block"
-            )
+        if kept >= mid:  # validation rejects this; a block costed on its own may not be
+            raise CostError(self._keeps_all(c))
         macs = hw * (k * k * c + c * kept + kept * c + c * c)
         params = k * k * c + c + 2 * c          # depthwise + norm
         params += c * kept + kept + kept * c + c  # non-linear branch two 1x1
@@ -446,10 +449,6 @@ for _cls in _KIND_TO_CLS.values():
 del _cls
 
 
-def block_kind(block: BlockSpec) -> str:
-    return block.kind
-
-
 @dataclass(frozen=True)
 class StageConfig:
     """Per-stage widths/depths of a stage-structured family, with the shared block
@@ -484,8 +483,14 @@ def input_channels_per_block(arch: ArchDescriptor) -> list:
     return chain
 
 
+# Every block is built, validated and costed one by one, so the total stage depth
+# bounds the work a stage file can ask for.
+MAX_TOTAL_DEPTH = 4096
+
+
 def _stage_lists(widths, depths):
-    """Stage widths and depths as int tuples, type-checked before any block is built."""
+    """Stage widths and depths as int tuples, type-checked and depth-bounded before any
+    block is built."""
     for what, values in (("stage_widths", widths), ("stage_depths", depths)):
         if not isinstance(values, (list, tuple)):
             raise ArchError(f"{what} must be a list of integers")
@@ -493,6 +498,8 @@ def _stage_lists(widths, depths):
             _check_type(v, "int", f"{what} entry")
     if not widths:
         raise ArchError("stage_widths must be non-empty")
+    if sum(depths) > MAX_TOTAL_DEPTH:
+        raise ArchError(f"total stage depth {sum(depths)} exceeds {MAX_TOTAL_DEPTH}")
     return tuple(map(int, widths)), tuple(map(int, depths))
 
 
@@ -719,7 +726,7 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
 
 
 def _block_to_json(block: BlockSpec) -> dict:
-    out = {"kind": block_kind(block)}
+    out = {"kind": block.kind}
     for f in fields(block):
         v = getattr(block, f.name)
         if isinstance(v, Activation):

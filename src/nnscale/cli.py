@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -65,11 +66,11 @@ def _add_arch_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     g = scaler.DEFAULT_GRID
-    p.add_argument("--wmin", type=float, default=g.w_min)
-    p.add_argument("--wmax", type=float, default=g.w_max)
+    p.add_argument("--wmin", type=_finite_float, default=g.w_min)
+    p.add_argument("--wmax", type=_finite_float, default=g.w_max)
     p.add_argument("--wsteps", type=int, default=g.w_steps)
-    p.add_argument("--dmin", type=float, default=g.d_min)
-    p.add_argument("--dmax", type=float, default=g.d_max)
+    p.add_argument("--dmin", type=_finite_float, default=g.d_min)
+    p.add_argument("--dmax", type=_finite_float, default=g.d_max)
     p.add_argument("--dsteps", type=int, default=g.d_steps)
 
 
@@ -78,24 +79,34 @@ def _grid_from(args) -> scaler.MultiplierGrid:
                                  args.dmin, args.dmax, args.dsteps)
 
 
-def _int_list(text: str) -> list:
-    """argparse type for a comma list of integers such as 2,3,4."""
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
+def _arg_type(parse, ok, expected: str):
+    """argparse type: parse(text) must not raise ValueError and ok(value) must hold,
+    else a usage error saying what was expected."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count that must be at least 1."""
-    error = argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    try:
-        value = int(text)
-    except ValueError:
-        raise error
-    if value < 1:
-        raise error
-    return value
+def _pair(text: str) -> tuple:
+    macs, params = text.split(":")
+    return float(macs), float(params)
+
+
+_int_list = _arg_type(lambda t: [int(v) for v in t.split(",")], bool,
+                      "a comma list of integers")
+_positive_int = _arg_type(int, lambda v: v >= 1, "a positive integer")
+# derived generator keys (seed * 100003 + trial) must fit 64 bits
+_seed = _arg_type(int, lambda v: abs(v) < 2**31, "an integer seed within +-2**31")
+# float() gives inf for overflowing literals such as 1e400
+_finite_float = _arg_type(float, math.isfinite, "a finite number")
+_budget_spec = _arg_type(_pair, lambda b: all(map(math.isfinite, b)),
+                         "MACS:PARAMS with two finite numbers")
 
 
 def _human(v: float) -> str:
@@ -145,10 +156,10 @@ def _scan(args):
     cands = scaler.enumerate_candidates(base, grid, args.resolution)
     in_budget = []
     selected = None
-    if args.budget_macs or args.budget_params:
+    if args.budget_macs is not None or args.budget_params is not None:
         budget = scaler.Budget(
-            target_macs=int(args.budget_macs) if args.budget_macs else None,
-            target_params=int(args.budget_params) if args.budget_params else None,
+            target_macs=int(args.budget_macs) if args.budget_macs is not None else None,
+            target_params=int(args.budget_params) if args.budget_params is not None else None,
             tolerance=args.tol,
         )
         in_budget = scaler.filter_budget(cands, budget)
@@ -236,13 +247,13 @@ def _cmd_afrb_search(args) -> int:
         w.writerow([i, repr(trace.loss[i]), repr(trace.accuracy[i]),
                     repr(trace.regularizer[i])] + [repr(a) for a in trace.alphas[i]])
     _emit(buf.getvalue(), args.out)
-    decisions = [restructure.afrb_decide(a, cfg.band).action for a in model.alphas]
+    decisions = [restructure.afrb_decide(a).action for a in model.alphas]
     summary = {
         "alphas": model.alphas,
         "decisions": decisions,
         "collapsed": sum(d == "collapse" for d in decisions),
         "final_accuracy": trace.accuracy[-1] if len(trace) else None,
-        "nonlinear_units_left": search.nonlinearity_count(model, cfg.band),
+        "nonlinear_units_left": search.nonlinearity_count(model),
     }
     sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return 0
@@ -268,17 +279,13 @@ def _cmd_regions(args) -> int:
 def _parse_budgets(specs, tol: float):
     budgets = []
     seen = set()
-    for spec in specs:
-        parts = spec.split(":")
-        if len(parts) != 2:
-            raise ScaleError(f"budget {spec!r} must be MACS:PARAMS")
-        key = (float(parts[0]), float(parts[1]))
-        if key in seen:
-            sys.stderr.write(f"warning: duplicate budget {spec} ignored\n")
+    for macs, params in specs:
+        if (macs, params) in seen:
+            sys.stderr.write(f"warning: duplicate budget {macs:g}:{params:g} ignored\n")
             continue
-        seen.add(key)
+        seen.add((macs, params))
         budgets.append(scaler.Budget(
-            target_macs=int(key[0]), target_params=int(key[1]), tolerance=tol))
+            target_macs=int(macs), target_params=int(params), tolerance=tol))
     return budgets
 
 
@@ -341,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_arch_flags(p)
         _add_grid_flags(p)
         p.add_argument("--resolution", type=int, default=224)
-        p.add_argument("--budget-macs", type=float)
-        p.add_argument("--budget-params", type=float)
-        p.add_argument("--tol", type=float, default=0.025)
+        p.add_argument("--budget-macs", type=_finite_float)
+        p.add_argument("--budget-params", type=_finite_float)
+        p.add_argument("--tol", type=_finite_float, default=0.025)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out")
         if name == "pareto":
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collapse-verify", help="two-path collapse equivalence trials")
     p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--size", type=_positive_int, default=12)
     p.add_argument("--biased", action="store_true")
     p.add_argument("--out")
@@ -360,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("restructure", help="split every ConvNext block MLP")
     _add_arch_flags(p)
-    p.add_argument("--fraction", type=float, default=0.6,
+    p.add_argument("--fraction", type=_finite_float, default=0.6,
                    help="fraction of expanded channels kept non-linear")
     p.add_argument("--activation", choices=["none", "gelu", "exp"], default="none")
     p.add_argument("--resolution", type=int, default=224)
@@ -370,14 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("afrb-search", help="toy non-linearity search on 2-D data")
     p.add_argument("--dataset", choices=["blobs", "moons", "xor"], default="blobs")
     p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--noise", type=float, default=0.4)
+    p.add_argument("--noise", type=_finite_float, default=0.4)
     p.add_argument("--variants", default="a1,a1,a1", help="comma list of a1/a2/a3")
     p.add_argument("--width", type=_positive_int, default=8)
-    p.add_argument("--lam", type=float, default=1e-3)
-    p.add_argument("--lr", type=float, default=0.2)
+    p.add_argument("--lam", type=_finite_float, default=1e-3)
+    p.add_argument("--lr", type=_finite_float, default=0.2)
     p.add_argument("--epochs", type=int, default=300)
     p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_afrb_search)
 
@@ -385,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--depth", type=int, default=16)
     p.add_argument("--skips", type=int, default=32)
-    p.add_argument("--q", type=float, default=1.0 / 64.0)
+    p.add_argument("--q", type=_finite_float, default=1.0 / 64.0)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_ldi)
 
@@ -397,16 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=_int_list, default="2,3,4", help="comma list of depths")
     p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--grid", type=_positive_int, default=256)
-    p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--radius", type=_finite_float, default=2.0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_regions)
 
     p = sub.add_parser("report", help="budget sections + frontier data from a scan CSV")
     p.add_argument("--scan", required=True, help="CSV produced by the scale command")
-    p.add_argument("--budget", action="append", default=[],
+    p.add_argument("--budget", type=_budget_spec, action="append", default=[],
                    help="MACS:PARAMS, repeatable")
-    p.add_argument("--tol", type=float, default=0.025)
+    p.add_argument("--tol", type=_finite_float, default=0.025)
     p.add_argument("--frontier-out")
     p.set_defaults(fn=_cmd_report)
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .archspec import (
     Activation,
     ArchDescriptor,
+    ArchError,
     ConvNextBlock,
     ConvNextSplitBlock,
     Ibn,
@@ -28,7 +29,7 @@ from .archspec import (
     RegularConv,
     convnext_arch,
 )
-from .tensor import ConvWeights, conv2d, fold_bn
+from .tensor import ConvWeights, conv2d, fold_bn, rand_tensor
 
 DEFAULT_BAND = (0.8, 1.3)
 
@@ -64,20 +65,6 @@ class LinearSequence:
             c = w.out_channels
         if spatial > 1:
             raise RestructureError("more than one spatial element in sequence")
-
-    @property
-    def has_expansion_1x1(self) -> bool:
-        w0 = self.layers[0][0]
-        return w0.kernel_size == 1 and w0.out_channels > w0.in_channels
-
-    @property
-    def has_depthwise(self) -> bool:
-        return any(w.groups == w.in_channels > 1 for w, _ in self.layers)
-
-    @property
-    def has_projection_1x1(self) -> bool:
-        wl = self.layers[-1][0]
-        return wl.kernel_size == 1 and wl.out_channels < wl.in_channels
 
     @property
     def in_channels(self) -> int:
@@ -224,31 +211,20 @@ def restructure_arch(
     fraction: float,
     branch_activation: Activation = NONE,
 ) -> ArchDescriptor:
-    """Replace every ConvNext block by its split form across the whole network."""
+    """Replace every ConvNext block by its split form across the whole network.
+    Validation of the rebuilt descriptor rejects a fraction outside (0, 1) and a
+    split that keeps every expanded channel at some stage width."""
     if arch.family != "convnext" or arch.stages is None:
         raise RestructureError("restructure_arch requires a stage-structured convnext family")
-    if not 0 < fraction < 1:
-        raise RestructureError(f"fraction must lie in (0, 1), got {fraction}")
     st = arch.stages
-    body = ConvNextSplitBlock(st.expansion, st.dw_kernel, fraction, branch_activation)
-    for w in st.widths:
-        mid, kept = body.mid(w), body.kept(w)
-        if kept >= mid:
-            raise RestructureError(
-                f"fraction {fraction} keeps all {mid} expanded channels at width {w}"
-            )
-    return convnext_arch(
-        arch.name,
-        st.widths,
-        st.depths,
-        expansion=st.expansion,
-        dw_kernel=st.dw_kernel,
-        resolution=arch.input_resolution,
-        input_channels=arch.input_channels,
-        classes=st.classes,
-        split_fraction=fraction,
-        split_activation=branch_activation,
-    )
+    try:
+        return convnext_arch(
+            arch.name, st.widths, st.depths, expansion=st.expansion, dw_kernel=st.dw_kernel,
+            resolution=arch.input_resolution, input_channels=arch.input_channels,
+            classes=st.classes, split_fraction=fraction, split_activation=branch_activation,
+        )
+    except ArchError as exc:
+        raise RestructureError(str(exc)) from exc
 
 
 def random_ibn_sequence(
@@ -258,22 +234,19 @@ def random_ibn_sequence(
     kernel: int,
     stride: int,
     biased: bool,
-    c_out: Optional[int] = None,
 ) -> LinearSequence:
-    """Random expansion/depthwise/projection sequence for collapse verification."""
-    from .tensor import rand_tensor
-
-    c_out = c_in if c_out is None else c_out
-    mid = max(1, Ibn(expansion, kernel, stride, c_out).mid(c_in))
+    """Random expansion/depthwise/projection sequence (c_in -> c_in) for collapse
+    verification."""
+    mid = max(1, Ibn(expansion, kernel, stride, c_in).mid(c_in))
     p1 = rand_tensor((mid, c_in, 1, 1), ("normal", 0.0, 1.0 / c_in), seed, 0)
     d = rand_tensor((mid, 1, kernel, kernel), ("normal", 0.0, 1.0 / (kernel * kernel)), seed, 1)
-    p2 = rand_tensor((c_out, mid, 1, 1), ("normal", 0.0, 1.0 / mid), seed, 2)
+    p2 = rand_tensor((c_in, mid, 1, 1), ("normal", 0.0, 1.0 / mid), seed, 2)
     def b(n, idx):
         return rand_tensor((n,), ("normal", 0.0, 0.25), seed, idx) if biased else None
     layers = (
         (ConvWeights(p1, b(mid, 3)), None),
         (ConvWeights(d, b(mid, 4), stride=stride, groups=mid), None),
-        (ConvWeights(p2, b(c_out, 5)), None),
+        (ConvWeights(p2, b(c_in, 5)), None),
     )
     return LinearSequence(layers=layers)
 
@@ -289,8 +262,6 @@ def collapse_trial(
 ) -> dict:
     """Two-path check: forward through the sequence vs. through the collapsed conv.
     Reports the max abs difference on the full map and on the interior region."""
-    from .tensor import rand_tensor
-
     seq = random_ibn_sequence(seed, c_in, expansion, kernel, stride, biased)
     x = rand_tensor((c_in, size, size), ("normal", 0.0, 1.0), seed, 7)
     y = x
@@ -302,6 +273,11 @@ def collapse_trial(
     diff = np.abs(y - z)
     rs, cs = interior_slices(size, size, kernel, stride)
     interior = diff[:, rs, cs]
+    if biased and not interior.size:
+        raise RestructureError(
+            f"size {size} leaves no interior pixels for a {kernel}x{kernel} stride-{stride} "
+            "kernel; the biased check needs a larger size"
+        )
     max_interior = float(interior.max()) if interior.size else 0.0
     max_full = float(diff.max())
     tol = 1e-10

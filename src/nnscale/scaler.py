@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 from .archspec import ArchDescriptor, ArchError, scale_arch
 from .costmodel import count_arch
-from .topology import nn_mass, nonlinear_units
+from .topology import nn_mass
 
 
 class ScaleError(ValueError):
@@ -68,6 +68,10 @@ class Budget:
     def __post_init__(self):
         if self.target_macs is None and self.target_params is None:
             raise ScaleError("budget needs at least one target")
+        for name in ("target_macs", "target_params"):
+            target = getattr(self, name)
+            if target is not None and not target > 0:
+                raise ScaleError(f"{name} must be positive, got {target}")
         if not 0 <= self.tolerance <= 0.25:
             raise ScaleError("tolerance must lie in [0, 0.25]")
 

@@ -5,19 +5,19 @@ first uses slope 1 - alpha, the second uses alpha), so alpha = 1 makes the block
 linear and collapsible while alpha = 0 leaves it bottleneck-like. Training minimises
 softmax cross-entropy plus lam * ||alpha - 1||^2 with plain SGD and hand-written
 reverse-mode gradients; `finalize` then collapses the blocks whose alpha landed in
-the configured band.
+the collapse band (restructure.DEFAULT_BAND).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from .archspec import round_half_up
-from .restructure import DEFAULT_BAND, afrb_decide
+from .restructure import afrb_decide
 from .tensor import generator
 
 VARIANTS = ("a1", "a2", "a3")
@@ -129,19 +129,23 @@ def _prelu(x: np.ndarray, a: float) -> np.ndarray:
     return np.maximum(x, 0.0) + a * np.minimum(x, 0.0)
 
 
+def _block_step(blk: AfrbMlpBlock, x: np.ndarray):
+    """One block forward -> (output, cache of (x, h0, z, h1) for backward)."""
+    h0 = _prelu(x, 1.0 - blk.alpha)
+    z = h0 @ blk.w_expand.T
+    h1 = _prelu(z, blk.alpha)
+    out = h1 @ blk.w_project.T
+    if blk.residual:
+        out = out + x
+    return out, (x, h0, z, h1)
+
+
 def _forward(model: MlpModel, x: np.ndarray):
     caches = []
     h = x
     for blk in model.blocks:
-        x_in = h
-        h0 = _prelu(x_in, 1.0 - blk.alpha)
-        z = h0 @ blk.w_expand.T
-        h1 = _prelu(z, blk.alpha)
-        out = h1 @ blk.w_project.T
-        if blk.residual:
-            out = out + x_in
-        caches.append((x_in, h0, z, h1))
-        h = out
+        h, cache = _block_step(blk, h)
+        caches.append(cache)
     logits = h @ model.w_head.T + model.b_head
     return logits, h, caches
 
@@ -220,7 +224,6 @@ class SearchConfig:
     lr: float = 0.2
     epochs: int = 300
     batch: int = 8
-    band: Tuple[float, float] = DEFAULT_BAND
     seed: int = 0
 
     def __post_init__(self):
@@ -276,12 +279,12 @@ def train_search(model: MlpModel, dataset, cfg: SearchConfig) -> SearchTrace:
     return trace
 
 
-def nonlinearity_count(model: MlpModel, band: Tuple[float, float] = DEFAULT_BAND) -> int:
+def nonlinearity_count(model: MlpModel) -> int:
     """Non-linear units surviving restructuring: blocks inside the collapse band
     contribute nothing, the rest keep their expanded-width units."""
     total = 0
     for blk in model.blocks:
-        if not afrb_decide(blk.alpha, band).collapse:
+        if not afrb_decide(blk.alpha).collapse:
             total += blk.expanded_width
     return total
 
@@ -326,12 +329,12 @@ class FinalizedModel:
         return h @ self.w_head.T + self.b_head
 
 
-def finalize(model: MlpModel, band: Tuple[float, float] = DEFAULT_BAND) -> FinalizedModel:
+def finalize(model: MlpModel) -> FinalizedModel:
     """Collapse in-band blocks to single dense layers and reinstate the leading ReLU
     on the rest."""
     blocks = []
     for blk in model.blocks:
-        if afrb_decide(blk.alpha, band).collapse:
+        if afrb_decide(blk.alpha).collapse:
             blocks.append(CollapsedDense(w=blk.w_project @ blk.w_expand, residual=blk.residual))
         else:
             blocks.append(ReinstatedIbn(
@@ -344,7 +347,4 @@ def finalize(model: MlpModel, band: Tuple[float, float] = DEFAULT_BAND) -> Final
 
 def block_forward(blk: AfrbMlpBlock, x: np.ndarray) -> np.ndarray:
     """Single-block forward at the block's current alpha."""
-    h0 = _prelu(x, 1.0 - blk.alpha)
-    h1 = _prelu(h0 @ blk.w_expand.T, blk.alpha)
-    out = h1 @ blk.w_project.T
-    return out + x if blk.residual else out
+    return _block_step(blk, x)[0]

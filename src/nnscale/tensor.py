@@ -9,7 +9,6 @@ are reproducible and independently seedable by index.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -195,7 +194,7 @@ def generator(seed: int, index: int = 0) -> np.random.Generator:
 
 
 def rand_tensor(shape, dist: Tuple, seed: int, index: int = 0) -> np.ndarray:
-    """Seeded random tensor. dist is ("normal", mean, var) or ("uniform", a, b)."""
+    """Seeded random tensor. dist is ("normal", mean, var)."""
     gen = generator(seed, index)
     kind = dist[0]
     if kind == "normal":
@@ -203,37 +202,4 @@ def rand_tensor(shape, dist: Tuple, seed: int, index: int = 0) -> np.ndarray:
         if var < 0:
             raise TensorError("variance must be >= 0")
         return mean + math.sqrt(var) * gen.standard_normal(shape)
-    if kind == "uniform":
-        _, a, b = dist
-        return gen.uniform(a, b, size=shape).astype(np.float64)
     raise TensorError(f"unknown distribution {kind!r}")
-
-
-_MAGIC = b"NNTENSR1"
-
-
-def save_tensor(t: np.ndarray, path: str) -> None:
-    """Raw little-endian float64 file: 16-byte header (8-byte magic, uint64 rank),
-    then rank uint64 dims, then the row-major data."""
-    t = _as_f64(t)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", t.ndim))
-        fh.write(struct.pack(f"<{t.ndim}Q", *t.shape))
-        fh.write(t.astype("<f8").tobytes(order="C"))
-
-
-def load_tensor(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise TensorError(f"bad magic {magic!r}")
-        (rank,) = struct.unpack("<Q", fh.read(8))
-        dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    expected = 1
-    for d in dims:
-        expected *= d
-    if data.size != expected:
-        raise TensorError(f"data length {data.size} != product of dims {dims}")
-    return data.reshape(dims).astype(np.float64)

@@ -88,7 +88,9 @@ def nn_mass(arch: ArchDescriptor) -> MassReport:
     per_block = []
     expansions = set()
     mass = 0.0
+    units = 0
     for i, (block, c) in enumerate(zip(arch.blocks, chain)):
+        units += block.units(c)
         rho = block.cell_density
         if rho:
             expansions.add(Fraction(block.expansion))
@@ -105,7 +107,6 @@ def nn_mass(arch: ArchDescriptor) -> MassReport:
         )
     e = expansions.pop()
     k = proportionality_constant(arch.family, e)
-    units = nonlinear_units(arch)
     bearing = [(b, c) for b, c in zip(per_block, chain) if b.input_channels > 0]
     mean_w = sum(c for _, c in bearing) / len(bearing)
     return MassReport(

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .tensor import generator, singular_values_batch
-from .topology import IsometryBounds, ldi_bounds
+from .topology import IsometryBounds, ldi_bounds, log2_montufar_bound
 
 
 class VerifyError(ValueError):
@@ -104,24 +104,17 @@ def ldi_report(cfg: LinearDensenetConfig, trials: int) -> LdiReport:
     if trials < 50:
         raise VerifyError("need at least 50 trials")
     bounds = ldi_bounds(cfg.q, cfg.width, cfg.k_hat)
-    # group matrices by shape so each group can run as one batched SVD
-    plain = []  # layers 0, 1 across trials: [w, w]
-    skip = []   # layers >= 2: [w, w + s]
-    for t in range(trials):
-        net = build_linear_densenet(
+    nets = [
+        build_linear_densenet(
             LinearDensenetConfig(cfg.width, cfg.depth, cfg.skip_channels, cfg.q, cfg.seed + t)
         )
-        for layer, wmat in enumerate(net.weights):
-            (plain if wmat.shape[1] == cfg.width else skip).append((t, layer, wmat))
-    mean_sv = np.zeros((trials, cfg.depth))
-    for group in (plain, skip):
-        if not group:
-            continue
-        batch = np.stack([wmat for _, _, wmat in group])
-        sv = singular_values_batch(batch)
-        means = sv.mean(axis=1)
-        for (t, layer, _), m in zip(group, means):
-            mean_sv[t, layer] = m
+        for t in range(trials)
+    ]
+    # one batched SVD per layer index over all trials: [trials, depth]
+    mean_sv = np.stack([
+        singular_values_batch(np.stack(layer)).mean(axis=1)
+        for layer in zip(*(net.weights for net in nets))
+    ], axis=1)
     within = (mean_sv >= bounds.lower) & (mean_sv <= bounds.upper)
     return LdiReport(
         per_layer_mean_sv=tuple(mean_sv.mean(axis=0).tolist()),
@@ -179,6 +172,8 @@ def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCo
         raise VerifyError(f"too many ReLU units for pattern counting: {x_units} > 24")
     if grid > 2048:
         raise VerifyError(f"grid limited to 2048, got {grid}")
+    if not box_radius > 0:
+        raise VerifyError(f"box radius must be positive, got {box_radius}")
     d = net.input_dim
     if d not in (1, 2):
         raise VerifyError("lattice evaluation supports 1- or 2-D inputs")
@@ -219,8 +214,6 @@ def montufar_consistency(
     """Observed pattern counts of random (n0 -> n x layers -> 1) rectifier nets next
     to the 2^X ceiling and the constructive depth bound. The ceiling is asserted on
     every trial; depth trends are reported, not asserted."""
-    from .topology import log2_montufar_bound
-
     counts = []
     for t in range(trials):
         net = random_relu_net(n0, n, layers, seed=seed * 100003 + t)

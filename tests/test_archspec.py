@@ -197,3 +197,10 @@ def test_validate_resolution_divisibility():
     )
     with pytest.raises(A.ArchError, match="divisible"):
         A.validate_arch(arch)
+
+
+def test_total_stage_depth_bound():
+    arch = A.convnext_arch("x", (16, 32), (4095, 1), resolution=32)
+    assert sum(arch.stages.depths) == A.MAX_TOTAL_DEPTH
+    with pytest.raises(A.ArchError, match="total stage depth 4097 exceeds 4096"):
+        A.convnext_arch("x", (16, 32), (4096, 1), resolution=32)

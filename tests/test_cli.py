@@ -228,6 +228,68 @@ def test_non_positive_count_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scale", "--budget-macs", "nan"],
+    ["scale", "--budget-macs", "inf"],
+    ["pareto", "--wmin", "1e400"],
+    ["report", "--scan", "scan.csv", "--budget", "a:b"],
+    ["report", "--scan", "scan.csv", "--budget", "nan:1"],
+    ["report", "--scan", "scan.csv", "--budget", "1e400:1"],
+    ["report", "--scan", "scan.csv", "--budget", "1:2:3"],
+    ["ldi", "--q", "nan"],
+    ["ldi", "--q", "inf"],
+    ["regions", "--radius", "nan"],
+    ["restructure", "--fraction", "nan"],
+    ["afrb-search", "--lr", "inf"],
+    ["collapse-verify", "--seed", "99999999999999999999"],
+], ids=lambda argv: "_".join(a.strip("-") for a in argv if a != "scan.csv"))
+def test_malformed_number_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--budget-macs", "--budget-params"])
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_non_positive_budget_is_domain_error(capsys, flag, value):
+    code, _, err = run(capsys, "scale", "--preset", "convnext-t",
+                       "--wsteps", "2", "--dsteps", "2", flag, value)
+    assert code == 1
+    assert err.startswith("error: ") and "must be positive" in err
+
+
+def test_report_non_positive_budget_is_domain_error(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    run(capsys, "scale", "--preset", "convnext-t", "--wsteps", "2", "--dsteps", "2",
+        "--out", str(scan))
+    code, _, err = run(capsys, "report", "--scan", str(scan), "--budget=-5:1")
+    assert code == 1
+    assert err.startswith("error: ") and "must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["arch-validate", "mass", "cost"])
+def test_keep_all_split_is_rejected_by_every_command(tmp_path, capsys, command):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({
+        "name": "convnext-t", "family": "convnext", "input_resolution": 224,
+        "input_channels": 3, "stage_widths": [96, 192, 384, 768],
+        "stage_depths": [3, 3, 9, 3], "split": {"fraction": 0.999},
+    }))
+    code, out, err = run(capsys, command, "--arch", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "keeps all 384 expanded channels" in err
+
+
+def test_biased_collapse_without_interior_is_domain_error(capsys):
+    code, _, err = run(capsys, "collapse-verify", "--biased", "--size", "1", "--trials", "2")
+    assert code == 1
+    assert err.startswith("error: ") and "no interior pixels" in err
+
+
 def test_cli_import_does_not_load_scipy():
     probe = "import sys, nnscale.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -269,10 +331,12 @@ HEAD = {"kind": "head", "classes": 10}
      "block 1: downsample kernel must be >= 1"),
     (_full([STEM, dict(HEAD, hidden_channels=8, dw_kernel=-3)]),
      "block 1: head dw_kernel must be >= 1"),
+    (_stages(stage_widths=[16, 32], stage_depths=[300000, 1]),
+     "total stage depth 300001 exceeds 4096"),
 ], ids=["kernel_str", "out_channels_float", "stride_bool", "expansion_huge",
         "expansion_nan", "resolution_null", "stage_width_float", "stage_width_str",
         "hidden_channels_negative", "stem_kernel_zero", "downsample_kernel_zero",
-        "head_dw_kernel_negative"])
+        "head_dw_kernel_negative", "stage_depth_too_deep"])
 def test_ill_typed_descriptor_is_domain_error(tmp_path, capsys, descriptor, message):
     path = tmp_path / "arch.json"
     path.write_text(json.dumps(descriptor))

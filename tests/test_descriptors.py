@@ -1,19 +1,19 @@
 """Property tests at the descriptor boundary: random, partly ill-typed architecture
-files never crash the CLI, and every file that validates has non-negative integer
-costs and round-trips through the JSON format."""
+files never crash the CLI, and every file that validates can be costed at its own
+resolution, has non-negative integer costs and round-trips through the JSON format."""
 
 import contextlib
 import io
 import json
 from dataclasses import fields
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nnscale.archspec as A
 import nnscale.costmodel as C
 from nnscale.cli import main
 
-PROFILE = dict(derandomize=True, deadline=None, max_examples=150, database=None)
+from conftest import PROFILE
 
 # Values that are not descriptor numbers, plus numbers at and past the bounds.
 junk = st.sampled_from([
@@ -113,21 +113,27 @@ def test_cost_cli_never_raises(tmp_path_factory, descriptor):
         assert err.getvalue().startswith("error: ")
 
 
+# A split that keeps all 2 expanded channels at width 8 (e = 0.25): validation must
+# reject it, since costing cannot.
+KEEP_ALL_SPLIT = {
+    "name": "s", "family": "convnext", "input_resolution": 32, "input_channels": 3,
+    "stage_widths": [8], "stage_depths": [1], "expansion": 0.25, "dw_kernel": 3,
+    "split": {"fraction": 0.6, "branch_activation": "none"},
+}
+
+
 @settings(**PROFILE)
 @given(descriptors)
+@example(KEEP_ALL_SPLIT)
 def test_valid_descriptors_have_int_costs_and_round_trip(descriptor):
     try:
         arch = A.parse_arch(json.dumps(descriptor))
     except A.ArchError:
         return
-    try:
-        report = C.count_arch(arch, arch.input_resolution)
-    except C.CostError:
-        pass  # e.g. a split that keeps every expanded channel at some width
-    else:
-        for b in report.per_block:
-            assert type(b.macs) is int and type(b.params) is int
-            assert b.macs >= 0 and b.params > 0
+    report = C.count_arch(arch, arch.input_resolution)
+    for b in report.per_block:
+        assert type(b.macs) is int and type(b.params) is int
+        assert b.macs >= 0 and b.params > 0
     text = A.serialize_arch(arch)
     assert A.parse_arch(text) == arch
     assert A.serialize_arch(A.parse_arch(text)) == text

@@ -104,11 +104,6 @@ def test_sequence_rejects_channel_mismatch():
         ))
 
 
-def test_sequence_flags():
-    seq = R.random_ibn_sequence(0, c_in=4, expansion=6, kernel=3, stride=1, biased=False)
-    assert seq.has_expansion_1x1 and seq.has_depthwise and seq.has_projection_1x1
-
-
 def test_afrb_decide_band():
     assert R.afrb_decide(1.0).collapse
     assert not R.afrb_decide(0.0).collapse

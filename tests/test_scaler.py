@@ -75,6 +75,15 @@ def test_budget_validation():
     with pytest.raises(S.ScaleError):
         S.Budget(target_macs=10**9, tolerance=0.5)
     S.Budget(target_macs=10**9, tolerance=0.0)  # exact matching allowed
+    for bad in (dict(target_macs=0), dict(target_params=-5), dict(target_macs=1, target_params=0)):
+        with pytest.raises(S.ScaleError, match="must be positive"):
+            S.Budget(**bad)
+
+
+def test_candidate_past_depth_bound_is_invalid():
+    base = A.convnext_arch("deep", (16,), (4000,), resolution=32)
+    assert S.evaluate_candidate(base, 1.0, 1.0, 32).valid
+    assert not S.evaluate_candidate(base, 1.0, 1.1, 32).valid  # 4400 blocks
 
 
 def test_filter_budget_h2_nonempty(grid_800):

@@ -214,27 +214,3 @@ def test_rand_tensor_zero_variance():
 def test_rand_tensor_sample_variance():
     a = T.rand_tensor((1_000_000,), ("normal", 0.0, 0.25), seed=9)
     assert abs(a.var() - 0.25) / 0.25 <= 0.01
-
-
-def test_rand_tensor_uniform_range():
-    a = T.rand_tensor((10000,), ("uniform", -2.0, 3.0), seed=10)
-    assert a.min() >= -2.0 and a.max() < 3.0
-
-
-def test_save_load_roundtrip(tmp_path):
-    t = T.rand_tensor((3, 4, 5), ("normal", 0.0, 1.0), seed=13)
-    path = tmp_path / "t.bin"
-    T.save_tensor(t, str(path))
-    back = T.load_tensor(str(path))
-    assert back.shape == t.shape
-    assert np.array_equal(back, t)
-    raw = path.read_bytes()
-    assert raw[:8] == b"NNTENSR1"
-    assert int.from_bytes(raw[8:16], "little") == 3
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
-    with pytest.raises(T.TensorError, match="magic"):
-        T.load_tensor(str(path))

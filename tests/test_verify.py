@@ -153,6 +153,9 @@ def test_region_counting_limits():
         V.count_linear_regions(V.random_relu_net(2, 13, 2, seed=0), 2.0, 64)
     with pytest.raises(V.VerifyError, match="2048"):
         V.count_linear_regions(V.random_relu_net(2, 4, 2, seed=0), 2.0, 4096)
+    for radius in (0.0, -1.0):
+        with pytest.raises(V.VerifyError, match="radius must be positive"):
+            V.count_linear_regions(V.random_relu_net(2, 4, 2, seed=0), radius, 64)
 
 
 def test_montufar_consistency_report_fields():
