@@ -489,8 +489,8 @@ MAX_TOTAL_DEPTH = 4096
 
 
 def _stage_lists(widths, depths):
-    """Stage widths and depths as int tuples, type-checked and depth-bounded before any
-    block is built."""
+    """Stage widths and depths as int tuples, type-checked, equal in length, positive
+    and depth-bounded before any block is built."""
     for what, values in (("stage_widths", widths), ("stage_depths", depths)):
         if not isinstance(values, (list, tuple)):
             raise ArchError(f"{what} must be a list of integers")
@@ -498,6 +498,10 @@ def _stage_lists(widths, depths):
             _check_type(v, "int", f"{what} entry")
     if not widths:
         raise ArchError("stage_widths must be non-empty")
+    if len(widths) != len(depths):
+        raise ArchError("stage widths and depths must have equal length")
+    if any(w <= 0 for w in widths) or any(d <= 0 for d in depths):
+        raise ArchError("stage widths and depths must be positive")
     if sum(depths) > MAX_TOTAL_DEPTH:
         raise ArchError(f"total stage depth {sum(depths)} exceeds {MAX_TOTAL_DEPTH}")
     return tuple(map(int, widths)), tuple(map(int, depths))
@@ -526,17 +530,6 @@ def validate_arch(arch: ArchDescriptor) -> None:
             f"input_resolution {arch.input_resolution} not divisible by total "
             f"stride {stride_product}"
         )
-    if arch.stages is not None:
-        if arch.family not in STAGE_FAMILIES:
-            raise ArchError(f"family {arch.family!r} cannot carry stage structure")
-        st = arch.stages
-        _stage_lists(st.widths, st.depths)
-        if st.split_fraction is not None and arch.family != "convnext":
-            raise ArchError("split requires the convnext family")
-        if len(st.widths) != len(st.depths):
-            raise ArchError("stage widths and depths must have equal length")
-        if any(w <= 0 for w in st.widths) or any(d <= 0 for d in st.depths):
-            raise ArchError("stage widths and depths must be positive")
 
 
 def _stage_arch(name: str, family: str, st: StageConfig, resolution, input_channels):
@@ -545,6 +538,8 @@ def _stage_arch(name: str, family: str, st: StageConfig, resolution, input_chann
     widths, depths = _stage_lists(st.widths, st.depths)
     st = replace(st, widths=widths, depths=depths)
     convnext = family == "convnext"
+    if st.split_fraction is not None and not convnext:
+        raise ArchError("split requires the convnext family")
     if not convnext:
         body = ResNetBottleneckBlock(st.expansion, st.dw_kernel)
     elif st.split_fraction is None:

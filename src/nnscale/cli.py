@@ -118,7 +118,6 @@ def _human(v: float) -> str:
 
 def _cmd_arch_validate(args) -> int:
     arch = _load_arch(args)
-    archspec.validate_arch(arch)
     chain = archspec.input_channels_per_block(arch)
     print(f"{arch.name}: family={arch.family} blocks={len(arch.blocks)} "
           f"resolution={arch.input_resolution} channels={chain[0]}->{chain[-1]}")
@@ -206,11 +205,13 @@ def _cmd_collapse_verify(args) -> int:
         reports.append(restructure.collapse_trial(
             seed, c_in, e, k, stride, size=args.size, biased=args.biased))
     ok = all(r["pass"] for r in reports)
+    interior = [r["max_abs_diff_interior"] for r in reports
+                if r["max_abs_diff_interior"] is not None]
     out = {
         "trials": len(reports),
         "all_pass": ok,
         "max_abs_diff_full": max(r["max_abs_diff_full"] for r in reports),
-        "max_abs_diff_interior": max(r["max_abs_diff_interior"] for r in reports),
+        "max_abs_diff_interior": max(interior, default=None),
         "reports": reports,
     }
     _emit(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mass", help="NN-Mass summary")
     _add_arch_flags(p)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_mass)
 

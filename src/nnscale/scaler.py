@@ -20,6 +20,10 @@ class ScaleError(ValueError):
     pass
 
 
+# Each candidate is built, costed and massed on its own (a 400 x 200 grid is allowed).
+MAX_CANDIDATES = 100_000
+
+
 @dataclass(frozen=True)
 class MultiplierGrid:
     w_min: float
@@ -36,6 +40,8 @@ class MultiplierGrid:
             raise ScaleError("need 0 < d_min <= d_max")
         if self.w_steps < 1 or self.d_steps < 1:
             raise ScaleError("steps must be >= 1")
+        if self.total > MAX_CANDIDATES:
+            raise ScaleError(f"grid of {self.total} candidates exceeds {MAX_CANDIDATES}")
 
     def width_values(self) -> List[float]:
         return _linspace(self.w_min, self.w_max, self.w_steps)

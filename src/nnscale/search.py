@@ -94,11 +94,17 @@ def make_model(
     return MlpModel(blocks=blocks, w_head=w_head, b_head=b_head)
 
 
+# Training time grows with samples x epochs; 2**21 is about 90 s at batch 8.
+MAX_SAMPLE_EPOCHS = 2**21
+
+
 def make_dataset(kind: str, n: int, noise: float, seed: int):
     """Synthetic 2-class, 2-D datasets -> (inputs [n, 2], labels [n]).
     blobs stay linearly separable while noise <= 0.5 x the class-center distance."""
     if n < 8:
         raise SearchError("need n >= 8 samples")
+    if n > MAX_SAMPLE_EPOCHS:
+        raise SearchError(f"{n} samples exceeds {MAX_SAMPLE_EPOCHS}")
     gen = generator(seed)
     n0 = n // 2
     n1 = n - n0
@@ -252,6 +258,8 @@ def train_search(model: MlpModel, dataset, cfg: SearchConfig) -> SearchTrace:
     returns the per-epoch trace. Deterministic given cfg.seed."""
     x, y = dataset
     n = len(y)
+    if n * cfg.epochs > MAX_SAMPLE_EPOCHS:
+        raise SearchError(f"samples x epochs = {n} x {cfg.epochs} exceeds {MAX_SAMPLE_EPOCHS}")
     gen = generator(cfg.seed, index=1)
     trace = SearchTrace()
     for epoch in range(cfg.epochs):

@@ -83,7 +83,7 @@ class BNParams:
             raise TensorError("epsilon must be positive")
 
 
-def conv2d(x: np.ndarray, w: ConvWeights, padding: str = "same") -> np.ndarray:
+def conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
     """Direct convolution (cross-correlation) of x [C_in, H, W] -> [C_out, H', W'].
     Same-padding pads with zeros to give H' = ceil(H / stride)."""
     x = _as_f64(x)
@@ -94,22 +94,12 @@ def conv2d(x: np.ndarray, w: ConvWeights, padding: str = "same") -> np.ndarray:
         raise TensorError(f"input channels {c} != weight in_channels {w.in_channels}")
     k = w.kernel_size
     s = w.stride
-    if padding == "same":
-        ho = -(-h // s)
-        wo = -(-wd // s)
-        pad_h = max((ho - 1) * s + k - h, 0)
-        pad_w = max((wo - 1) * s + k - wd, 0)
-        pt, pl = pad_h // 2, pad_w // 2
-        xp = np.pad(x, ((0, 0), (pt, pad_h - pt), (pl, pad_w - pl)))
-    elif padding == "valid":
-        if h < k or wd < k:
-            raise TensorError(f"input {h}x{wd} smaller than kernel {k}")
-        ho = (h - k) // s + 1
-        wo = (wd - k) // s + 1
-        xp = x
-    else:
-        raise TensorError(f"unknown padding {padding!r}")
-
+    ho = -(-h // s)
+    wo = -(-wd // s)
+    pad_h = max((ho - 1) * s + k - h, 0)
+    pad_w = max((wo - 1) * s + k - wd, 0)
+    pt, pl = pad_h // 2, pad_w // 2
+    xp = np.pad(x, ((0, 0), (pt, pad_h - pt), (pl, pad_w - pl)))
     win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
     win = win[:, :ho, :wo]
     g = w.groups
@@ -167,24 +157,24 @@ def activate(kind: Activation, t: np.ndarray) -> np.ndarray:
 
 
 def singular_values_batch(ms: np.ndarray) -> np.ndarray:
-    """Singular values (descending) of a batch of equally-shaped matrices [B, r, c]."""
+    """Singular values (descending) of a batch of equally-shaped matrices [B, r, c].
+    Entries must be finite and sides are limited to 512 (desk scale)."""
     ms = _as_f64(ms)
     if ms.ndim != 3:
         raise TensorError("expected a batch [B, r, c]")
+    if not np.all(np.isfinite(ms)):
+        raise TensorError("matrix entries must be finite")
+    _, r, c = ms.shape
+    if r > 512 or c > 512:
+        raise TensorError(f"matrix sides limited to 512, got {r}x{c}")
     return np.linalg.svd(ms, compute_uv=False)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of a single matrix, non-negative and descending. Sides are
-    limited to 512 (desk scale)."""
+    """Singular values of a single matrix, non-negative and descending."""
     m = _as_f64(m)
     if m.ndim != 2:
         raise TensorError(f"expected a matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise TensorError("matrix entries must be finite")
-    r, c = m.shape
-    if r > 512 or c > 512:
-        raise TensorError(f"matrix sides limited to 512, got {r}x{c}")
     return singular_values_batch(m[None])[0]
 
 

@@ -93,9 +93,9 @@ def nn_mass(arch: ArchDescriptor) -> MassReport:
         units += block.units(c)
         rho = block.cell_density
         if rho:
-            expansions.add(Fraction(block.expansion))
+            expansions.add(block.expansion)
         i_b = block.mass_inputs(c)
-        bm = float(Fraction(i_b) * rho)
+        bm = float(i_b * rho)
         per_block.append(BlockMass(i, i_b, rho, bm))
         mass += bm
     if not expansions:

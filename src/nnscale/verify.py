@@ -97,12 +97,21 @@ class LdiReport:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# Every trial's weights are held at once, trials x depth x width x (width + skips)
+# float64 entries at most: 2**24 of them is 128 MB.
+MAX_LDI_ENTRIES = 2**24
+
+
 def ldi_report(cfg: LinearDensenetConfig, trials: int) -> LdiReport:
     """Monte-Carlo check of the singular-value bounds. The layerwise Jacobian of a
     linear layer is its weight matrix; each (layer, trial) pair contributes its mean
     singular value, and fraction_within counts how many fall inside the bounds."""
     if trials < 50:
         raise VerifyError("need at least 50 trials")
+    entries = trials * cfg.depth * cfg.width * (cfg.width + cfg.skip_channels)
+    if entries > MAX_LDI_ENTRIES:
+        raise VerifyError(f"trials x depth x width x (width + skips) = {entries} "
+                          f"weight entries exceeds {MAX_LDI_ENTRIES}")
     bounds = ldi_bounds(cfg.q, cfg.width, cfg.k_hat)
     nets = [
         build_linear_densenet(
@@ -178,11 +187,7 @@ def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCo
     if d not in (1, 2):
         raise VerifyError("lattice evaluation supports 1- or 2-D inputs")
     axis = np.linspace(-box_radius, box_radius, grid)
-    if d == 1:
-        pts = axis[:, None]
-    else:
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    pts = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
     # one bit per ReLU unit, set where the unit is active; X <= 24 fits an int64
     codes = np.zeros(pts.shape[0], dtype=np.int64)
     h = pts

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -290,6 +291,60 @@ def test_biased_collapse_without_interior_is_domain_error(capsys):
     assert err.startswith("error: ") and "no interior pixels" in err
 
 
+def test_collapse_without_interior_reports_null(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "collapse-verify", "--size", "1", "--trials", "4",
+                     "--out", str(path))
+    assert code == 0
+    data = json.loads(path.read_text())
+    assert data["all_pass"]  # judged on the full map
+    assert data["max_abs_diff_interior"] is None
+    assert all(r["max_abs_diff_interior"] is None for r in data["reports"])
+
+
+def test_collapse_interior_maximum_skips_nulls(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "collapse-verify", "--size", "4", "--trials", "12",
+                     "--seed", "3", "--out", str(path))
+    assert code == 0
+    data = json.loads(path.read_text())
+    interior = [r["max_abs_diff_interior"] for r in data["reports"]]
+    measured = [v for v in interior if v is not None]
+    assert None in interior and measured  # a 7x7 kernel has no interior at size 4
+    assert data["max_abs_diff_interior"] == max(measured)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ldi", "--width", "256", "--depth", "16", "--skips", "32", "--trials", "50"],
+    ["scale", "--preset", "convnext-t", "--wsteps", "1000", "--dsteps", "101"],
+    ["pareto", "--preset", "convnext-t", "--wsteps", "400", "--dsteps", "251"],
+    ["afrb-search", "--samples", "256", "--epochs", "8193"],
+    ["afrb-search", "--samples", "3000000", "--epochs", "0"],
+], ids=["ldi", "scale_grid", "pareto_grid", "afrb_epochs", "afrb_samples"])
+def test_oversized_work_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds" in err
+
+
+def test_mass_formats(tmp_path, capsys):
+    code, out, _ = run(capsys, "mass", "--preset", "ran-i-t", "--format", "text")
+    assert code == 0 and out.count("\n") == 1 and out.startswith("ran-i-t: m=")
+    code, out_json, _ = run(capsys, "mass", "--preset", "ran-i-t", "--format", "json")
+    assert code == 0 and out_json.startswith(out)
+    assert json.loads(out_json[len(out):])["mass"] == 14710
+    path = tmp_path / "mass.json"
+    code, out_file, _ = run(capsys, "mass", "--preset", "ran-i-t", "--out", str(path))
+    assert code == 0 and out_file == out
+    assert path.read_text() == out_json[len(out):]
+    with pytest.raises(SystemExit) as exc:
+        main(["mass", "--preset", "ran-i-t", "--format", "csv"])
+    assert exc.value.code == 2
+
+
 def test_cli_import_does_not_load_scipy():
     probe = "import sys, nnscale.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -333,10 +388,17 @@ HEAD = {"kind": "head", "classes": 10}
      "block 1: head dw_kernel must be >= 1"),
     (_stages(stage_widths=[16, 32], stage_depths=[300000, 1]),
      "total stage depth 300001 exceeds 4096"),
+    (_stages(stage_widths=[16, 32]), "stage widths and depths must have equal length"),
+    (_stages(stage_widths=[16, 0], stage_depths=[1, 1]),
+     "stage widths and depths must be positive"),
+    (_stages(stage_depths=[0]), "stage widths and depths must be positive"),
+    (_stages(family="resnet_bottleneck", split={"fraction": 0.5}),
+     "split requires the convnext family"),
 ], ids=["kernel_str", "out_channels_float", "stride_bool", "expansion_huge",
         "expansion_nan", "resolution_null", "stage_width_float", "stage_width_str",
         "hidden_channels_negative", "stem_kernel_zero", "downsample_kernel_zero",
-        "head_dw_kernel_negative", "stage_depth_too_deep"])
+        "head_dw_kernel_negative", "stage_depth_too_deep", "stage_lengths_differ",
+        "stage_width_zero", "stage_depth_zero", "split_on_bottleneck"])
 def test_ill_typed_descriptor_is_domain_error(tmp_path, capsys, descriptor, message):
     path = tmp_path / "arch.json"
     path.write_text(json.dumps(descriptor))

@@ -15,7 +15,7 @@ def seq_forward(seq, x):
     for w, bn in seq.layers:
         if bn is not None:
             w = T.fold_bn(w, bn)
-        y = T.conv2d(y, w, padding="same")
+        y = T.conv2d(y, w)
     return y
 
 
@@ -74,9 +74,61 @@ def test_collapse_with_folded_bn():
     ))
     x = gen.standard_normal((c, 10, 10))
     y = seq_forward(seq, x)
-    z = T.conv2d(x, R.collapse(seq), padding="same")
+    z = T.conv2d(x, R.collapse(seq))
     rs, cs = R.interior_slices(10, 10, 3, 1)
     assert np.abs((y - z)[:, rs, cs]).max() <= 1e-10
+
+
+def _dw(gen, c, k, multiplier=1, stride=1):
+    return T.ConvWeights(gen.standard_normal((c * multiplier, 1, k, k)), stride=stride, groups=c)
+
+
+def _dense(gen, c_out, c_in, k=1, stride=1):
+    return T.ConvWeights(gen.standard_normal((c_out, c_in, k, k)), stride=stride)
+
+
+# Each builder returns conv layers (bias-free) for a chain that starts at 3 channels.
+FOLD_SEQUENCES = {
+    "dw_first": lambda g: [_dw(g, 3, 3), _dense(g, 5, 3)],
+    "dw_first_multiplier_2": lambda g: [_dw(g, 3, 3, multiplier=2), _dense(g, 4, 6)],
+    "dense_3x3_first": lambda g: [_dense(g, 5, 3, k=3, stride=2), _dense(g, 4, 5)],
+    "pw_dw_multiplier_2_pw": lambda g: [_dense(g, 4, 3), _dw(g, 4, 3, multiplier=2),
+                                        _dense(g, 3, 8)],
+    "pw_dw3x3_dw1x1_pw": lambda g: [_dense(g, 6, 3), _dw(g, 6, 3, stride=2), _dw(g, 6, 1),
+                                    _dense(g, 3, 6)],
+}
+
+
+@pytest.mark.parametrize("biased", [False, True])
+@pytest.mark.parametrize("name", sorted(FOLD_SEQUENCES))
+def test_collapse_two_path_on_any_layer_order(name, biased):
+    gen = T.generator(41)
+    layers = []
+    for w in FOLD_SEQUENCES[name](gen):
+        bias = gen.standard_normal(w.out_channels) if biased else None
+        layers.append((T.ConvWeights(w.kernel, bias, w.stride, w.groups), None))
+    seq = R.LinearSequence(layers=tuple(layers))
+    x = gen.standard_normal((3, 9, 9))
+    merged = R.collapse(seq)
+    diff = np.abs(seq_forward(seq, x) - T.conv2d(x, merged))
+    if biased:  # biases ahead of the spatial layer differ on the border only
+        k = max(w.kernel_size for w, _ in seq.layers)
+        rs, cs = R.interior_slices(9, 9, k, seq.stride)
+        diff = diff[:, rs, cs]
+    assert merged.groups == 1 and merged.stride == seq.stride
+    assert (merged.bias is not None) == biased
+    assert diff.max() <= 1e-10
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_collapse_rejects_grouped_conv_other_than_depthwise(position):
+    gen = T.generator(42)
+    grouped = T.ConvWeights(gen.standard_normal((4, 2, 3, 3)), groups=2)
+    layers = [_dense(gen, 4, 4), _dense(gen, 4, 4)]
+    layers.insert(position, grouped)
+    seq = R.LinearSequence(layers=tuple((w, None) for w in layers))
+    with pytest.raises(R.RestructureError, match="grouped"):
+        R.collapse(seq)
 
 
 def test_collapse_stride_matches_depthwise():

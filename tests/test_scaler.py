@@ -69,6 +69,13 @@ def test_degenerate_widths_marked_invalid():
     assert cands[-1].valid
 
 
+def test_grid_size_bound():
+    assert S.MultiplierGrid(0.25, 1.6, 400, 0.6, 2.56, 200).total == 80_000
+    assert S.MultiplierGrid(0.25, 1.6, 1000, 0.6, 2.56, 100).total == S.MAX_CANDIDATES
+    with pytest.raises(S.ScaleError, match="exceeds 100000"):
+        S.MultiplierGrid(0.25, 1.6, 1000, 0.6, 2.56, 101)
+
+
 def test_budget_validation():
     with pytest.raises(S.ScaleError):
         S.Budget()

@@ -51,8 +51,6 @@ def test_conv2d_stride_output_size():
     w = T.ConvWeights(np.ones((2, 2, 3, 3)), stride=2)
     out = T.conv2d(x, w)
     assert out.shape == (2, 6, 6)  # ceil(11/2)
-    out = T.conv2d(x, w, padding="valid")
-    assert out.shape == (2, 5, 5)
 
 
 def test_conv2d_linearity():
@@ -181,6 +179,18 @@ def test_singular_values_batch_consistent():
 def test_singular_values_size_limit():
     with pytest.raises(T.TensorError, match="512"):
         T.singular_values(np.zeros((513, 4)))
+    with pytest.raises(T.TensorError, match="512"):
+        T.singular_values_batch(np.zeros((2, 4, 513)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_singular_values_reject_non_finite_entries(bad):
+    batch = np.ones((3, 4, 4))
+    batch[2, 1, 3] = bad
+    with pytest.raises(T.TensorError, match="finite"):
+        T.singular_values_batch(batch)
+    with pytest.raises(T.TensorError, match="finite"):
+        T.singular_values(batch[2])
 
 
 def test_singular_values_mean_within_isometry_bounds():
