@@ -10,6 +10,7 @@ from .archspec import (
     Downsample,
     Head,
     Ibn,
+    NnscaleError,
     RegularConv,
     ResNetBottleneckBlock,
     Stem,
@@ -47,10 +48,8 @@ from .topology import (
     MassReport,
     TopologyError,
     average_degree,
-    corollary_exponent,
     ldi_bounds,
     log2_montufar_bound,
-    log2_region_upper_bound,
     nn_mass,
     nonlinear_units,
     proportionality_constant,

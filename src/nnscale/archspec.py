@@ -26,11 +26,15 @@ STAGE_FAMILIES = ("convnext", "resnet_bottleneck")
 ACTIVATION_KINDS = ("none", "relu", "relu6", "prelu", "gelu", "hswish", "exp_kernel")
 
 
-class ArchError(ValueError):
+class NnscaleError(ValueError):
+    """Base of every nnscale domain error; the CLI reports them with exit code 1."""
+
+
+class ArchError(NnscaleError):
     """Raised for malformed architecture files or invariant violations."""
 
 
-class CostError(ValueError):
+class CostError(NnscaleError):
     """Raised for shape mismatches or non-integral stride divisions."""
 
 
@@ -49,17 +53,17 @@ def int_ceil(x: float, eps: float = 1e-9) -> int:
 
 # Every number in a descriptor lies within +-2**31, so expanded widths, costs and
 # masses derived from it convert to float without overflow.
-_BOUND = 2**31
+NUMBER_BOUND = 2**31
 
 
 def _is_number(value, integer: bool = False) -> bool:
-    """A real int (or, unless `integer`, a float) within +-_BOUND. Bools, strings,
+    """A real int (or, unless `integer`, a float) within +-NUMBER_BOUND. Bools, strings,
     None, NaN and infinities are not numbers here."""
     if type(value) is not int and (integer or type(value) is not float):
         kind = numbers.Integral if integer else numbers.Real
         if isinstance(value, bool) or not isinstance(value, kind):
             return False
-    return -_BOUND <= value <= _BOUND
+    return -NUMBER_BOUND <= value <= NUMBER_BOUND
 
 
 # Field annotation -> (test, what a value must be). Block fields are checked
@@ -100,9 +104,7 @@ class Activation:
 
 NONE = Activation("none")
 RELU = Activation("relu")
-RELU6 = Activation("relu6")
 GELU = Activation("gelu")
-HSWISH = Activation("hswish")
 
 
 def prelu(alpha: float) -> Activation:

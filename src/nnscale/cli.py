@@ -18,20 +18,10 @@ import sys
 import tempfile
 
 from . import archspec, costmodel, restructure, scaler, search, topology, verify
-from .archspec import ArchError, NONE, GELU, exp_kernel
-from .costmodel import CostError
-from .restructure import RestructureError
-from .scaler import ScaleError
-from .search import SearchError
-from .tensor import TensorError, generator
-from .topology import TopologyError
-from .verify import VerifyError
+from .archspec import ArchError, NONE, GELU, NnscaleError, exp_kernel
+from .tensor import generator
 
-DOMAIN_ERRORS = (
-    ArchError, CostError, TopologyError, ScaleError,
-    RestructureError, SearchError, TensorError, VerifyError,
-    OSError,
-)
+DOMAIN_ERRORS = (NnscaleError, OSError)
 
 
 def _emit(text: str, out: str | None) -> None:

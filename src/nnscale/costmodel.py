@@ -17,7 +17,9 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Union
 
-from .archspec import ArchDescriptor, BlockSpec, CostError, Ibn, Shape, round_half_up
+from .archspec import (
+    NUMBER_BOUND, ArchDescriptor, BlockSpec, CostError, Ibn, Shape, round_half_up,
+)
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,10 @@ def count_block(block: BlockSpec, in_shape: Shape):
 
 
 def count_arch(arch: ArchDescriptor, resolution: int) -> CostReport:
-    """Full cost report at the given input resolution."""
+    """Full cost report at the given input resolution (at most NUMBER_BOUND, like
+    every descriptor number)."""
+    if resolution > NUMBER_BOUND:
+        raise CostError(f"resolution {resolution} exceeds {NUMBER_BOUND}")
     shapes = propagate_shapes(arch, Shape(arch.input_channels, resolution, resolution))
     per_block = []
     total_macs = 0

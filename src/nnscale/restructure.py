@@ -22,20 +22,21 @@ from .archspec import (
     Activation,
     ArchDescriptor,
     ArchError,
-    ConvNextBlock,
-    ConvNextSplitBlock,
     Ibn,
     NONE,
-    RELU,
-    RegularConv,
+    NnscaleError,
     convnext_arch,
 )
 from .tensor import ConvWeights, conv2d, fold_bn, rand_tensor
 
-DEFAULT_BAND = (0.8, 1.3)
+# A searched block whose alpha lands in this band (inclusive) is collapsed.
+COLLAPSE_BAND = (0.8, 1.3)
+
+# collapse_trial's conv windows grow with size^2; at 64 a run peaks near 190 MB.
+MAX_TRIAL_SIZE = 64
 
 
-class RestructureError(ValueError):
+class RestructureError(NnscaleError):
     pass
 
 
@@ -134,55 +135,19 @@ def interior_slices(height: int, width: int, kernel: int, stride: int):
 class RestructureDecision:
     action: str  # "collapse" | "keep_ibn"
     alpha: float
-    band: Tuple[float, float]
 
     @property
     def collapse(self) -> bool:
         return self.action == "collapse"
 
 
-def afrb_decide(alpha: float, band: Tuple[float, float] = DEFAULT_BAND) -> RestructureDecision:
-    """Collapse when alpha landed inside the band (inclusive), else keep the block
-    as an inverted bottleneck."""
-    lo, hi = band
-    if lo > hi:
-        raise RestructureError(f"band lower bound {lo} exceeds upper bound {hi}")
+def afrb_decide(alpha: float) -> RestructureDecision:
+    """Collapse when alpha landed inside COLLAPSE_BAND, else keep the block as an
+    inverted bottleneck."""
     if not math.isfinite(alpha):
         raise RestructureError("alpha must be finite")
-    action = "collapse" if lo <= alpha <= hi else "keep_ibn"
-    return RestructureDecision(action=action, alpha=alpha, band=(lo, hi))
-
-
-def apply_afrb_decision(block: Ibn, decision: RestructureDecision):
-    """Emit the searched block's final form: a regular convolution with ReLU for the
-    collapse band, or the inverted bottleneck kept (its leading activation returns
-    when the model is rebuilt for training)."""
-    if decision.collapse:
-        return RegularConv(
-            kernel=block.dw_kernel,
-            stride=block.stride,
-            out_channels=block.out_channels,
-            activation=RELU,
-        )
-    return block
-
-
-def split_convnext_block(
-    block: ConvNextBlock,
-    fraction: float,
-    branch_activation: Activation = NONE,
-) -> ConvNextSplitBlock:
-    """Split the block MLP: the non-linear branch keeps ceil(fraction * e * w1)
-    channels, the remainder becomes a single linear 1x1 (optionally followed by
-    branch_activation)."""
-    if not 0 < fraction < 1:
-        raise RestructureError(f"fraction must lie in (0, 1), got {fraction}")
-    return ConvNextSplitBlock(
-        expansion=block.expansion,
-        dw_kernel=block.dw_kernel,
-        nonlinear_fraction=fraction,
-        branch_activation=branch_activation,
-    )
+    lo, hi = COLLAPSE_BAND
+    return RestructureDecision("collapse" if lo <= alpha <= hi else "keep_ibn", alpha)
 
 
 def restructure_arch(
@@ -242,6 +207,8 @@ def collapse_trial(
     """Two-path check: forward through the sequence vs. through the collapsed conv.
     Reports the max abs difference on the full map and on the interior region (None
     when the size leaves no interior pixels)."""
+    if size > MAX_TRIAL_SIZE:
+        raise RestructureError(f"size {size} exceeds {MAX_TRIAL_SIZE}")
     seq = random_ibn_sequence(seed, c_in, expansion, kernel, stride, biased)
     x = rand_tensor((c_in, size, size), ("normal", 0.0, 1.0), seed, 7)
     y = reduce(conv2d, _folded(seq), x)

@@ -11,12 +11,12 @@ import json
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
 
-from .archspec import ArchDescriptor, ArchError, scale_arch
+from .archspec import ArchDescriptor, ArchError, NnscaleError, scale_arch
 from .costmodel import count_arch
 from .topology import nn_mass
 
 
-class ScaleError(ValueError):
+class ScaleError(NnscaleError):
     pass
 
 

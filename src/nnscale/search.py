@@ -4,8 +4,7 @@ Each block carries one trainable scalar alpha shared by its two PReLU sites (the
 first uses slope 1 - alpha, the second uses alpha), so alpha = 1 makes the block
 linear and collapsible while alpha = 0 leaves it bottleneck-like. Training minimises
 softmax cross-entropy plus lam * ||alpha - 1||^2 with plain SGD and hand-written
-reverse-mode gradients; `finalize` then collapses the blocks whose alpha landed in
-the collapse band (restructure.DEFAULT_BAND).
+reverse-mode gradients.
 """
 
 from __future__ import annotations
@@ -16,14 +15,14 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .archspec import round_half_up
+from .archspec import NnscaleError, round_half_up
 from .restructure import afrb_decide
 from .tensor import generator
 
 VARIANTS = ("a1", "a2", "a3")
 
 
-class SearchError(ValueError):
+class SearchError(NnscaleError):
     pass
 
 
@@ -67,6 +66,11 @@ class MlpModel:
         return [b.alpha for b in self.blocks]
 
 
+# Weights, gradients and update temporaries each hold this many float64 entries;
+# 2**22 (32 MB apiece) admits three a1 blocks at width 256 (1.05M entries).
+MAX_WEIGHT_ENTRIES = 2**22
+
+
 def make_model(
     layer_dims: Sequence[int],
     variants: Sequence[str],
@@ -78,12 +82,16 @@ def make_model(
     """Seeded model with He-scaled weights; a3 blocks shrink to half width."""
     if len(layer_dims) != len(variants) + 1:
         raise SearchError("need len(layer_dims) == len(variants) + 1")
+    shapes = []  # (d_in, m, d_out) per block
+    for d_in, d_out, variant in zip(layer_dims, layer_dims[1:], variants):
+        e = 0.5 if variant == "a3" else expansion
+        shapes.append((d_in, max(1, round_half_up(e * d_in)), d_out))
+    entries = sum(m * (d_in + d_out) for d_in, m, d_out in shapes) + classes * layer_dims[-1]
+    if entries > MAX_WEIGHT_ENTRIES:
+        raise SearchError(f"{entries} weight entries exceeds {MAX_WEIGHT_ENTRIES}")
     gen = generator(seed)
     blocks = []
-    for i, variant in enumerate(variants):
-        d_in, d_out = layer_dims[i], layer_dims[i + 1]
-        e = 0.5 if variant == "a3" else expansion
-        m = max(1, round_half_up(e * d_in))
+    for (d_in, m, d_out), variant in zip(shapes, variants):
         # prelu sites start at slope 0.5, so unit-gain init is stabler than He
         w_e = gen.standard_normal((m, d_in)) * math.sqrt(1.0 / d_in)
         w_p = gen.standard_normal((d_out, m)) * math.sqrt(1.0 / m)
@@ -135,23 +143,17 @@ def _prelu(x: np.ndarray, a: float) -> np.ndarray:
     return np.maximum(x, 0.0) + a * np.minimum(x, 0.0)
 
 
-def _block_step(blk: AfrbMlpBlock, x: np.ndarray):
-    """One block forward -> (output, cache of (x, h0, z, h1) for backward)."""
-    h0 = _prelu(x, 1.0 - blk.alpha)
-    z = h0 @ blk.w_expand.T
-    h1 = _prelu(z, blk.alpha)
-    out = h1 @ blk.w_project.T
-    if blk.residual:
-        out = out + x
-    return out, (x, h0, z, h1)
-
-
 def _forward(model: MlpModel, x: np.ndarray):
+    """-> (logits, last features, per-block caches of (x, h0, z, h1) for backward)."""
     caches = []
     h = x
     for blk in model.blocks:
-        h, cache = _block_step(blk, h)
-        caches.append(cache)
+        h0 = _prelu(h, 1.0 - blk.alpha)
+        z = h0 @ blk.w_expand.T
+        h1 = _prelu(z, blk.alpha)
+        out = h1 @ blk.w_project.T
+        caches.append((h, h0, z, h1))
+        h = out + h if blk.residual else out
     logits = h @ model.w_head.T + model.b_head
     return logits, h, caches
 
@@ -295,64 +297,3 @@ def nonlinearity_count(model: MlpModel) -> int:
         if not afrb_decide(blk.alpha).collapse:
             total += blk.expanded_width
     return total
-
-
-@dataclass
-class CollapsedDense:
-    """relu(x) -> single dense layer (+x when residual); product of the block's
-    projection and expansion weights."""
-
-    w: np.ndarray
-    residual: bool
-
-
-@dataclass
-class ReinstatedIbn:
-    """relu(x) -> expand -> relu -> project (+x when residual); the leading
-    activation is brought back for blocks kept non-linear."""
-
-    w_expand: np.ndarray
-    w_project: np.ndarray
-    residual: bool
-
-
-@dataclass
-class FinalizedModel:
-    blocks: List
-    w_head: np.ndarray
-    b_head: np.ndarray
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        h = x
-        for blk in self.blocks:
-            x_in = h
-            r = np.maximum(x_in, 0.0)
-            if isinstance(blk, CollapsedDense):
-                out = r @ blk.w.T
-            else:
-                out = np.maximum(r @ blk.w_expand.T, 0.0) @ blk.w_project.T
-            if blk.residual:
-                out = out + x_in
-            h = out
-        return h @ self.w_head.T + self.b_head
-
-
-def finalize(model: MlpModel) -> FinalizedModel:
-    """Collapse in-band blocks to single dense layers and reinstate the leading ReLU
-    on the rest."""
-    blocks = []
-    for blk in model.blocks:
-        if afrb_decide(blk.alpha).collapse:
-            blocks.append(CollapsedDense(w=blk.w_project @ blk.w_expand, residual=blk.residual))
-        else:
-            blocks.append(ReinstatedIbn(
-                w_expand=blk.w_expand.copy(),
-                w_project=blk.w_project.copy(),
-                residual=blk.residual,
-            ))
-    return FinalizedModel(blocks=blocks, w_head=model.w_head.copy(), b_head=model.b_head.copy())
-
-
-def block_forward(blk: AfrbMlpBlock, x: np.ndarray) -> np.ndarray:
-    """Single-block forward at the block's current alpha."""
-    return _block_step(blk, x)[0]

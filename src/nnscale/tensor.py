@@ -1,5 +1,5 @@
-"""Float64 numeric substrate: direct 2-D convolution, batch-norm folding, activation
-functions, LAPACK singular values, and seeded tensor generation.
+"""Float64 numeric substrate: direct 2-D convolution, batch-norm folding, batched
+LAPACK singular values, and seeded tensor generation.
 
 Tensors are plain C-contiguous float64 numpy arrays. Everything here is pure and
 deterministic; the random generator is counter-based (Philox, 64-bit keyed) so draws
@@ -15,10 +15,10 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .archspec import Activation
+from .archspec import NnscaleError
 
 
-class TensorError(ValueError):
+class TensorError(NnscaleError):
     pass
 
 
@@ -130,32 +130,6 @@ def fold_bn(w: ConvWeights, bn: BNParams) -> ConvWeights:
     return ConvWeights(kernel=kernel, bias=bias, stride=w.stride, groups=w.groups)
 
 
-def activate(kind: Activation, t: np.ndarray) -> np.ndarray:
-    """Elementwise non-linearity. exp_kernel clamps its input to [-clamp, clamp]
-    before exponentiation so the result stays finite."""
-    t = _as_f64(t)
-    if not np.all(np.isfinite(t)):
-        raise TensorError("activation input must be finite")
-    k = kind.kind
-    if k == "none":
-        return t.copy()
-    if k == "relu":
-        return np.maximum(t, 0.0)
-    if k == "relu6":
-        return np.clip(t, 0.0, 6.0)
-    if k == "prelu":
-        return np.maximum(t, 0.0) + kind.alpha * np.minimum(t, 0.0)
-    if k == "gelu":
-        from scipy.special import erf  # scipy only loads for gelu, not on CLI start
-
-        return 0.5 * t * (1.0 + erf(t / math.sqrt(2.0)))
-    if k == "hswish":
-        return t * np.clip(t + 3.0, 0.0, 6.0) / 6.0
-    if k == "exp_kernel":
-        return np.exp(np.clip(t, -kind.clamp, kind.clamp))
-    raise TensorError(f"unknown activation {k!r}")
-
-
 def singular_values_batch(ms: np.ndarray) -> np.ndarray:
     """Singular values (descending) of a batch of equally-shaped matrices [B, r, c].
     Entries must be finite and sides are limited to 512 (desk scale)."""
@@ -168,14 +142,6 @@ def singular_values_batch(ms: np.ndarray) -> np.ndarray:
     if r > 512 or c > 512:
         raise TensorError(f"matrix sides limited to 512, got {r}x{c}")
     return np.linalg.svd(ms, compute_uv=False)
-
-
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of a single matrix, non-negative and descending."""
-    m = _as_f64(m)
-    if m.ndim != 2:
-        raise TensorError(f"expected a matrix, got shape {m.shape}")
-    return singular_values_batch(m[None])[0]
 
 
 def generator(seed: int, index: int = 0) -> np.random.Generator:

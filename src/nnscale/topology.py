@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .archspec import ArchDescriptor, input_channels_per_block
+from .archspec import ArchDescriptor, NnscaleError, input_channels_per_block
 
 
-class TopologyError(ValueError):
+class TopologyError(NnscaleError):
     pass
 
 
@@ -145,13 +145,6 @@ def ldi_bounds(q: float, w: float, k_hat: float) -> IsometryBounds:
     return IsometryBounds(centre - spread, centre + spread)
 
 
-def log2_region_upper_bound(x_units: int) -> float:
-    """log2 of the activation-pattern upper bound 2^X on linear regions."""
-    if x_units < 0:
-        raise TopologyError("non-linear unit count must be >= 0")
-    return float(x_units)
-
-
 def log2_montufar_bound(n: int, n0: int, layers: int) -> float:
     """log2 of the constructive lower bound (n/n0)^((L-1) n0) * n^n0 on the maximal
     number of linear regions of an L-layer width-n rectifier network on R^n0."""
@@ -160,13 +153,3 @@ def log2_montufar_bound(n: int, n0: int, layers: int) -> float:
     if layers < 1:
         raise TopologyError("layers must be >= 1")
     return (layers - 1) * n0 * math.log2(n / n0) + n0 * math.log2(n)
-
-
-def corollary_exponent(n: int, n0: int, m: float) -> float:
-    """Depth-term exponent (m - n) n0 / n of the region bound rewritten in terms of
-    the mass m = n L of a uniform width-n residual stack."""
-    if not (n >= n0 >= 1):
-        raise TopologyError(f"need n >= n0 >= 1, got n={n}, n0={n0}")
-    if m < n:
-        raise TopologyError(f"mass {m} below single-layer mass {n}")
-    return (m - n) * n0 / n

@@ -17,11 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .archspec import NnscaleError
 from .tensor import generator, singular_values_batch
 from .topology import IsometryBounds, ldi_bounds, log2_montufar_bound
 
 
-class VerifyError(ValueError):
+class VerifyError(NnscaleError):
     pass
 
 

@@ -1,11 +1,14 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
 
 import pytest
 
+import nnscale
 import nnscale.archspec as A
 from nnscale.cli import main
 
@@ -320,7 +323,13 @@ def test_collapse_interior_maximum_skips_nulls(tmp_path, capsys):
     ["pareto", "--preset", "convnext-t", "--wsteps", "400", "--dsteps", "251"],
     ["afrb-search", "--samples", "256", "--epochs", "8193"],
     ["afrb-search", "--samples", "3000000", "--epochs", "0"],
-], ids=["ldi", "scale_grid", "pareto_grid", "afrb_epochs", "afrb_samples"])
+    ["afrb-search", "--width", "1024"],
+    ["collapse-verify", "--size", "65"],
+    ["cost", "--preset", "convnext-t", "--resolution", "100000000000000000000000"],
+    ["scale", "--preset", "convnext-t", "--resolution", "2147483680"],
+    ["restructure", "--preset", "convnext-t", "--resolution", "2147483680"],
+], ids=["ldi", "scale_grid", "pareto_grid", "afrb_epochs", "afrb_samples", "afrb_width",
+        "collapse_size", "cost_resolution", "scale_resolution", "restructure_resolution"])
 def test_oversized_work_is_refused_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -346,11 +355,24 @@ def test_mass_formats(tmp_path, capsys):
 
 
 def test_cli_import_does_not_load_scipy():
-    probe = "import sys, nnscale.cli; print('scipy' in sys.modules)"
+    # every module, not only those the CLI imports today
+    probe = ("import sys, nnscale, importlib, pkgutil\n"
+             "for m in pkgutil.iter_modules(nnscale.__path__):\n"
+             "    importlib.import_module('nnscale.' + m.name)\n"
+             "print('scipy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_every_module_error_shares_one_base():
+    modules = [importlib.import_module(f"nnscale.{m.name}")
+               for m in pkgutil.iter_modules(nnscale.__path__)]
+    errors = {obj for module in modules for name, obj in vars(module).items()
+              if name.endswith("Error") and isinstance(obj, type)}
+    assert len(errors) == 9  # the base and the eight module errors
+    assert all(issubclass(e, A.NnscaleError) for e in errors)
 
 
 def _full(blocks, **top):

@@ -223,39 +223,24 @@ def test_nonlinearity_count_spec_example():
     assert S.nonlinearity_count(model) == 96  # 3 blocks x 4*8 units
 
 
-def test_finalize_collapsed_matches_alpha_one_forward():
+def test_alpha_one_blocks_collapse_to_dense_layers():
+    """At alpha = 1 the first PReLU is a ReLU and the second the identity, so on
+    non-negative inputs each residual block is x + x (W_p W_e)^T: one dense layer."""
     model = S.make_model([4, 4, 4], ["a2", "a2"], seed=2, alpha_init=1.0)
-    final = S.finalize(model)
-    assert all(isinstance(b, S.CollapsedDense) for b in final.blocks)
     x = np.abs(S.make_dataset("blobs", 32, 0.2, seed=3)[0])
     x = np.concatenate([x, x], axis=1)  # widen to 4 features, still >= 0
-    h_orig = x
+    h = x
     for blk in model.blocks:
-        h_orig = S.block_forward(blk, h_orig)
-    logits_orig = h_orig @ model.w_head.T + model.b_head
-    assert np.abs(final.forward(x) - logits_orig).max() <= 1e-12
+        h = h + h @ (blk.w_project @ blk.w_expand).T
+        assert np.all(h >= 0)  # the next block's ReLU passes it unchanged
+    logits, _, _ = S._forward(model, x)
+    assert np.abs(logits - (h @ model.w_head.T + model.b_head)).max() <= 1e-12
 
 
-def test_finalize_keeps_ibn_topology():
-    model = S.make_model([2, 8, 8], ["a1", "a2"], seed=2, alpha_init=0.0)
-    final = S.finalize(model)
-    assert all(isinstance(b, S.ReinstatedIbn) for b in final.blocks)
-    assert final.blocks[1].residual
-
-
-def test_finalize_empty_model():
-    model = S.MlpModel(blocks=[], w_head=np.eye(2), b_head=np.zeros(2))
-    final = S.finalize(model)
-    assert final.blocks == []
-
-
-def test_finalize_parameter_accounting():
-    d, e, d_out = 8, 4, 8
-    model = S.make_model([d, d_out], ["a2"], expansion=e, seed=0, alpha_init=1.0)
-    final = S.finalize(model)
-    assert final.blocks[0].w.size == d * d_out
-    assert model.blocks[0].w_expand.size + model.blocks[0].w_project.size == \
-        d * e * d + e * d * d_out
+def test_prelu_limits():
+    x = np.random.default_rng(8).standard_normal(100) * 2.0
+    assert np.array_equal(S._prelu(x, 1.0), x)
+    assert np.array_equal(S._prelu(x, 0.0), np.maximum(x, 0))
 
 
 def test_divergence_reports_epoch():

@@ -207,12 +207,6 @@ def test_ldi_bounds_bracket_one_at_matched_variance():
         assert b.lower <= 1.0 <= b.upper
 
 
-def test_log2_region_upper_bound():
-    assert T.log2_region_upper_bound(0) == 0
-    assert T.log2_region_upper_bound(26496) == 26496
-    assert T.log2_region_upper_bound(12 * 64) == 768
-
-
 def test_log2_montufar_bound_examples():
     assert T.log2_montufar_bound(4, 2, 3) == pytest.approx(8)
     assert T.log2_montufar_bound(8, 2, 2) == pytest.approx(10)
@@ -234,16 +228,6 @@ def test_log2_montufar_monotone():
         v = T.log2_montufar_bound(n, 2, 3)
         assert v >= prev
         prev = v
-
-
-def test_corollary_exponent():
-    # mass of a single layer contributes nothing
-    assert T.corollary_exponent(16, 2, 16) == 0
-    assert T.corollary_exponent(16, 2, 64) == pytest.approx((64 - 16) * 2 / 16)
-    # low-width regime: exponent is large but the base n/n0 = 1 kills the term
-    assert T.corollary_exponent(10, 10, 100) == pytest.approx(90)
-    with pytest.raises(T.TopologyError):
-        T.corollary_exponent(16, 2, 8)
 
 
 def test_mass_report_json():
