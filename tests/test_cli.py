@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -429,3 +430,62 @@ def test_ill_typed_descriptor_is_domain_error(tmp_path, capsys, descriptor, mess
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+SMALL_SCAN = ["--preset", "convnext-t", "--wmin", "0.005", "--wmax", "1.0", "--wsteps", "4",
+              "--dmin", "0.6", "--dmax", "1.2", "--dsteps", "3"]  # w_m = 0.005 is degenerate
+
+BYTE_STABLE_RUNS = [
+    ("arch-validate", ["arch-validate", "--preset", "convnext-t"], []),
+    ("cost", ["cost", "--preset", "convnext-t"], []),
+    ("cost-per-block", ["cost", "--preset", "ran-e-supernet", "--per-block"], []),
+    ("cost-json", ["cost", "--preset", "ran-i-t", "--format", "json", "--out", "cost.json"],
+     ["cost.json"]),
+    ("mass-json", ["mass", "--preset", "ran-i-t", "--format", "json"], []),
+    ("scale-csv", ["scale", *SMALL_SCAN, "--budget-macs", "3e9", "--tol", "0.25",
+                   "--out", "scan.csv"], ["scan.csv"]),
+    ("scale-json", ["scale", *SMALL_SCAN, "--budget-macs", "3e9", "--tol", "0.25",
+                    "--format", "json", "--out", "scan.json"], ["scan.json"]),
+    ("pareto-json", ["pareto", "--preset", "convnext-t", "--wsteps", "6", "--dsteps", "3",
+                     "--format", "json"], []),
+    ("report", ["report", "--scan", "scan.csv", "--budget", "3e9:20e6", "--budget", "1e9:1e6",
+                "--tol", "0.25", "--frontier-out", "frontier.csv"], ["frontier.csv"]),
+    ("restructure", ["restructure", "--preset", "convnext-t", "--activation", "exp",
+                     "--out", "model.json"], ["model.json"]),
+]
+
+# SHA-256 of each run's stdout, non-empty stderr and written files; none of these commands
+# touches BLAS, so the bytes are the same on every machine.
+BYTE_STABLE_DIGESTS = {
+    "arch-validate:stdout": "e94cd79cbf7ca367074043ffdb43c2ec04215f96c17cfbfef5e9b223281b3b68",
+    "cost:stdout": "2e506ce42fc843866f2bb7bf6025ccc29ee3d7ffb9876e19142bd65b7c371f93",
+    "cost-per-block:stdout": "60a54ba4badda29a3d90c4f6bfb3a44403513c924fdce0e14cad2d55c99efd3c",
+    "cost-json:stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "cost-json:cost.json": "59f3cbc1240fcadcf82a18054228ea3ab9da875484dccc7881f51102647568b2",
+    "mass-json:stdout": "6eb0118dfe0cff62057e2bd2bfedd4b42c1e1692a7e85dba3f355fb56b8b85cb",
+    "scale-csv:stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "scale-csv:stderr": "915ea970a9ce857b219f05b6fd1e5d3b4f99624a7c03b5a137dfa4d45c4bfaab",
+    "scale-csv:scan.csv": "a3f1717a95661591d9a345c6f1816fbd28ce22f2a4c4ce7bf7a619b3d8c8c93e",
+    "scale-json:stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "scale-json:stderr": "915ea970a9ce857b219f05b6fd1e5d3b4f99624a7c03b5a137dfa4d45c4bfaab",
+    "scale-json:scan.json": "e886f604809bc785571dd9e03a26ef1206cf8dd4fff7b0041288a45cbfda3c9d",
+    "pareto-json:stdout": "18bb825dcfe62385e444caf2afb87dd40fb6e0d812d340f6dc9ad8bfa272b2da",
+    "report:stdout": "ffc5c3e6578f350532bbcb3eb25d090c9f22e05cbbb9b25477a91a4b8d5044fc",
+    "report:frontier.csv": "3cbae1e584c0d0b523d56d8c87b6268ea409649bc9a7d70000b1f556a83b85fa",
+    "restructure:stdout": "2c9d48743c6e716f803187985dfb01f64cddd0d7280e66448128a8bbf3061f8a",
+    "restructure:model.json": "50785a08c6df214766b84460e006d9e8d173ed2328c0b531c1a4c26411525416",
+}
+
+
+def test_outputs_are_byte_stable(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name, argv, files in BYTE_STABLE_RUNS:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (name, err)
+        digests[f"{name}:stdout"] = hashlib.sha256(out.encode()).hexdigest()
+        if err:
+            digests[f"{name}:stderr"] = hashlib.sha256(err.encode()).hexdigest()
+        for f in files:
+            digests[f"{name}:{f}"] = hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+    assert digests == BYTE_STABLE_DIGESTS
