@@ -3,7 +3,9 @@ Pareto frontiers, collapse verification, restructuring, the toy non-linearity
 search, and the theory harnesses.
 
 Exit codes: 0 success, 1 domain error, 2 usage error. File outputs are written
-to a temp file and renamed so partial files never appear.
+to a temp file and renamed so partial files never appear. Every report is
+rendered here, by _json and _csv; only the scan CSV, which report reads back,
+has its writer beside its reader in scaler.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict, is_dataclass
+from fractions import Fraction
 
 from . import archspec, costmodel, restructure, scaler, search, topology, verify
 from .archspec import ArchError, NONE, GELU, NnscaleError, exp_kernel
@@ -38,6 +42,27 @@ def _emit(text: str, out: str | None) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _float_fraction(value):
+    if isinstance(value, Fraction):
+        return float(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _json(obj) -> str:
+    """The one JSON rendering: a dataclass becomes its asdict, Fractions floats."""
+    if is_dataclass(obj):
+        obj = asdict(obj)
+    return json.dumps(obj, sort_keys=True, indent=2, default=_float_fraction) + "\n"
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def _load_arch(args) -> archspec.ArchDescriptor:
@@ -122,9 +147,12 @@ def _cmd_cost(args) -> int:
     if args.out is None:
         sys.stdout.write(summary)
     if args.format == "json":
-        _emit(report.to_json(), args.out)
+        _emit(_json(report), args.out)
     elif args.out is not None or args.per_block:
-        _emit(report.to_csv(), args.out)
+        rows = ([b.block_index, b.kind, b.in_shape.channels, b.in_shape.height,
+                 b.in_shape.width, b.macs, b.params] for b in report.per_block)
+        _emit(_csv(["block_index", "kind", "in_c", "in_h", "in_w", "macs", "params"], rows),
+              args.out)
     return 0
 
 
@@ -135,7 +163,7 @@ def _cmd_mass(args) -> int:
             f"k={float(report.k):g} k_hat={report.avg_degree:.2f}\n")
     sys.stdout.write(line)
     if args.out is not None or args.format == "json":
-        _emit(report.to_json(), args.out)
+        _emit(_json(report), args.out)
     return 0
 
 
@@ -157,29 +185,32 @@ def _scan(args):
     return cands, in_budget, selected
 
 
+def _emit_candidates(args, cands, in_budget, selected) -> None:
+    if args.format == "csv":
+        _emit(scaler.candidates_to_csv(cands, in_budget, selected), args.out)
+        return
+    budget_ids = {id(c) for c in in_budget}
+    _emit(_json([dict(asdict(c), in_budget=id(c) in budget_ids, selected=c is selected)
+                 for c in cands]), args.out)
+
+
+def _selected_line(c: scaler.ScaleCandidate) -> str:
+    return (f"selected w_m={c.w_m:g} d_m={c.d_m:g} "
+            f"widths={list(c.widths)} depths={list(c.depths)} "
+            f"macs={_human(c.macs)} params={_human(c.params)} mass={c.mass:g}")
+
+
 def _cmd_scale(args) -> int:
     cands, in_budget, selected = _scan(args)
-    if args.format == "json":
-        _emit(scaler.candidates_to_json(cands, in_budget, selected), args.out)
-    else:
-        _emit(scaler.candidates_to_csv(cands, in_budget, selected), args.out)
+    _emit_candidates(args, cands, in_budget, selected)
     if selected is not None:
-        sys.stderr.write(
-            f"selected w_m={selected.w_m:g} d_m={selected.d_m:g} "
-            f"widths={list(selected.widths)} depths={list(selected.depths)} "
-            f"macs={_human(selected.macs)} params={_human(selected.params)} "
-            f"mass={selected.mass:g}\n"
-        )
+        sys.stderr.write(_selected_line(selected) + "\n")
     return 0
 
 
 def _cmd_pareto(args) -> int:
     cands, in_budget, selected = _scan(args)
-    frontier = scaler.pareto_frontier(cands, args.cost_axis)
-    if args.format == "json":
-        _emit(scaler.candidates_to_json(frontier, in_budget, selected), args.out)
-    else:
-        _emit(scaler.candidates_to_csv(frontier, in_budget, selected), args.out)
+    _emit_candidates(args, scaler.pareto_frontier(cands, args.cost_axis), in_budget, selected)
     return 0
 
 
@@ -204,7 +235,7 @@ def _cmd_collapse_verify(args) -> int:
         "max_abs_diff_interior": max(interior, default=None),
         "reports": reports,
     }
-    _emit(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_json(out), args.out)
     return 0 if ok else 1
 
 
@@ -230,14 +261,10 @@ def _cmd_afrb_search(args) -> int:
     cfg = search.SearchConfig(lam=args.lam, lr=args.lr, epochs=args.epochs,
                               batch=args.batch, seed=args.seed)
     trace = search.train_search(model, data, cfg)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["epoch", "loss", "acc", "reg"] +
-               [f"alpha_{i}" for i in range(len(model.blocks))])
-    for i in range(len(trace)):
-        w.writerow([i, repr(trace.loss[i]), repr(trace.accuracy[i]),
-                    repr(trace.regularizer[i])] + [repr(a) for a in trace.alphas[i]])
-    _emit(buf.getvalue(), args.out)
+    header = ["epoch", "loss", "acc", "reg"] + [f"alpha_{i}" for i in range(len(model.blocks))]
+    rows = ([i] + [repr(v) for v in (trace.loss[i], trace.accuracy[i], trace.regularizer[i],
+                                     *trace.alphas[i])] for i in range(len(trace)))
+    _emit(_csv(header, rows), args.out)
     decisions = [restructure.afrb_decide(a).action for a in model.alphas]
     summary = {
         "alphas": model.alphas,
@@ -246,7 +273,7 @@ def _cmd_afrb_search(args) -> int:
         "final_accuracy": trace.accuracy[-1] if len(trace) else None,
         "nonlinear_units_left": search.nonlinearity_count(model),
     }
-    sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json(summary))
     return 0
 
 
@@ -255,7 +282,7 @@ def _cmd_ldi(args) -> int:
         width=args.width, depth=args.depth, skip_channels=args.skips,
         q=args.q, seed=args.seed)
     report = verify.ldi_report(cfg, args.trials)
-    _emit(report.to_json(), args.out)
+    _emit(_json(report), args.out)
     return 0
 
 
@@ -263,7 +290,7 @@ def _cmd_regions(args) -> int:
     trend = verify.montufar_trend(
         args.n, args.n0, args.layers, args.trials,
         grid=args.grid, box_radius=args.radius, seed=args.seed)
-    _emit(json.dumps(trend, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_json(trend), args.out)
     return 0
 
 
@@ -294,21 +321,11 @@ def _cmd_report(args) -> int:
         if not matches:
             lines.append("  no candidates")
             continue
-        sel = scaler.select_max_mass(matches)
-        lines.append(
-            f"  selected w_m={sel.w_m:g} d_m={sel.d_m:g} "
-            f"widths={list(sel.widths)} depths={list(sel.depths)} "
-            f"macs={_human(sel.macs)} params={_human(sel.params)} mass={sel.mass:g}"
-        )
+        lines.append("  " + _selected_line(scaler.select_max_mass(matches)))
     sys.stdout.write("\n".join(lines) + "\n")
     if args.frontier_out:
-        frontier = scaler.pareto_frontier(cands, "macs")
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["macs", "mass"])
-        for c in frontier:
-            w.writerow([c.macs, repr(c.mass)])
-        _emit(buf.getvalue(), args.frontier_out)
+        rows = ([c.macs, repr(c.mass)] for c in scaler.pareto_frontier(cands, "macs"))
+        _emit(_csv(["macs", "mass"], rows), args.frontier_out)
     return 0
 
 

@@ -9,11 +9,8 @@ convolutions use same-padding, output side = H / stride (strides must divide eve
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -37,25 +34,6 @@ class CostReport:
     total_macs: int
     total_params: int
     per_block: tuple
-
-    def to_json(self) -> str:
-        obj = {
-            "total_macs": self.total_macs,
-            "total_params": self.total_params,
-            "per_block": [asdict(b) for b in self.per_block],
-        }
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["block_index", "kind", "in_c", "in_h", "in_w", "macs", "params"])
-        for b in self.per_block:
-            w.writerow(
-                [b.block_index, b.kind, b.in_shape.channels, b.in_shape.height,
-                 b.in_shape.width, b.macs, b.params]
-            )
-        return buf.getvalue()
 
 
 def propagate_shapes(arch: ArchDescriptor, input_shape: Shape) -> list:

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .archspec import ArchDescriptor, ArchError, NnscaleError, scale_arch
@@ -196,8 +196,24 @@ def candidates_to_csv(
     return buf.getvalue()
 
 
+def _finite(text: str, name: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} {text!r} is not finite")
+    return value
+
+
+def _count(text: str, name: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{name} {text!r} is negative")
+    return value
+
+
 def candidates_from_csv(text: str) -> List[ScaleCandidate]:
-    """Parse a scan CSV back into candidates (in_budget/selected flags dropped)."""
+    """Parse a scan CSV back into candidates (in_budget/selected flags dropped). A row
+    with a non-finite multiplier or mass, a negative count, or a valid flag other
+    than 0/1 is refused with its line number."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != CSV_COLUMNS:
@@ -209,34 +225,19 @@ def candidates_from_csv(text: str) -> List[ScaleCandidate]:
         if len(row) != len(CSV_COLUMNS):
             raise ScaleError(f"line {lineno}: expected {len(CSV_COLUMNS)} columns")
         try:
+            if row[8] not in ("0", "1"):
+                raise ValueError(f"valid {row[8]!r} is not 0 or 1")
             out.append(ScaleCandidate(
-                w_m=float(row[0]),
-                d_m=float(row[1]),
+                w_m=_finite(row[0], "w_m"),
+                d_m=_finite(row[1], "d_m"),
                 widths=tuple(int(v) for v in row[2].split("|") if v),
                 depths=tuple(int(v) for v in row[3].split("|") if v),
-                params=int(row[4]),
-                macs=int(row[5]),
-                mass=float(row[6]),
-                nonlinear_units=int(row[7]),
-                valid=bool(int(row[8])),
+                params=_count(row[4], "params"),
+                macs=_count(row[5], "macs"),
+                mass=_finite(row[6], "mass"),
+                nonlinear_units=_count(row[7], "nonlinear_units"),
+                valid=row[8] == "1",
             ))
         except ValueError as exc:
             raise ScaleError(f"line {lineno}: {exc}") from exc
     return out
-
-
-def candidates_to_json(
-    cands: Sequence[ScaleCandidate],
-    in_budget: Optional[Sequence[ScaleCandidate]] = None,
-    selected: Optional[ScaleCandidate] = None,
-) -> str:
-    budget_set = set(id(c) for c in (in_budget or []))
-    rows = []
-    for c in cands:
-        row = asdict(c)
-        row["widths"] = list(c.widths)
-        row["depths"] = list(c.depths)
-        row["in_budget"] = id(c) in budget_set
-        row["selected"] = c is selected
-        rows.append(row)
-    return json.dumps(rows, sort_keys=True, indent=2) + "\n"

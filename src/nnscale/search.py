@@ -255,6 +255,11 @@ class SearchTrace:
         return len(self.loss)
 
 
+# The per-epoch loss runs the whole dataset at once, holding samples x expanded
+# width activations per block: 2**23 is 8192 samples at width 1024 (290 MB peak).
+MAX_ACTIVATIONS = 2**23
+
+
 def train_search(model: MlpModel, dataset, cfg: SearchConfig) -> SearchTrace:
     """Plain minibatch SGD on the joint objective; mutates the model in place and
     returns the per-epoch trace. Deterministic given cfg.seed."""
@@ -262,6 +267,10 @@ def train_search(model: MlpModel, dataset, cfg: SearchConfig) -> SearchTrace:
     n = len(y)
     if n * cfg.epochs > MAX_SAMPLE_EPOCHS:
         raise SearchError(f"samples x epochs = {n} x {cfg.epochs} exceeds {MAX_SAMPLE_EPOCHS}")
+    widest = max(blk.expanded_width for blk in model.blocks)
+    if n * widest > MAX_ACTIVATIONS:
+        raise SearchError(f"samples x widest expanded width = {n} x {widest} "
+                          f"exceeds {MAX_ACTIVATIONS}")
     gen = generator(cfg.seed, index=1)
     trace = SearchTrace()
     for epoch in range(cfg.epochs):
@@ -277,7 +286,7 @@ def train_search(model: MlpModel, dataset, cfg: SearchConfig) -> SearchTrace:
                         blk.alpha -= cfg.lr * grads.alpha[i]
                     model.w_head -= cfg.lr * grads.w_head
                     model.b_head -= cfg.lr * grads.b_head
-            stats = forward_loss(model, (x, y), cfg.lam)
+                stats = forward_loss(model, (x, y), cfg.lam)
         except SearchError as exc:
             raise SearchError(f"training diverged at epoch {epoch}: {exc}") from exc
         if not math.isfinite(stats["loss"]):

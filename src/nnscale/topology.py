@@ -13,7 +13,6 @@ rules in archspec; the closed forms hold exactly whenever e w1 is whole.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,24 +39,6 @@ class MassReport:
     nonlinear_units: int
     k: Fraction
     avg_degree: float
-
-    def to_json(self) -> str:
-        obj = {
-            "mass": self.mass,
-            "nonlinear_units": self.nonlinear_units,
-            "k": float(self.k),
-            "avg_degree": self.avg_degree,
-            "per_block": [
-                {
-                    "block_index": b.block_index,
-                    "input_channels": b.input_channels,
-                    "cell_density": float(b.cell_density),
-                    "mass": b.mass,
-                }
-                for b in self.per_block
-            ],
-        }
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def proportionality_constant(family: str, e) -> Fraction:

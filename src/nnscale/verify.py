@@ -10,7 +10,6 @@ the skip layers' fan-in, which is what the isometry bound is stated over.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -84,18 +83,6 @@ class LdiReport:
     grand_mean: float
     trials: int
     vacuous: bool
-
-    def to_json(self) -> str:
-        obj = {
-            "per_layer_mean_sv": list(self.per_layer_mean_sv),
-            "k_hat": self.k_hat,
-            "bounds": {"lower": self.bounds.lower, "upper": self.bounds.upper},
-            "fraction_within": self.fraction_within,
-            "grand_mean": self.grand_mean,
-            "trials": self.trials,
-            "vacuous": self.vacuous,
-        }
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # Every trial's weights are held at once, trials x depth x width x (width + skips)

@@ -325,12 +325,14 @@ def test_collapse_interior_maximum_skips_nulls(tmp_path, capsys):
     ["afrb-search", "--samples", "256", "--epochs", "8193"],
     ["afrb-search", "--samples", "3000000", "--epochs", "0"],
     ["afrb-search", "--width", "1024"],
+    ["afrb-search", "--samples", "8193", "--width", "256", "--epochs", "1"],
     ["collapse-verify", "--size", "65"],
     ["cost", "--preset", "convnext-t", "--resolution", "100000000000000000000000"],
     ["scale", "--preset", "convnext-t", "--resolution", "2147483680"],
     ["restructure", "--preset", "convnext-t", "--resolution", "2147483680"],
 ], ids=["ldi", "scale_grid", "pareto_grid", "afrb_epochs", "afrb_samples", "afrb_width",
-        "collapse_size", "cost_resolution", "scale_resolution", "restructure_resolution"])
+        "afrb_activations", "collapse_size", "cost_resolution", "scale_resolution",
+        "restructure_resolution"])
 def test_oversized_work_is_refused_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -338,6 +340,33 @@ def test_oversized_work_is_refused_at_once(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "exceeds" in err
+
+
+def test_diverging_search_prints_only_the_error():
+    # a fresh interpreter, so numpy warnings reach stderr as a user would see them
+    argv = ["afrb-search", "--dataset", "blobs", "--epochs", "20", "--width", "256",
+            "--samples", "32"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "nnscale.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: training diverged at epoch 0: "
+                           "non-finite activations in forward pass\n")
+
+
+def test_report_rejects_non_finite_mass(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    scan.write_text("w_m,d_m,widths,depths,params,macs,mass,nonlinear_units,valid,"
+                    "in_budget,selected\n"
+                    "1.0,1.0,96,3,28000000,4500000000,5.0,4,1,0,0\n"
+                    "1.1,1.0,96,3,28000000,4500000000,nan,4,1,0,0\n")
+    code, out, err = run(capsys, "report", "--scan", str(scan), "--budget", "4.5e9:28e6",
+                         "--frontier-out", str(tmp_path / "frontier.csv"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 3: mass 'nan' is not finite\n"
+    assert not (tmp_path / "frontier.csv").exists()
 
 
 def test_mass_formats(tmp_path, capsys):

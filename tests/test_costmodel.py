@@ -4,6 +4,7 @@ import pytest
 
 import nnscale.archspec as A
 import nnscale.costmodel as C
+from nnscale.cli import main
 
 
 def rel_err(value, target):
@@ -135,13 +136,15 @@ def test_split_mlp_mac_ratio_exact():
     assert float(C.split_mlp_mac_ratio(Fraction(3, 5), 4)) == 0.725
 
 
-def test_csv_and_json_reports():
-    report = C.count_arch(A.preset("convnext-t"), 224)
-    csv_text = report.to_csv()
-    header, first = csv_text.splitlines()[:2]
+def test_csv_and_json_reports(tmp_path):
+    csv_path, json_path = tmp_path / "cost.csv", tmp_path / "cost.json"
+    assert main(["cost", "--preset", "convnext-t", "--out", str(csv_path)]) == 0
+    assert main(["cost", "--preset", "convnext-t", "--format", "json",
+                 "--out", str(json_path)]) == 0
+    header, first = csv_path.read_text().splitlines()[:2]
     assert header == "block_index,kind,in_c,in_h,in_w,macs,params"
     assert first.startswith("0,stem,3,224,224,")
-    assert '"total_macs"' in report.to_json()
+    assert '"total_macs"' in json_path.read_text()
 
 
 # Exact regression totals for what the presets do not cover: the bottleneck-ResNet

@@ -206,9 +206,21 @@ def test_csv_reports_budget_and_selection(grid_800):
 
 
 def test_csv_rejects_malformed_row():
-    text = ",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8,1,abc,2,3.0,4,1,0,0\n"
-    with pytest.raises(S.ScaleError, match="line 2"):
-        S.candidates_from_csv(text)
+    good = "1.0,1.0,8,1,5,2,5.0,4,1,0,0\n"
+    for row, message in [
+        ("1.0,1.0,8,1,abc,2,3.0,4,1,0,0", "invalid literal"),
+        ("nan,1.0,8,1,5,2,3.0,4,1,0,0", "w_m 'nan' is not finite"),
+        ("1.0,inf,8,1,5,2,3.0,4,1,0,0", "d_m 'inf' is not finite"),
+        ("1.0,1.0,8,1,5,2,nan,4,1,0,0", "mass 'nan' is not finite"),
+        ("1.0,1.0,8,1,5,2,inf,4,1,0,0", "mass 'inf' is not finite"),
+        ("1.0,1.0,8,1,-5,2,3.0,4,1,0,0", "params '-5' is negative"),
+        ("1.0,1.0,8,1,5,-2,3.0,4,1,0,0", "macs '-2' is negative"),
+        ("1.0,1.0,8,1,5,2,3.0,-4,1,0,0", "nonlinear_units '-4' is negative"),
+        ("1.0,1.0,8,1,5,2,3.0,4,7,0,0", "valid '7' is not 0 or 1"),
+    ]:
+        text = ",".join(S.CSV_COLUMNS) + "\n" + good + row + "\n"
+        with pytest.raises(S.ScaleError, match=f"line 3: {message}"):
+            S.candidates_from_csv(text)
 
 
 def test_enumeration_runtime(grid_800):

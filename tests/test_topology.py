@@ -6,6 +6,7 @@ import pytest
 
 import nnscale.archspec as A
 import nnscale.topology as T
+from nnscale.cli import main
 
 
 def test_convnext_t_mass_closed_form():
@@ -230,6 +231,6 @@ def test_log2_montufar_monotone():
         prev = v
 
 
-def test_mass_report_json():
-    text = T.nn_mass(A.preset("ran-i-t")).to_json()
-    assert '"mass": 14710.0' in text
+def test_mass_report_json(capsys):
+    assert main(["mass", "--preset", "ran-i-t", "--format", "json"]) == 0
+    assert '"mass": 14710.0' in capsys.readouterr().out
