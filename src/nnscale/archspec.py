@@ -20,9 +20,6 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional, Union, get_args
 
-FAMILIES = ("convnext", "resnet_bottleneck", "ran_e", "generic")
-STAGE_FAMILIES = ("convnext", "resnet_bottleneck")
-
 ACTIVATION_KINDS = ("none", "relu", "relu6", "prelu", "gelu", "hswish", "exp_kernel")
 
 
@@ -43,10 +40,10 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def int_ceil(x: float, eps: float = 1e-9) -> int:
-    """Ceiling that forgives float noise within eps of an integer."""
+def int_ceil(x: float) -> int:
+    """Ceiling that forgives float noise within 1e-9 of an integer."""
     r = round(x)
-    if abs(x - r) <= eps:
+    if abs(x - r) <= 1e-9:
         return int(r)
     return int(math.ceil(x))
 
@@ -150,9 +147,10 @@ def _require(ok: bool, i: int, rule: str) -> None:
 class _Block:
     """Rules of a block kind at input width c or shape s: channels_out(c), out_shape(s),
     the expanded width mid(c), validate(i, c, last), cost(s) -> (MACs, params),
-    non-linear units(c), and the NN-Mass terms mass_inputs(c) (i_b) and cell_density
-    (rho_b, non-zero exactly for the kinds that carry mass). Each kind below sets
-    `kind` and `stride` and overrides what differs from: same shape, no units, no mass."""
+    non-linear units(c), and the NN-Mass terms mass_inputs(c) (i_b), cell_density (rho_b,
+    non-zero exactly for the kinds that carry mass) and, on those kinds, k = X / m. Each
+    kind sets `kind` and `stride` and overrides what differs from: same shape, no units,
+    no mass."""
 
     kind = ""
     _field_types = ()  # (name, test, expected) per dataclass field, set below
@@ -270,7 +268,9 @@ class Ibn(_Conv):
 
 @dataclass(frozen=True)
 class ConvNextBlock(_Block):
-    """Depthwise k x k -> norm -> 1x1 expand -> gelu -> 1x1 project, residual add."""
+    """Depthwise k x k -> norm -> 1x1 expand -> gelu -> 1x1 project, residual add.
+    At input width w: i_b = (2+e) w, rho_b = 1/3, mass (2+e)/3 w and X = e w, so
+    k = 3e/(2+e), exact whenever e w is whole."""
 
     expansion: float = 4.0
     dw_kernel: int = 7
@@ -299,6 +299,11 @@ class ConvNextBlock(_Block):
         # depthwise sees c, the expand 1x1 sees c, the project 1x1 sees mid
         return 2 * c + self.mid(c)
 
+    @property
+    def k(self) -> Fraction:
+        e = Fraction(self.expansion)
+        return 3 * e / (2 + e)
+
 
 @dataclass(frozen=True)
 class ConvNextSplitBlock(_Block):
@@ -315,6 +320,7 @@ class ConvNextSplitBlock(_Block):
     stride = 1
     cell_density = ConvNextBlock.cell_density
     mass_inputs = ConvNextBlock.mass_inputs
+    k = ConvNextBlock.k
 
     def kept(self, c: int) -> int:
         """Width of the non-linear branch at input width c."""
@@ -349,7 +355,9 @@ class ConvNextSplitBlock(_Block):
 
 @dataclass(frozen=True)
 class ResNetBottleneckBlock(_Block):
-    """1x1 -> k x k -> 1x1 bottleneck with residual add; mid width = expansion * w1."""
+    """1x1 -> k x k -> 1x1 bottleneck with residual add; mid width = expansion * w.
+    At input width w: i_b = (1+2e) w, rho_b = 1/(2+e), mass (1+2e)/(2+e) w and
+    X = 2e w, so k = 2e(2+e)/(1+2e), exact whenever e w is whole."""
 
     expansion: float
     mid_kernel: int = 3
@@ -379,6 +387,11 @@ class ResNetBottleneckBlock(_Block):
     def mass_inputs(self, c: int) -> int:
         # the first 1x1 sees c, the k x k and the last 1x1 see mid each
         return c + 2 * self.mid(c)
+
+    @property
+    def k(self) -> Fraction:
+        e = Fraction(self.expansion)
+        return 2 * e * (2 + e) / (1 + 2 * e)
 
 
 @dataclass(frozen=True)
@@ -450,6 +463,11 @@ for _cls in _KIND_TO_CLS.values():
     _cls._field_types = tuple((f.name, *_TYPES[f.type]) for f in fields(_cls))
 del _cls
 
+# The body block of each stage-structured family; ran_e and generic are flat.
+STAGE_BODY = {"convnext": ConvNextBlock, "resnet_bottleneck": ResNetBottleneckBlock}
+STAGE_FAMILIES = tuple(STAGE_BODY)
+FAMILIES = STAGE_FAMILIES + ("ran_e", "generic")
+
 
 @dataclass(frozen=True)
 class StageConfig:
@@ -458,9 +476,9 @@ class StageConfig:
 
     widths: tuple
     depths: tuple
-    expansion: float = 4.0
-    dw_kernel: int = 7
-    classes: int = 1000
+    expansion: float
+    dw_kernel: int
+    classes: int
     split_fraction: Optional[float] = None
     split_activation: Activation = NONE
 
@@ -539,17 +557,11 @@ def _stage_arch(name: str, family: str, st: StageConfig, resolution, input_chann
     a downsample between stages, head (see convnext_arch, resnet_bottleneck_arch)."""
     widths, depths = _stage_lists(st.widths, st.depths)
     st = replace(st, widths=widths, depths=depths)
-    convnext = family == "convnext"
+    convnext = STAGE_BODY[family] is ConvNextBlock
     if st.split_fraction is not None and not convnext:
         raise ArchError("split requires the convnext family")
-    if not convnext:
-        body = ResNetBottleneckBlock(st.expansion, st.dw_kernel)
-    elif st.split_fraction is None:
-        body = ConvNextBlock(st.expansion, st.dw_kernel)
-    else:
-        body = ConvNextSplitBlock(
-            st.expansion, st.dw_kernel, st.split_fraction, st.split_activation
-        )
+    body = (STAGE_BODY[family](st.expansion, st.dw_kernel) if st.split_fraction is None else
+            ConvNextSplitBlock(st.expansion, st.dw_kernel, st.split_fraction, st.split_activation))
     blocks = [Stem(kernel=4 if convnext else 7, stride=4, out_channels=widths[0])]
     for si, (w, d) in enumerate(zip(widths, depths)):
         if si > 0:
@@ -669,9 +681,7 @@ def scale_arch(base: ArchDescriptor, w_m: float, d_m: float) -> ArchDescriptor:
     the published configs use unsnapped widths such as 511."""
     if w_m <= 0 or d_m <= 0:
         raise ArchError("multipliers must be positive")
-    if base.family not in STAGE_FAMILIES or base.stages is None:
-        raise ArchError(f"family {base.family!r} is not stage-structured; cannot scale")
-    st = base.stages
+    st = _stages_of(base)
     widths = []
     for w in st.widths:
         nw = round_half_up(w * w_m)
@@ -679,8 +689,20 @@ def scale_arch(base: ArchDescriptor, w_m: float, d_m: float) -> ArchDescriptor:
             raise ArchError(f"degenerate width {nw} (stage width {w} x {w_m})")
         widths.append(nw)
     depths = [max(1, round_half_up(d * d_m)) for d in st.depths]
-    st = replace(st, widths=widths, depths=depths)
-    return _stage_arch(base.name, base.family, st, base.input_resolution, base.input_channels)
+    return restage(base, widths=widths, depths=depths)
+
+
+def _stages_of(arch: ArchDescriptor) -> StageConfig:
+    if arch.stages is None:
+        raise ArchError(f"family {arch.family!r} is not stage-structured")
+    return arch.stages
+
+
+def restage(arch: ArchDescriptor, **stage_changes) -> ArchDescriptor:
+    """A stage-structured descriptor rebuilt with the given StageConfig fields
+    replaced; a flat family has no stages and is refused."""
+    st = replace(_stages_of(arch), **stage_changes)
+    return _stage_arch(arch.name, arch.family, st, arch.input_resolution, arch.input_channels)
 
 
 # --- JSON file format ---------------------------------------------------------

@@ -265,7 +265,7 @@ def _cmd_afrb_search(args) -> int:
     rows = ([i] + [repr(v) for v in (trace.loss[i], trace.accuracy[i], trace.regularizer[i],
                                      *trace.alphas[i])] for i in range(len(trace)))
     _emit(_csv(header, rows), args.out)
-    decisions = [restructure.afrb_decide(a).action for a in model.alphas]
+    decisions = [restructure.afrb_decide(a) for a in model.alphas]
     summary = {
         "alphas": model.alphas,
         "decisions": decisions,

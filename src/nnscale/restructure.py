@@ -25,9 +25,9 @@ from .archspec import (
     Ibn,
     NONE,
     NnscaleError,
-    convnext_arch,
+    restage,
 )
-from .tensor import ConvWeights, conv2d, fold_bn, rand_tensor
+from .tensor import ConvWeights, conv2d, fold_bn, rand_normal
 
 # A searched block whose alpha lands in this band (inclusive) is collapsed.
 COLLAPSE_BAND = (0.8, 1.3)
@@ -131,23 +131,13 @@ def interior_slices(height: int, width: int, kernel: int, stride: int):
     return side(height), side(width)
 
 
-@dataclass(frozen=True)
-class RestructureDecision:
-    action: str  # "collapse" | "keep_ibn"
-    alpha: float
-
-    @property
-    def collapse(self) -> bool:
-        return self.action == "collapse"
-
-
-def afrb_decide(alpha: float) -> RestructureDecision:
-    """Collapse when alpha landed inside COLLAPSE_BAND, else keep the block as an
-    inverted bottleneck."""
+def afrb_decide(alpha: float) -> str:
+    """The action for a searched block: "collapse" when alpha landed inside
+    COLLAPSE_BAND, else "keep_ibn" (keep it as an inverted bottleneck)."""
     if not math.isfinite(alpha):
         raise RestructureError("alpha must be finite")
     lo, hi = COLLAPSE_BAND
-    return RestructureDecision("collapse" if lo <= alpha <= hi else "keep_ibn", alpha)
+    return "collapse" if lo <= alpha <= hi else "keep_ibn"
 
 
 def restructure_arch(
@@ -156,17 +146,10 @@ def restructure_arch(
     branch_activation: Activation = NONE,
 ) -> ArchDescriptor:
     """Replace every ConvNext block by its split form across the whole network.
-    Validation of the rebuilt descriptor rejects a fraction outside (0, 1) and a
-    split that keeps every expanded channel at some stage width."""
-    if arch.family != "convnext" or arch.stages is None:
-        raise RestructureError("restructure_arch requires a stage-structured convnext family")
-    st = arch.stages
+    Rebuilding the stages refuses a flat or non-ConvNext family, a fraction outside
+    (0, 1) and a split that keeps every expanded channel at some stage width."""
     try:
-        return convnext_arch(
-            arch.name, st.widths, st.depths, expansion=st.expansion, dw_kernel=st.dw_kernel,
-            resolution=arch.input_resolution, input_channels=arch.input_channels,
-            classes=st.classes, split_fraction=fraction, split_activation=branch_activation,
-        )
+        return restage(arch, split_fraction=fraction, split_activation=branch_activation)
     except ArchError as exc:
         raise RestructureError(str(exc)) from exc
 
@@ -182,11 +165,11 @@ def random_ibn_sequence(
     """Random expansion/depthwise/projection sequence (c_in -> c_in) for collapse
     verification."""
     mid = max(1, Ibn(expansion, kernel, stride, c_in).mid(c_in))
-    p1 = rand_tensor((mid, c_in, 1, 1), ("normal", 0.0, 1.0 / c_in), seed, 0)
-    d = rand_tensor((mid, 1, kernel, kernel), ("normal", 0.0, 1.0 / (kernel * kernel)), seed, 1)
-    p2 = rand_tensor((c_in, mid, 1, 1), ("normal", 0.0, 1.0 / mid), seed, 2)
+    p1 = rand_normal((mid, c_in, 1, 1), 1.0 / c_in, seed, 0)
+    d = rand_normal((mid, 1, kernel, kernel), 1.0 / (kernel * kernel), seed, 1)
+    p2 = rand_normal((c_in, mid, 1, 1), 1.0 / mid, seed, 2)
     def b(n, idx):
-        return rand_tensor((n,), ("normal", 0.0, 0.25), seed, idx) if biased else None
+        return rand_normal((n,), 0.25, seed, idx) if biased else None
     layers = (
         (ConvWeights(p1, b(mid, 3)), None),
         (ConvWeights(d, b(mid, 4), stride=stride, groups=mid), None),
@@ -210,7 +193,7 @@ def collapse_trial(
     if size > MAX_TRIAL_SIZE:
         raise RestructureError(f"size {size} exceeds {MAX_TRIAL_SIZE}")
     seq = random_ibn_sequence(seed, c_in, expansion, kernel, stride, biased)
-    x = rand_tensor((c_in, size, size), ("normal", 0.0, 1.0), seed, 7)
+    x = rand_normal((c_in, size, size), 1.0, seed, 7)
     y = reduce(conv2d, _folded(seq), x)
     diff = np.abs(y - conv2d(x, collapse(seq)))
     rs, cs = interior_slices(size, size, kernel, stride)

@@ -196,11 +196,20 @@ def candidates_to_csv(
     return buf.getvalue()
 
 
-def _finite(text: str, name: str) -> float:
+def _finite(text: str, name: str, positive: bool = False) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{name} {text!r} is not finite")
+    if positive and not value > 0:
+        raise ValueError(f"{name} {text!r} is not positive")
     return value
+
+
+def _sizes(text: str, name: str) -> tuple:
+    values = tuple(int(v) for v in text.split("|") if v)
+    if any(v <= 0 for v in values):
+        raise ValueError(f"{name} {text!r} has an entry that is not positive")
+    return values
 
 
 def _count(text: str, name: str) -> int:
@@ -212,7 +221,8 @@ def _count(text: str, name: str) -> int:
 
 def candidates_from_csv(text: str) -> List[ScaleCandidate]:
     """Parse a scan CSV back into candidates (in_budget/selected flags dropped). A row
-    with a non-finite multiplier or mass, a negative count, or a valid flag other
+    with a non-finite mass, a multiplier that is not finite and positive, a stage
+    width or depth that is not positive, a negative count, or a valid flag other
     than 0/1 is refused with its line number."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -228,10 +238,10 @@ def candidates_from_csv(text: str) -> List[ScaleCandidate]:
             if row[8] not in ("0", "1"):
                 raise ValueError(f"valid {row[8]!r} is not 0 or 1")
             out.append(ScaleCandidate(
-                w_m=_finite(row[0], "w_m"),
-                d_m=_finite(row[1], "d_m"),
-                widths=tuple(int(v) for v in row[2].split("|") if v),
-                depths=tuple(int(v) for v in row[3].split("|") if v),
+                w_m=_finite(row[0], "w_m", positive=True),
+                d_m=_finite(row[1], "d_m", positive=True),
+                widths=_sizes(row[2], "widths"),
+                depths=_sizes(row[3], "depths"),
                 params=_count(row[4], "params"),
                 macs=_count(row[5], "macs"),
                 mass=_finite(row[6], "mass"),

@@ -74,19 +74,18 @@ MAX_WEIGHT_ENTRIES = 2**22
 def make_model(
     layer_dims: Sequence[int],
     variants: Sequence[str],
-    expansion: float = 4.0,
-    classes: int = 2,
     seed: int = 0,
     alpha_init: float = 0.5,
 ) -> MlpModel:
-    """Seeded model with He-scaled weights; a3 blocks shrink to half width."""
+    """Seeded two-class model with He-scaled weights; a1/a2 blocks expand 4x, a3
+    blocks shrink to half width."""
     if len(layer_dims) != len(variants) + 1:
         raise SearchError("need len(layer_dims) == len(variants) + 1")
     shapes = []  # (d_in, m, d_out) per block
     for d_in, d_out, variant in zip(layer_dims, layer_dims[1:], variants):
-        e = 0.5 if variant == "a3" else expansion
+        e = 0.5 if variant == "a3" else 4.0
         shapes.append((d_in, max(1, round_half_up(e * d_in)), d_out))
-    entries = sum(m * (d_in + d_out) for d_in, m, d_out in shapes) + classes * layer_dims[-1]
+    entries = sum(m * (d_in + d_out) for d_in, m, d_out in shapes) + 2 * layer_dims[-1]
     if entries > MAX_WEIGHT_ENTRIES:
         raise SearchError(f"{entries} weight entries exceeds {MAX_WEIGHT_ENTRIES}")
     gen = generator(seed)
@@ -97,8 +96,8 @@ def make_model(
         w_p = gen.standard_normal((d_out, m)) * math.sqrt(1.0 / m)
         blocks.append(AfrbMlpBlock(alpha=alpha_init, w_expand=w_e, w_project=w_p, variant=variant))
     d_last = layer_dims[-1]
-    w_head = gen.standard_normal((classes, d_last)) * math.sqrt(1.0 / d_last)
-    b_head = np.zeros(classes)
+    w_head = gen.standard_normal((2, d_last)) * math.sqrt(1.0 / d_last)
+    b_head = np.zeros(2)
     return MlpModel(blocks=blocks, w_head=w_head, b_head=b_head)
 
 
@@ -303,6 +302,6 @@ def nonlinearity_count(model: MlpModel) -> int:
     contribute nothing, the rest keep their expanded-width units."""
     total = 0
     for blk in model.blocks:
-        if not afrb_decide(blk.alpha).collapse:
+        if afrb_decide(blk.alpha) != "collapse":
             total += blk.expanded_width
     return total

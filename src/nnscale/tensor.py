@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -149,13 +149,8 @@ def generator(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
-def rand_tensor(shape, dist: Tuple, seed: int, index: int = 0) -> np.ndarray:
-    """Seeded random tensor. dist is ("normal", mean, var)."""
-    gen = generator(seed, index)
-    kind = dist[0]
-    if kind == "normal":
-        _, mean, var = dist
-        if var < 0:
-            raise TensorError("variance must be >= 0")
-        return mean + math.sqrt(var) * gen.standard_normal(shape)
-    raise TensorError(f"unknown distribution {kind!r}")
+def rand_normal(shape, var: float, seed: int, index: int = 0) -> np.ndarray:
+    """Seeded zero-mean normal tensor of variance var."""
+    if var < 0:
+        raise TensorError("variance must be >= 0")
+    return math.sqrt(var) * generator(seed, index).standard_normal(shape)

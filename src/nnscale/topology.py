@@ -1,14 +1,10 @@
 """Topological metrics: NN-Mass, cell density, non-linear unit counts, average degree,
 gradient-isometry bounds, and linear-region expressivity bounds.
 
-Closed forms for uniform residual families:
-  bottleneck-ResNet block  i_b = (1+2e) w1, rho_b = 1/(2+e), mass = (1+2e)/(2+e) w1,
-                           X = 2 e w1 per block, k_R = 2e(2+e)/(1+2e)
-  ConvNext block           i_b = (2+e) w1, rho_b = 1/3, mass = (2+e)/3 w1,
-                           X = e w1 per block, k_C = 3e/(2+e)
 Only blocks with residual additions carry mass; stems, downsamplers, heads, and
-non-residual inverted bottlenecks contribute zero. Per-block terms come from the block
-rules in archspec; the closed forms hold exactly whenever e w1 is whole.
+inverted bottlenecks contribute zero. Every per-block term (i_b, rho_b, X and the
+ratio k = X / m) is a rule of the block class in archspec; ConvNextBlock and
+ResNetBottleneckBlock state their closed forms.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .archspec import ArchDescriptor, NnscaleError, input_channels_per_block
+from .archspec import STAGE_BODY, ArchDescriptor, NnscaleError, input_channels_per_block
 
 
 class TopologyError(NnscaleError):
@@ -42,15 +38,13 @@ class MassReport:
 
 
 def proportionality_constant(family: str, e) -> Fraction:
-    """Exact ratio k = X / m for a uniform residual family."""
+    """Exact ratio k = X / m of a stage family's body block at expansion e."""
     ef = Fraction(e)
     if ef <= 0:
         raise TopologyError("expansion must be positive")
-    if family == "resnet_bottleneck":
-        return 2 * ef * (2 + ef) / (1 + 2 * ef)
-    if family == "convnext":
-        return 3 * ef / (2 + ef)
-    raise TopologyError(f"unsupported family {family!r}")
+    if family not in STAGE_BODY:
+        raise TopologyError(f"unsupported family {family!r}")
+    return STAGE_BODY[family](ef).k
 
 
 def nonlinear_units(arch: ArchDescriptor) -> int:
@@ -60,34 +54,32 @@ def nonlinear_units(arch: ArchDescriptor) -> int:
 
 
 def nn_mass(arch: ArchDescriptor) -> MassReport:
-    """NN-Mass report for a uniform-expansion ConvNext or bottleneck-ResNet family."""
-    if arch.family not in ("convnext", "resnet_bottleneck"):
-        raise TopologyError(
-            f"nn_mass requires a convnext or resnet_bottleneck family, got {arch.family!r}"
-        )
+    """NN-Mass report of a network whose mass-carrying blocks share one k rule and one
+    expansion, whatever its family label; k is that rule at that expansion. At one
+    expansion the ConvNext and bottleneck rules never give the same k."""
     chain = input_channels_per_block(arch)
     per_block = []
-    expansions = set()
+    bodies = set()
     mass = 0.0
     units = 0
     for i, (block, c) in enumerate(zip(arch.blocks, chain)):
         units += block.units(c)
         rho = block.cell_density
         if rho:
-            expansions.add(block.expansion)
+            bodies.add(block)
         i_b = block.mass_inputs(c)
         bm = float(i_b * rho)
         per_block.append(BlockMass(i, i_b, rho, bm))
         mass += bm
-    if not expansions:
+    if not bodies:
         raise TopologyError("no residual blocks; NN-Mass undefined")
-    if len(expansions) > 1:
+    rules = {(b.k, b.expansion) for b in bodies}
+    if len(rules) > 1:
         raise TopologyError(
-            "non-uniform structure: mixed expansion ratios "
-            f"{sorted(float(e) for e in expansions)}"
+            "non-uniform structure: mixed (k, expansion) pairs "
+            f"{sorted((float(k), float(e)) for k, e in rules)}"
         )
-    e = expansions.pop()
-    k = proportionality_constant(arch.family, e)
+    ((k, _),) = rules
     bearing = [(b, c) for b, c in zip(per_block, chain) if b.input_channels > 0]
     mean_w = sum(c for _, c in bearing) / len(bearing)
     return MassReport(

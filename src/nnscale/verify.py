@@ -158,7 +158,6 @@ class RegionCount:
     distinct_patterns: int
     grid_resolution: int
     relu_units: int
-    log2_upper: float
 
 
 def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCount:
@@ -191,7 +190,6 @@ def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCo
         distinct_patterns=distinct,
         grid_resolution=grid,
         relu_units=x_units,
-        log2_upper=float(x_units),
     )
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import nnscale
 import nnscale.archspec as A
+import nnscale.scaler as S
 from nnscale.cli import main
 
 
@@ -461,8 +462,57 @@ def test_ill_typed_descriptor_is_domain_error(tmp_path, capsys, descriptor, mess
     assert "Traceback" not in err
 
 
+BOTTLENECK = {"kind": "resnet_bottleneck", "expansion": 0.25}
+CONVNEXT = {"kind": "convnext_block"}
+STEM_64 = dict(STEM, out_channels=64)
+
+
+@pytest.mark.parametrize("descriptor,k", [
+    (_full([STEM_64, BOTTLENECK, BOTTLENECK, HEAD], family="convnext"), "k=0.75 "),
+    (_full([STEM_64, CONVNEXT, HEAD], family="resnet_bottleneck"), "k=2 "),
+    (_full([STEM_64, CONVNEXT, CONVNEXT, HEAD]), "k=2 "),
+], ids=["bottlenecks_labelled_convnext", "convnext_labelled_bottleneck", "generic_convnext"])
+def test_mass_reads_k_from_block_rules(tmp_path, capsys, descriptor, k):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(descriptor))
+    code, out, err = run(capsys, "mass", "--arch", str(path), "--format", "json")
+    assert code == 0, err
+    line, report = out.split("\n", 1)
+    assert k in line
+    report = json.loads(report)
+    assert abs(report["k"] * report["mass"] - report["nonlinear_units"]) <= 1e-9
+
+
+def test_mass_rejects_mixed_block_rules(tmp_path, capsys):
+    path = tmp_path / "arch.json"
+    mix = [STEM_64, CONVNEXT, dict(BOTTLENECK, expansion=4.0), HEAD]
+    path.write_text(json.dumps(_full(mix, family="convnext")))
+    code, out, err = run(capsys, "mass", "--arch", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: non-uniform structure")
+
+
+def test_restructure_refuses_bottleneck_stages(tmp_path, capsys):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(_stages(family="resnet_bottleneck")))
+    code, out, err = run(capsys, "restructure", "--arch", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: split requires the convnext family\n"
+
+
+def test_report_rejects_non_positive_scan_row(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    scan.write_text(",".join(S.CSV_COLUMNS) + "\n"
+                    "-1.0,0.0,-5|0,-3,28000000,4500000000,5.0,4,1,0,0\n")
+    code, out, err = run(capsys, "report", "--scan", str(scan), "--budget", "4.5e9:28e6")
+    assert code == 1 and out == ""
+    assert err == "error: line 2: w_m '-1.0' is not positive\n"
+
+
 SMALL_SCAN = ["--preset", "convnext-t", "--wmin", "0.005", "--wmax", "1.0", "--wsteps", "4",
               "--dmin", "0.6", "--dmax", "1.2", "--dsteps", "3"]  # w_m = 0.005 is degenerate
+BOTTLENECK_STAGES = _stages(family="resnet_bottleneck", stage_widths=[32, 64],
+                            stage_depths=[2, 1])
 
 BYTE_STABLE_RUNS = [
     ("arch-validate", ["arch-validate", "--preset", "convnext-t"], []),
@@ -481,6 +531,10 @@ BYTE_STABLE_RUNS = [
                 "--tol", "0.25", "--frontier-out", "frontier.csv"], ["frontier.csv"]),
     ("restructure", ["restructure", "--preset", "convnext-t", "--activation", "exp",
                      "--out", "model.json"], ["model.json"]),
+    ("mass-split", ["mass", "--arch", "model.json", "--format", "json"], []),
+    ("scale-bottleneck", ["scale", "--arch", "bottleneck.json", "--wmin", "0.5", "--wmax", "1.5",
+                          "--wsteps", "3", "--dmin", "1", "--dmax", "2", "--dsteps", "2",
+                          "--format", "json"], []),
 ]
 
 # SHA-256 of each run's stdout, non-empty stderr and written files; none of these commands
@@ -503,11 +557,14 @@ BYTE_STABLE_DIGESTS = {
     "report:frontier.csv": "3cbae1e584c0d0b523d56d8c87b6268ea409649bc9a7d70000b1f556a83b85fa",
     "restructure:stdout": "2c9d48743c6e716f803187985dfb01f64cddd0d7280e66448128a8bbf3061f8a",
     "restructure:model.json": "50785a08c6df214766b84460e006d9e8d173ed2328c0b531c1a4c26411525416",
+    "mass-split:stdout": "93a7712cf4c2cde8d5c58ffe54e88243dff5e28cf17b743dbddaafc336b61809",
+    "scale-bottleneck:stdout": "81e332bfda95cf1071e46840ab1f6301cd4b8e9af066ca3b8689514f7781bfa2",
 }
 
 
 def test_outputs_are_byte_stable(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "bottleneck.json").write_text(json.dumps(BOTTLENECK_STAGES))
     digests = {}
     for name, argv, files in BYTE_STABLE_RUNS:
         code, out, err = run(capsys, *argv)

@@ -31,7 +31,7 @@ def test_all_identity_sequence_collapses_to_delta():
     ))
     merged = R.collapse(seq)
     assert merged.kernel.shape == (c, c, 3, 3)
-    x = T.rand_tensor((c, 6, 6), ("normal", 0.0, 1.0), seed=0)
+    x = T.rand_normal((c, 6, 6), 1.0, seed=0)
     assert np.abs(T.conv2d(x, merged) - x).max() <= 1e-12
 
 
@@ -157,18 +157,18 @@ def test_sequence_rejects_channel_mismatch():
 
 
 def test_afrb_decide_band():
-    assert R.afrb_decide(1.0).collapse
-    assert not R.afrb_decide(0.0).collapse
-    assert R.afrb_decide(0.8).collapse      # inclusive boundaries
-    assert R.afrb_decide(1.3).collapse
-    assert not R.afrb_decide(0.79999).collapse
+    assert R.afrb_decide(1.0) == "collapse"
+    assert R.afrb_decide(0.0) == "keep_ibn"
+    assert R.afrb_decide(0.8) == "collapse"      # inclusive boundaries
+    assert R.afrb_decide(1.3) == "collapse"
+    assert R.afrb_decide(0.79999) == "keep_ibn"
     with pytest.raises(R.RestructureError):
         R.afrb_decide(float("nan"))
 
 
 def test_afrb_decide_monotone_band_membership():
     alphas = np.linspace(-1, 3, 101)
-    flags = [R.afrb_decide(float(a)).collapse for a in alphas]
+    flags = [R.afrb_decide(float(a)) == "collapse" for a in alphas]
     switches = sum(flags[i] != flags[i + 1] for i in range(len(flags) - 1))
     assert switches == 2  # enter the band once, leave once
 

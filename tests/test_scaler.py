@@ -217,6 +217,12 @@ def test_csv_rejects_malformed_row():
         ("1.0,1.0,8,1,5,-2,3.0,4,1,0,0", "macs '-2' is negative"),
         ("1.0,1.0,8,1,5,2,3.0,-4,1,0,0", "nonlinear_units '-4' is negative"),
         ("1.0,1.0,8,1,5,2,3.0,4,7,0,0", "valid '7' is not 0 or 1"),
+        ("-1.0,1.0,8,1,5,2,3.0,4,1,0,0", "w_m '-1.0' is not positive"),
+        ("1.0,0.0,8,1,5,2,3.0,4,1,0,0", "d_m '0.0' is not positive"),
+        ("1.0,1.0,-5|8,1,5,2,3.0,4,1,0,0", "widths '-5|8' has an entry that is not positive"),
+        ("1.0,1.0,8|0,1,5,2,3.0,4,1,0,0", "widths '8|0' has an entry that is not positive"),
+        ("1.0,1.0,8,-3,5,2,3.0,4,1,0,0", "depths '-3' has an entry that is not positive"),
+        ("1.0,1.0,8,1|0,5,2,3.0,4,1,0,0", "depths '1|0' has an entry that is not positive"),
     ]:
         text = ",".join(S.CSV_COLUMNS) + "\n" + good + row + "\n"
         with pytest.raises(S.ScaleError, match=f"line 3: {message}"):

@@ -206,8 +206,7 @@ def test_search_end_to_end_blobs():
 
 
 def test_nonlinearity_count():
-    model = S.make_model([2, 8, 8, 8], ["a1", "a1", "a1"], expansion=4, seed=0,
-                         alpha_init=1.0)
+    model = S.make_model([2, 8, 8, 8], ["a1", "a1", "a1"], seed=0, alpha_init=1.0)
     assert S.nonlinearity_count(model) == 0
     for blk in model.blocks:
         blk.alpha = 0.0
@@ -218,8 +217,7 @@ def test_nonlinearity_count():
 
 
 def test_nonlinearity_count_spec_example():
-    model = S.make_model([8, 8, 8, 8], ["a2", "a2", "a2"], expansion=4, seed=0,
-                         alpha_init=0.0)
+    model = S.make_model([8, 8, 8, 8], ["a2", "a2", "a2"], seed=0, alpha_init=0.0)
     assert S.nonlinearity_count(model) == 96  # 3 blocks x 4*8 units
 
 

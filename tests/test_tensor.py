@@ -20,13 +20,13 @@ def ref_conv_same(x, kernel, bias=None, stride=1):
 
 
 def test_identity_1x1():
-    x = T.rand_tensor((4, 6, 6), ("normal", 0.0, 1.0), seed=0)
+    x = T.rand_normal((4, 6, 6), 1.0, seed=0)
     w = T.ConvWeights(np.eye(4)[:, :, None, None])
     assert np.array_equal(T.conv2d(x, w), x)
 
 
 def test_depthwise_delta_identity():
-    x = T.rand_tensor((3, 8, 8), ("normal", 0.0, 1.0), seed=1)
+    x = T.rand_normal((3, 8, 8), 1.0, seed=1)
     k = np.zeros((3, 1, 3, 3))
     k[:, 0, 1, 1] = 1.0
     w = T.ConvWeights(k, groups=3)
@@ -44,7 +44,7 @@ def test_conv2d_matches_scipy_oracle():
 
 
 def test_conv2d_stride_output_size():
-    x = T.rand_tensor((2, 11, 11), ("normal", 0.0, 1.0), seed=2)
+    x = T.rand_normal((2, 11, 11), 1.0, seed=2)
     w = T.ConvWeights(np.ones((2, 2, 3, 3)), stride=2)
     out = T.conv2d(x, w)
     assert out.shape == (2, 6, 6)  # ceil(11/2)
@@ -72,13 +72,13 @@ def test_composition_of_1x1_is_matmul():
 
 
 def test_conv2d_shape_mismatch():
-    x = T.rand_tensor((3, 5, 5), ("normal", 0.0, 1.0), seed=6)
+    x = T.rand_normal((3, 5, 5), 1.0, seed=6)
     with pytest.raises(T.TensorError, match="channels"):
         T.conv2d(x, T.ConvWeights(np.ones((2, 4, 1, 1))))
 
 
 def test_fold_bn_identity():
-    k = T.rand_tensor((4, 3, 3, 3), ("normal", 0.0, 1.0), seed=7)
+    k = T.rand_normal((4, 3, 3, 3), 1.0, seed=7)
     w = T.ConvWeights(k)
     bn = T.BNParams(mean=np.zeros(4), var=np.ones(4), gamma=np.ones(4),
                     beta=np.zeros(4), epsilon=1e-300)
@@ -134,19 +134,19 @@ def test_singular_values_identity_and_diag():
 
 @pytest.mark.parametrize("shape", [(4, 4), (8, 3), (3, 8), (32, 64), (31, 17)])
 def test_singular_values_match_lapack(shape):
-    m = T.rand_tensor(shape, ("normal", 0.0, 1.0), seed=shape[0] * 100 + shape[1])
+    m = T.rand_normal(shape, 1.0, seed=shape[0] * 100 + shape[1])
     assert np.abs(sv(m) - np.linalg.svd(m, compute_uv=False)).max() <= 1e-10
 
 
 def test_singular_values_transpose_invariant():
-    m = T.rand_tensor((9, 17), ("normal", 0.0, 1.0), seed=11)
+    m = T.rand_normal((9, 17), 1.0, seed=11)
     a = sv(m)
     b = sv(m.T)
     assert np.abs(a - b).max() <= 1e-10
 
 
 def test_singular_values_batch_consistent():
-    batch = T.rand_tensor((6, 5, 7), ("normal", 0.0, 1.0), seed=12)
+    batch = T.rand_normal((6, 5, 7), 1.0, seed=12)
     out = T.singular_values_batch(batch)
     for i in range(6):
         assert np.abs(out[i] - np.linalg.svd(batch[i], compute_uv=False)).max() <= 1e-10
@@ -178,25 +178,25 @@ def test_singular_values_mean_within_isometry_bounds():
     hits = 0
     trials = 200
     for s in range(trials):
-        m = T.rand_tensor((32, 64), ("normal", 0.0, q), seed=1000 + s)
+        m = T.rand_normal((32, 64), q, seed=1000 + s)
         mean_sv = sv(m).mean()
         hits += b.lower <= mean_sv <= b.upper
     assert hits / trials >= 0.99
 
 
 def test_rand_tensor_deterministic():
-    a = T.rand_tensor((5, 5), ("normal", 1.0, 2.0), seed=42)
-    b = T.rand_tensor((5, 5), ("normal", 1.0, 2.0), seed=42)
+    a = T.rand_normal((5, 5), 2.0, seed=42)
+    b = T.rand_normal((5, 5), 2.0, seed=42)
     assert np.array_equal(a, b)
-    c = T.rand_tensor((5, 5), ("normal", 1.0, 2.0), seed=43)
+    c = T.rand_normal((5, 5), 2.0, seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_rand_tensor_zero_variance():
-    a = T.rand_tensor((100,), ("normal", 3.5, 0.0), seed=0)
-    assert np.all(a == 3.5)
+    a = T.rand_normal((100,), 0.0, seed=0)
+    assert np.all(a == 0)
 
 
 def test_rand_tensor_sample_variance():
-    a = T.rand_tensor((1_000_000,), ("normal", 0.0, 0.25), seed=9)
+    a = T.rand_normal((1_000_000,), 0.25, seed=9)
     assert abs(a.var() - 0.25) / 0.25 <= 0.01
