@@ -513,6 +513,7 @@ SMALL_SCAN = ["--preset", "convnext-t", "--wmin", "0.005", "--wmax", "1.0", "--w
               "--dmin", "0.6", "--dmax", "1.2", "--dsteps", "3"]  # w_m = 0.005 is degenerate
 BOTTLENECK_STAGES = _stages(family="resnet_bottleneck", stage_widths=[32, 64],
                             stage_depths=[2, 1])
+CONVNEXT_STAGES = _stages(stage_widths=[16, 32], stage_depths=[2, 1])  # family defaults
 
 BYTE_STABLE_RUNS = [
     ("arch-validate", ["arch-validate", "--preset", "convnext-t"], []),
@@ -535,6 +536,7 @@ BYTE_STABLE_RUNS = [
     ("scale-bottleneck", ["scale", "--arch", "bottleneck.json", "--wmin", "0.5", "--wmax", "1.5",
                           "--wsteps", "3", "--dmin", "1", "--dmax", "2", "--dsteps", "2",
                           "--format", "json"], []),
+    ("cost-convnext-stages", ["cost", "--arch", "convnext_stages.json", "--per-block"], []),
 ]
 
 # SHA-256 of each run's stdout, non-empty stderr and written files; none of these commands
@@ -559,12 +561,15 @@ BYTE_STABLE_DIGESTS = {
     "restructure:model.json": "50785a08c6df214766b84460e006d9e8d173ed2328c0b531c1a4c26411525416",
     "mass-split:stdout": "93a7712cf4c2cde8d5c58ffe54e88243dff5e28cf17b743dbddaafc336b61809",
     "scale-bottleneck:stdout": "81e332bfda95cf1071e46840ab1f6301cd4b8e9af066ca3b8689514f7781bfa2",
+    "cost-convnext-stages:stdout":
+        "59cf8745f27b1edcb0677cc6686064e460657ba97d9ced8b1274a0f7c59f79b8",
 }
 
 
 def test_outputs_are_byte_stable(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bottleneck.json").write_text(json.dumps(BOTTLENECK_STAGES))
+    (tmp_path / "convnext_stages.json").write_text(json.dumps(CONVNEXT_STAGES))
     digests = {}
     for name, argv, files in BYTE_STABLE_RUNS:
         code, out, err = run(capsys, *argv)
