@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional, Union, get_args
@@ -211,7 +212,7 @@ class Stem(_Conv):
     kind = "stem"
 
     def validate(self, i: int, c: int, last: bool) -> None:
-        _Conv.validate(self, i, c, last)  # not super(): downsample reuses this
+        super().validate(i, c, last)
         _require(self.kernel >= 1, i, f"{self.kind} kernel must be >= 1")
 
 
@@ -266,23 +267,32 @@ class Ibn(_Conv):
         return 2 * self.mid(c)
 
 
+class _ConvNextBase(_Block):
+    """Rules the plain and split ConvNext blocks share: depthwise k x k, an MLP and a
+    residual add. At input width w: i_b = (2+e) w, rho_b = 1/3 and mass (2+e)/3 w."""
+
+    stride = 1
+    cell_density = Fraction(1, 3)
+
+    def validate(self, i: int, c: int, last: bool) -> None:
+        super().validate(i, c, last)
+        _require(self.expansion > 0, i, "expansion must be > 0")
+        _require(_odd(self.dw_kernel), i, "depthwise kernel must be odd")
+
+    def mass_inputs(self, c: int) -> int:
+        # depthwise sees c, the expand 1x1 sees c, the project 1x1 sees mid
+        return 2 * c + self.mid(c)
+
+
 @dataclass(frozen=True)
-class ConvNextBlock(_Block):
+class ConvNextBlock(_ConvNextBase):
     """Depthwise k x k -> norm -> 1x1 expand -> gelu -> 1x1 project, residual add.
-    At input width w: i_b = (2+e) w, rho_b = 1/3, mass (2+e)/3 w and X = e w, so
-    k = 3e/(2+e), exact whenever e w is whole."""
+    X = e w, so k = 3e/(2+e), exact whenever e w is whole."""
 
     expansion: float = 4.0
     dw_kernel: int = 7
 
     kind = "convnext_block"
-    stride = 1
-    cell_density = Fraction(1, 3)
-
-    def validate(self, i: int, c: int, last: bool) -> None:
-        _Block.validate(self, i, c, last)  # not super(): the split block reuses this
-        _require(self.expansion > 0, i, "expansion must be > 0")
-        _require(_odd(self.dw_kernel), i, "depthwise kernel must be odd")
 
     def cost(self, s: Shape) -> tuple:
         c, hw, k = s.channels, s.height * s.width, self.dw_kernel
@@ -295,10 +305,6 @@ class ConvNextBlock(_Block):
     def units(self, c: int) -> int:
         return self.mid(c)
 
-    def mass_inputs(self, c: int) -> int:
-        # depthwise sees c, the expand 1x1 sees c, the project 1x1 sees mid
-        return 2 * c + self.mid(c)
-
     @property
     def k(self) -> Fraction:
         e = Fraction(self.expansion)
@@ -306,10 +312,11 @@ class ConvNextBlock(_Block):
 
 
 @dataclass(frozen=True)
-class ConvNextSplitBlock(_Block):
+class ConvNextSplitBlock(_ConvNextBase):
     """ConvNext block with the MLP split into a non-linear branch keeping
     ceil(nonlinear_fraction * expansion * w1) channels and a linear branch merged
-    into a single 1x1 w1->w1 convolution (optionally followed by branch_activation)."""
+    into a single 1x1 w1->w1 convolution (optionally followed by branch_activation).
+    X = f e w without a branch activation, so k = 3fe/(2+e), else ConvNext's 3e/(2+e)."""
 
     expansion: float
     dw_kernel: int
@@ -317,17 +324,13 @@ class ConvNextSplitBlock(_Block):
     branch_activation: Activation = NONE
 
     kind = "convnext_split_block"
-    stride = 1
-    cell_density = ConvNextBlock.cell_density
-    mass_inputs = ConvNextBlock.mass_inputs
-    k = ConvNextBlock.k
 
     def kept(self, c: int) -> int:
         """Width of the non-linear branch at input width c."""
         return int_ceil(self.nonlinear_fraction * self.expansion * c)
 
     def validate(self, i: int, c: int, last: bool) -> None:
-        ConvNextBlock.validate(self, i, c, last)
+        super().validate(i, c, last)
         _require(0 < self.nonlinear_fraction < 1, i, "nonlinear_fraction must lie in (0, 1)")
         if self.kept(c) >= self.mid(c):
             raise ArchError(f"block {i}: {self._keeps_all(c)}")
@@ -351,6 +354,12 @@ class ConvNextSplitBlock(_Block):
     def units(self, c: int) -> int:
         # with a branch activation the linear branch's mid - kept channels count too
         return self.kept(c) if self.branch_activation.kind == "none" else self.mid(c)
+
+    @property
+    def k(self) -> Fraction:
+        e = Fraction(self.expansion)
+        f = Fraction(self.nonlinear_fraction) if self.branch_activation.kind == "none" else 1
+        return 3 * f * e / (2 + e)
 
 
 @dataclass(frozen=True)
@@ -395,13 +404,8 @@ class ResNetBottleneckBlock(_Block):
 
 
 @dataclass(frozen=True)
-class Downsample(_Conv):
-    kernel: int
-    stride: int
-    out_channels: int
-
+class Downsample(Stem):
     kind = "downsample"
-    validate = Stem.validate
 
     def cost(self, s: Shape) -> tuple:
         macs, params = super().cost(s)
@@ -463,9 +467,14 @@ for _cls in _KIND_TO_CLS.values():
     _cls._field_types = tuple((f.name, *_TYPES[f.type]) for f in fields(_cls))
 del _cls
 
-# The body block of each stage-structured family; ran_e and generic are flat.
-STAGE_BODY = {"convnext": ConvNextBlock, "resnet_bottleneck": ResNetBottleneckBlock}
-STAGE_FAMILIES = tuple(STAGE_BODY)
+# Each stage family's body block and split form (None: it has none), stem and downsample
+# kernels, and the body expansion and kernel a stage file may leave out.
+StageFamily = namedtuple("StageFamily", "body split stem_kernel downsample_kernel expansion kernel")
+STAGE_RULES = {
+    "convnext": StageFamily(ConvNextBlock, ConvNextSplitBlock, 4, 2, 4.0, 7),
+    "resnet_bottleneck": StageFamily(ResNetBottleneckBlock, None, 7, 1, 0.25, 3),
+}
+STAGE_FAMILIES = tuple(STAGE_RULES)
 FAMILIES = STAGE_FAMILIES + ("ran_e", "generic")
 
 
@@ -557,15 +566,15 @@ def _stage_arch(name: str, family: str, st: StageConfig, resolution, input_chann
     a downsample between stages, head (see convnext_arch, resnet_bottleneck_arch)."""
     widths, depths = _stage_lists(st.widths, st.depths)
     st = replace(st, widths=widths, depths=depths)
-    convnext = STAGE_BODY[family] is ConvNextBlock
-    if st.split_fraction is not None and not convnext:
-        raise ArchError("split requires the convnext family")
-    body = (STAGE_BODY[family](st.expansion, st.dw_kernel) if st.split_fraction is None else
-            ConvNextSplitBlock(st.expansion, st.dw_kernel, st.split_fraction, st.split_activation))
-    blocks = [Stem(kernel=4 if convnext else 7, stride=4, out_channels=widths[0])]
+    rules = STAGE_RULES[family]
+    if st.split_fraction is not None and rules.split is None:
+        raise ArchError(f"family {family!r} has no split form")
+    body = (rules.body(st.expansion, st.dw_kernel) if st.split_fraction is None else
+            rules.split(st.expansion, st.dw_kernel, st.split_fraction, st.split_activation))
+    blocks = [Stem(kernel=rules.stem_kernel, stride=4, out_channels=widths[0])]
     for si, (w, d) in enumerate(zip(widths, depths)):
         if si > 0:
-            blocks.append(Downsample(kernel=2 if convnext else 1, stride=2, out_channels=w))
+            blocks.append(Downsample(kernel=rules.downsample_kernel, stride=2, out_channels=w))
         blocks.extend([body] * d)
     blocks.append(Head(classes=st.classes))
     arch = ArchDescriptor(name, family, resolution, input_channels, tuple(blocks), st)
@@ -573,40 +582,24 @@ def _stage_arch(name: str, family: str, st: StageConfig, resolution, input_chann
     return arch
 
 
-def convnext_arch(
-    name: str,
-    widths,
-    depths,
-    expansion: float = 4.0,
-    dw_kernel: int = 7,
-    resolution: int = 224,
-    input_channels: int = 3,
-    classes: int = 1000,
-    split_fraction: Optional[float] = None,
-    split_activation: Activation = NONE,
-) -> ArchDescriptor:
-    """Stage-structured ConvNext-family descriptor: 4x4/s4 stem, 2x2/s2 downsamples
-    between stages, norm-pool-linear head."""
-    st = StageConfig(
-        widths, depths, expansion, dw_kernel, classes, split_fraction, split_activation
-    )
-    return _stage_arch(name, "convnext", st, resolution, input_channels)
+def _family_arch(family: str, name: str, widths, depths, expansion, resolution):
+    """A family's descriptor at its body kernel, on 3 input channels, 1000 classes."""
+    st = StageConfig(widths, depths, expansion, STAGE_RULES[family].kernel, 1000)
+    return _stage_arch(name, family, st, resolution, 3)
 
 
-def resnet_bottleneck_arch(
-    name: str,
-    widths,
-    depths,
-    expansion: float = 0.25,
-    mid_kernel: int = 3,
-    resolution: int = 224,
-    input_channels: int = 3,
-    classes: int = 1000,
-) -> ArchDescriptor:
-    """Stage-structured bottleneck-ResNet-family descriptor (stem stride 4 stands in
-    for conv+pool, 1x1/s2 projections between stages)."""
-    st = StageConfig(widths, depths, expansion, mid_kernel, classes)
-    return _stage_arch(name, "resnet_bottleneck", st, resolution, input_channels)
+def convnext_arch(name: str, widths, depths,
+                  expansion: float = STAGE_RULES["convnext"].expansion,
+                  resolution: int = 224) -> ArchDescriptor:
+    """Stage-structured ConvNext-family descriptor with a norm-pool-linear head."""
+    return _family_arch("convnext", name, widths, depths, expansion, resolution)
+
+
+def resnet_bottleneck_arch(name: str, widths, depths,
+                           expansion: float = STAGE_RULES["resnet_bottleneck"].expansion,
+                           resolution: int = 224) -> ArchDescriptor:
+    """Stage-structured bottleneck-ResNet descriptor; its stride-4 stem stands in for conv+pool."""
+    return _family_arch("resnet_bottleneck", name, widths, depths, expansion, resolution)
 
 
 # RAN-e SuperNet body rows as (expansion, stride, out_channels, residual).
@@ -805,13 +798,12 @@ def parse_arch(text: str) -> ArchDescriptor:
             _require_keys(split, {"fraction", "branch_activation"}, "split")
             split_fraction = _float(split.get("fraction"), "split fraction")
             split_act = _activation_from_json(split.get("branch_activation", "none"))
-        convnext = family == "convnext"
         # integers go through unconverted: validate_arch type-checks them
         st = StageConfig(
             widths=obj.get("stage_widths"),
             depths=obj.get("stage_depths"),
-            expansion=_float(obj.get("expansion", 4.0 if convnext else 0.25), "expansion"),
-            dw_kernel=obj.get("dw_kernel", 7 if convnext else 3),
+            expansion=_float(obj.get("expansion", STAGE_RULES[family].expansion), "expansion"),
+            dw_kernel=obj.get("dw_kernel", STAGE_RULES[family].kernel),
             classes=obj.get("classes", 1000),
             split_fraction=split_fraction,
             split_activation=split_act,

@@ -215,6 +215,9 @@ def _cmd_pareto(args) -> int:
 
 
 def _cmd_collapse_verify(args) -> int:
+    if (work := args.trials * args.size ** 2) > restructure.MAX_TRIAL_WORK:
+        raise restructure.RestructureError(
+            f"trials x size^2 = {work} exceeds {restructure.MAX_TRIAL_WORK}")
     gen = generator(args.seed)
     reports = []
     for _ in range(args.trials):

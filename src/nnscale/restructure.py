@@ -34,6 +34,8 @@ COLLAPSE_BAND = (0.8, 1.3)
 
 # collapse_trial's conv windows grow with size^2; at 64 a run peaks near 190 MB.
 MAX_TRIAL_SIZE = 64
+# trials x size^2 bounds a run's time: at the bound about a minute at size 12, 20 s at 64.
+MAX_TRIAL_WORK = 2**22
 
 
 class RestructureError(NnscaleError):

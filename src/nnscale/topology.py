@@ -3,8 +3,8 @@ gradient-isometry bounds, and linear-region expressivity bounds.
 
 Only blocks with residual additions carry mass; stems, downsamplers, heads, and
 inverted bottlenecks contribute zero. Every per-block term (i_b, rho_b, X and the
-ratio k = X / m) is a rule of the block class in archspec; ConvNextBlock and
-ResNetBottleneckBlock state their closed forms.
+ratio k = X / m) is a rule of the block class in archspec; each mass-carrying block
+class states its closed forms.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .archspec import STAGE_BODY, ArchDescriptor, NnscaleError, input_channels_per_block
+from .archspec import STAGE_RULES, ArchDescriptor, NnscaleError, input_channels_per_block
 
 
 class TopologyError(NnscaleError):
@@ -42,9 +42,9 @@ def proportionality_constant(family: str, e) -> Fraction:
     ef = Fraction(e)
     if ef <= 0:
         raise TopologyError("expansion must be positive")
-    if family not in STAGE_BODY:
+    if family not in STAGE_RULES:
         raise TopologyError(f"unsupported family {family!r}")
-    return STAGE_BODY[family](ef).k
+    return STAGE_RULES[family].body(ef).k
 
 
 def nonlinear_units(arch: ArchDescriptor) -> int:

@@ -160,19 +160,29 @@ class RegionCount:
     relu_units: int
 
 
-def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCount:
-    """Lower-bound region count: distinct ReLU sign patterns over a grid x grid
-    lattice on [-r, r]^d. The count can never exceed 2^X for X ReLU units."""
-    x_units = net.relu_units
+# A trend evaluates trials x depths x grid^n0 lattice points; the default run 9.8M.
+MAX_LATTICE_POINTS = 2**26
+
+
+def _check_lattice(d: int, x_units: int, grid: int, box_radius: float, nets: int = 1) -> None:
     if x_units > 24:
         raise VerifyError(f"too many ReLU units for pattern counting: {x_units} > 24")
     if grid > 2048:
         raise VerifyError(f"grid limited to 2048, got {grid}")
     if not box_radius > 0:
         raise VerifyError(f"box radius must be positive, got {box_radius}")
-    d = net.input_dim
     if d not in (1, 2):
         raise VerifyError("lattice evaluation supports 1- or 2-D inputs")
+    if nets * grid ** d > MAX_LATTICE_POINTS:
+        raise VerifyError(f"{nets} nets x grid^{d} = {nets * grid ** d} lattice points "
+                          f"exceeds {MAX_LATTICE_POINTS}")
+
+
+def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCount:
+    """Lower-bound region count: distinct ReLU sign patterns over a grid x grid
+    lattice on [-r, r]^d. The count can never exceed 2^X for X ReLU units."""
+    x_units, d = net.relu_units, net.input_dim
+    _check_lattice(d, x_units, grid, box_radius)
     axis = np.linspace(-box_radius, box_radius, grid)
     pts = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
     # one bit per ReLU unit, set where the unit is active; X <= 24 fits an int64
@@ -235,7 +245,9 @@ def montufar_trend(
     seed: int = 0,
 ) -> dict:
     """Reports per-depth consistency plus whether mean observed patterns were
-    non-decreasing in depth."""
+    non-decreasing in depth. Every input is checked before any network is built."""
+    log2_montufar_bound(n, n0, min(layer_counts))  # refuses unless n >= n0 >= 1, layers >= 1
+    _check_lattice(n0, n * max(layer_counts), grid, box_radius, trials * len(layer_counts))
     reports = [
         montufar_consistency(n, n0, layers, trials, grid, box_radius, seed)
         for layers in layer_counts

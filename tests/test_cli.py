@@ -12,6 +12,7 @@ import pytest
 import nnscale
 import nnscale.archspec as A
 import nnscale.scaler as S
+import nnscale.verify as V
 from nnscale.cli import main
 
 
@@ -331,9 +332,11 @@ def test_collapse_interior_maximum_skips_nulls(tmp_path, capsys):
     ["cost", "--preset", "convnext-t", "--resolution", "100000000000000000000000"],
     ["scale", "--preset", "convnext-t", "--resolution", "2147483680"],
     ["restructure", "--preset", "convnext-t", "--resolution", "2147483680"],
+    ["regions", "--grid", "2048", "--trials", "1000"],
+    ["collapse-verify", "--trials", "10000000"],
 ], ids=["ldi", "scale_grid", "pareto_grid", "afrb_epochs", "afrb_samples", "afrb_width",
         "afrb_activations", "collapse_size", "cost_resolution", "scale_resolution",
-        "restructure_resolution"])
+        "restructure_resolution", "regions_lattice", "collapse_trials"])
 def test_oversized_work_is_refused_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -341,6 +344,25 @@ def test_oversized_work_is_refused_at_once(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "exceeds" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "10000000", "--layers", "1", "--trials", "1"], "too many ReLU units"),
+    (["--n", "2", "--n0", "4"], "need n >= n0 >= 1"),
+    (["--layers", "2,0"], "layers must be >= 1"),
+    (["--n", "3", "--n0", "3", "--layers", "1"], "1- or 2-D inputs"),
+    (["--grid", "2048", "--trials", "1000"], "lattice points exceeds"),
+], ids=["units", "n_below_n0", "zero_layers", "three_inputs", "lattice"])
+def test_regions_checks_inputs_before_building_a_network(monkeypatch, capsys, argv, message):
+    def build(*args, **kwargs):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr(V, "random_relu_net", build)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "regions", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_diverging_search_prints_only_the_error():
@@ -446,7 +468,7 @@ HEAD = {"kind": "head", "classes": 10}
      "stage widths and depths must be positive"),
     (_stages(stage_depths=[0]), "stage widths and depths must be positive"),
     (_stages(family="resnet_bottleneck", split={"fraction": 0.5}),
-     "split requires the convnext family"),
+     "family 'resnet_bottleneck' has no split form"),
 ], ids=["kernel_str", "out_channels_float", "stride_bool", "expansion_huge",
         "expansion_nan", "resolution_null", "stage_width_float", "stage_width_str",
         "hidden_channels_negative", "stem_kernel_zero", "downsample_kernel_zero",
@@ -464,6 +486,8 @@ def test_ill_typed_descriptor_is_domain_error(tmp_path, capsys, descriptor, mess
 
 BOTTLENECK = {"kind": "resnet_bottleneck", "expansion": 0.25}
 CONVNEXT = {"kind": "convnext_block"}
+SPLIT = {"kind": "convnext_split_block", "expansion": 4.0, "dw_kernel": 7,
+         "nonlinear_fraction": 0.5}
 STEM_64 = dict(STEM, out_channels=64)
 
 
@@ -471,7 +495,10 @@ STEM_64 = dict(STEM, out_channels=64)
     (_full([STEM_64, BOTTLENECK, BOTTLENECK, HEAD], family="convnext"), "k=0.75 "),
     (_full([STEM_64, CONVNEXT, HEAD], family="resnet_bottleneck"), "k=2 "),
     (_full([STEM_64, CONVNEXT, CONVNEXT, HEAD]), "k=2 "),
-], ids=["bottlenecks_labelled_convnext", "convnext_labelled_bottleneck", "generic_convnext"])
+    (_full([STEM_64, SPLIT, SPLIT, HEAD], family="convnext"), "k=1 "),
+    (_full([STEM_64, dict(SPLIT, branch_activation="gelu"), HEAD], family="convnext"), "k=2 "),
+], ids=["bottlenecks_labelled_convnext", "convnext_labelled_bottleneck", "generic_convnext",
+        "split_linear_branch", "split_gelu_branch"])
 def test_mass_reads_k_from_block_rules(tmp_path, capsys, descriptor, k):
     path = tmp_path / "arch.json"
     path.write_text(json.dumps(descriptor))
@@ -497,7 +524,7 @@ def test_restructure_refuses_bottleneck_stages(tmp_path, capsys):
     path.write_text(json.dumps(_stages(family="resnet_bottleneck")))
     code, out, err = run(capsys, "restructure", "--arch", str(path))
     assert code == 1 and out == ""
-    assert err == "error: split requires the convnext family\n"
+    assert err == "error: family 'resnet_bottleneck' has no split form\n"
 
 
 def test_report_rejects_non_positive_scan_row(tmp_path, capsys):

@@ -166,18 +166,18 @@ ALL_KINDS = A.ArchDescriptor("mix", "generic", 32, 3, (
 GOLDEN_ARCHS = {
     "resnet_bottleneck": A.resnet_bottleneck_arch(
         "rb", [64, 128], [2, 3], expansion=0.25, resolution=64),
-    "resnet_bottleneck_e05_k5": A.resnet_bottleneck_arch(
-        "rb2", [48, 96, 192], [1, 2, 1], expansion=0.5, mid_kernel=5, resolution=64),
+    "resnet_bottleneck_e05_k5": A.restage(A.resnet_bottleneck_arch(
+        "rb2", [48, 96, 192], [1, 2, 1], expansion=0.5, resolution=64), dw_kernel=5),
     "regular_conv_none": A.ArchDescriptor("rc", "generic", 32, 3, (
         A.Stem(kernel=3, stride=2, out_channels=16),
         A.RegularConv(kernel=3, stride=1, out_channels=24, activation=A.NONE),
         A.RegularConv(kernel=5, stride=2, out_channels=32),
         A.Head(classes=10),
     )),
-    "split_gelu": A.convnext_arch("sa", [32, 64], [2, 2], resolution=64,
-                                  split_fraction=0.6, split_activation=A.GELU),
-    "split_exp": A.convnext_arch("se", [32, 64], [2, 2], resolution=64,
-                                 split_fraction=0.3, split_activation=A.exp_kernel()),
+    "split_gelu": A.restage(A.convnext_arch("sa", [32, 64], [2, 2], resolution=64),
+                            split_fraction=0.6, split_activation=A.GELU),
+    "split_exp": A.restage(A.convnext_arch("se", [32, 64], [2, 2], resolution=64),
+                           split_fraction=0.3, split_activation=A.exp_kernel()),
     "head_only": A.ArchDescriptor("h", "generic", 16, 8, (A.Head(classes=5),)),
     "all_kinds": ALL_KINDS,
 }

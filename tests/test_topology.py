@@ -134,14 +134,14 @@ def test_split_block_units():
 @pytest.mark.parametrize("arch,mass,units", [
     (A.resnet_bottleneck_arch("rb", [64, 128], [2, 3], expansion=0.25, resolution=64),
      341.3333333333333, 256),
-    (A.resnet_bottleneck_arch("rb2", [48, 96, 192], [1, 2, 1], expansion=0.5,
-                              mid_kernel=5, resolution=64),
+    (A.restage(A.resnet_bottleneck_arch("rb2", [48, 96, 192], [1, 2, 1], expansion=0.5,
+                                        resolution=64), dw_kernel=5),
      345.6, 432),
-    (A.convnext_arch("sa", [32, 64], [2, 2], resolution=64, split_fraction=0.6,
-                     split_activation=A.GELU),
+    (A.restage(A.convnext_arch("sa", [32, 64], [2, 2], resolution=64), split_fraction=0.6,
+               split_activation=A.GELU),
      384.0, 768),
-    (A.convnext_arch("se", [32, 64], [2, 2], resolution=64, split_fraction=0.3,
-                     split_activation=A.exp_kernel()),
+    (A.restage(A.convnext_arch("se", [32, 64], [2, 2], resolution=64), split_fraction=0.3,
+               split_activation=A.exp_kernel()),
      384.0, 768),
 ])
 def test_golden_mass(arch, mass, units):
