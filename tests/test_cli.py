@@ -564,6 +564,11 @@ BYTE_STABLE_RUNS = [
                           "--wsteps", "3", "--dmin", "1", "--dmax", "2", "--dsteps", "2",
                           "--format", "json"], []),
     ("cost-convnext-stages", ["cost", "--arch", "convnext_stages.json", "--per-block"], []),
+    ("cost-convnext-stages-224", ["cost", "--arch", "convnext_stages.json", "--per-block",
+                                  "--resolution", "224"], []),
+    ("scale-bottleneck-224", ["scale", "--arch", "bottleneck.json", "--wmin", "0.5",
+                              "--wmax", "1.5", "--wsteps", "3", "--dmin", "1", "--dmax", "2",
+                              "--dsteps", "2", "--format", "json", "--resolution", "224"], []),
 ]
 
 # SHA-256 of each run's stdout, non-empty stderr and written files; none of these commands
@@ -590,6 +595,10 @@ BYTE_STABLE_DIGESTS = {
     "scale-bottleneck:stdout": "81e332bfda95cf1071e46840ab1f6301cd4b8e9af066ca3b8689514f7781bfa2",
     "cost-convnext-stages:stdout":
         "59cf8745f27b1edcb0677cc6686064e460657ba97d9ced8b1274a0f7c59f79b8",
+    "cost-convnext-stages-224:stdout":
+        "59cf8745f27b1edcb0677cc6686064e460657ba97d9ced8b1274a0f7c59f79b8",
+    "scale-bottleneck-224:stdout":
+        "81e332bfda95cf1071e46840ab1f6301cd4b8e9af066ca3b8689514f7781bfa2",
 }
 
 
