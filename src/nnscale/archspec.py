@@ -779,6 +779,8 @@ def parse_arch(text: str) -> ArchDescriptor:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ArchError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ArchError("JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ArchError("architecture file must be a JSON object")
     for key in ("name", "family", "input_resolution", "input_channels"):

@@ -18,14 +18,14 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, is_dataclass, replace
 from fractions import Fraction
 
 from . import archspec, costmodel, restructure, scaler, search, topology, verify
 from .archspec import ArchError, NONE, GELU, NnscaleError, exp_kernel
 from .tensor import generator
 
-DOMAIN_ERRORS = (NnscaleError, OSError)
+DOMAIN_ERRORS = (NnscaleError, OSError, UnicodeDecodeError)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -66,12 +66,19 @@ def _csv(header, rows) -> str:
 
 
 def _load_arch(args) -> archspec.ArchDescriptor:
+    """The preset or file descriptor; a --resolution replaces its input_resolution
+    and is checked like one read from a file."""
     if getattr(args, "preset", None):
-        return archspec.preset(args.preset)
-    if getattr(args, "arch", None):
+        arch = archspec.preset(args.preset)
+    elif getattr(args, "arch", None):
         with open(args.arch, "r", encoding="utf-8") as fh:
-            return archspec.parse_arch(fh.read())
-    raise ArchError("provide --preset or --arch")
+            arch = archspec.parse_arch(fh.read())
+    else:
+        raise ArchError("provide --preset or --arch")
+    if getattr(args, "resolution", None) is not None:
+        arch = replace(arch, input_resolution=args.resolution)
+        archspec.validate_arch(arch)
+    return arch
 
 
 def _add_arch_flags(p: argparse.ArgumentParser) -> None:
@@ -141,8 +148,8 @@ def _cmd_arch_validate(args) -> int:
 
 def _cmd_cost(args) -> int:
     arch = _load_arch(args)
-    report = costmodel.count_arch(arch, args.resolution)
-    summary = (f"{arch.name}@{args.resolution}: params={_human(report.total_params)} "
+    report = costmodel.count_arch(arch)
+    summary = (f"{arch.name}@{arch.input_resolution}: params={_human(report.total_params)} "
                f"macs={_human(report.total_macs)}\n")
     if args.out is None:
         sys.stdout.write(summary)
@@ -170,7 +177,7 @@ def _cmd_mass(args) -> int:
 def _scan(args):
     base = _load_arch(args)
     grid = _grid_from(args)
-    cands = scaler.enumerate_candidates(base, grid, args.resolution)
+    cands = scaler.enumerate_candidates(base, grid)
     in_budget = []
     selected = None
     if args.budget_macs is not None or args.budget_params is not None:
@@ -246,7 +253,7 @@ def _cmd_restructure(args) -> int:
     arch = _load_arch(args)
     act = {"none": NONE, "gelu": GELU, "exp": exp_kernel()}[args.activation]
     new = restructure.restructure_arch(arch, args.fraction, act)
-    report = costmodel.count_arch(new, args.resolution)
+    report = costmodel.count_arch(new)
     sys.stdout.write(
         f"{new.name} split(keep={args.fraction:g}, psi={args.activation}): "
         f"params={_human(report.total_params)} macs={_human(report.total_macs)}\n"
@@ -332,6 +339,9 @@ def _cmd_report(args) -> int:
     return 0
 
 
+RESOLUTION_HELP = "input resolution to cost at (default: the descriptor's input_resolution)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nnscale", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -342,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="MAC/parameter report")
     _add_arch_flags(p)
-    p.add_argument("--resolution", type=int, default=224)
+    p.add_argument("--resolution", type=int, help=RESOLUTION_HELP)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--per-block", action="store_true")
     p.add_argument("--out")
@@ -358,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} over a multiplier grid")
         _add_arch_flags(p)
         _add_grid_flags(p)
-        p.add_argument("--resolution", type=int, default=224)
+        p.add_argument("--resolution", type=int, help=RESOLUTION_HELP)
         p.add_argument("--budget-macs", type=_finite_float)
         p.add_argument("--budget-params", type=_finite_float)
         p.add_argument("--tol", type=_finite_float, default=0.025)
@@ -381,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=_finite_float, default=0.6,
                    help="fraction of expanded channels kept non-linear")
     p.add_argument("--activation", choices=["none", "gelu", "exp"], default="none")
-    p.add_argument("--resolution", type=int, default=224)
+    p.add_argument("--resolution", type=int, help=RESOLUTION_HELP)
     p.add_argument("--out", help="write the restructured architecture file here")
     p.set_defaults(fn=_cmd_restructure)
 

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .archspec import (
-    NUMBER_BOUND, ArchDescriptor, BlockSpec, CostError, Ibn, Shape, round_half_up,
-)
+from .archspec import ArchDescriptor, BlockSpec, CostError, Ibn, Shape, round_half_up
 
 
 @dataclass(frozen=True)
@@ -36,14 +34,10 @@ class CostReport:
     per_block: tuple
 
 
-def propagate_shapes(arch: ArchDescriptor, input_shape: Shape) -> list:
-    """Per-block input shapes along the main path."""
-    if input_shape.channels != arch.input_channels:
-        raise CostError(
-            f"input channels {input_shape.channels} != descriptor {arch.input_channels}"
-        )
+def propagate_shapes(arch: ArchDescriptor) -> list:
+    """Per-block input shapes along the main path, from the descriptor's input."""
     shapes = []
-    s = input_shape
+    s = Shape(arch.input_channels, arch.input_resolution, arch.input_resolution)
     for block in arch.blocks:
         shapes.append(s)
         s = block.out_shape(s)
@@ -55,16 +49,12 @@ def count_block(block: BlockSpec, in_shape: Shape):
     return block.cost(in_shape)
 
 
-def count_arch(arch: ArchDescriptor, resolution: int) -> CostReport:
-    """Full cost report at the given input resolution (at most NUMBER_BOUND, like
-    every descriptor number)."""
-    if resolution > NUMBER_BOUND:
-        raise CostError(f"resolution {resolution} exceeds {NUMBER_BOUND}")
-    shapes = propagate_shapes(arch, Shape(arch.input_channels, resolution, resolution))
+def count_arch(arch: ArchDescriptor) -> CostReport:
+    """Full cost report at arch.input_resolution."""
     per_block = []
     total_macs = 0
     total_params = 0
-    for i, (block, s) in enumerate(zip(arch.blocks, shapes)):
+    for i, (block, s) in enumerate(zip(arch.blocks, propagate_shapes(arch))):
         macs, params = count_block(block, s)
         per_block.append(BlockCost(i, block.kind, macs, params, s, block.out_shape(s)))
         total_macs += macs

@@ -104,14 +104,14 @@ class ScaleCandidate:
     valid: bool = True
 
 
-def evaluate_candidate(base: ArchDescriptor, w_m: float, d_m: float, resolution: int) -> ScaleCandidate:
+def evaluate_candidate(base: ArchDescriptor, w_m: float, d_m: float) -> ScaleCandidate:
     """Scale, count, and measure one (w_m, d_m) sample; degenerate widths yield an
     invalid candidate rather than an exception."""
     try:
         arch = scale_arch(base, w_m, d_m)
     except ArchError:
         return ScaleCandidate(w_m, d_m, (), (), 0, 0, 0.0, 0, valid=False)
-    report = count_arch(arch, resolution)
+    report = count_arch(arch)
     mass = nn_mass(arch)
     return ScaleCandidate(
         w_m=w_m,
@@ -125,18 +125,15 @@ def evaluate_candidate(base: ArchDescriptor, w_m: float, d_m: float, resolution:
     )
 
 
-def enumerate_candidates(
-    base: ArchDescriptor,
-    grid: MultiplierGrid = DEFAULT_GRID,
-    resolution: int = 224,
-) -> List[ScaleCandidate]:
+def enumerate_candidates(base: ArchDescriptor,
+                         grid: MultiplierGrid = DEFAULT_GRID) -> List[ScaleCandidate]:
     """All grid samples in (w_m, d_m) ascending order; deterministic."""
     if base.stages is None:
         raise ScaleError(f"base {base.name!r} is not stage-structured")
     out = []
     for w_m in grid.width_values():
         for d_m in grid.depth_values():
-            out.append(evaluate_candidate(base, w_m, d_m, resolution))
+            out.append(evaluate_candidate(base, w_m, d_m))
     return out
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .archspec import NnscaleError
+from .archspec import NUMBER_BOUND, NnscaleError
 from .tensor import generator, singular_values_batch
 from .topology import IsometryBounds, ldi_bounds, log2_montufar_bound
 
@@ -169,8 +169,8 @@ def _check_lattice(d: int, x_units: int, grid: int, box_radius: float, nets: int
         raise VerifyError(f"too many ReLU units for pattern counting: {x_units} > 24")
     if grid > 2048:
         raise VerifyError(f"grid limited to 2048, got {grid}")
-    if not box_radius > 0:
-        raise VerifyError(f"box radius must be positive, got {box_radius}")
+    if not 0 < box_radius <= NUMBER_BOUND:
+        raise VerifyError(f"box radius must be positive and at most 2**31, got {box_radius}")
     if d not in (1, 2):
         raise VerifyError("lattice evaluation supports 1- or 2-D inputs")
     if nets * grid ** d > MAX_LATTICE_POINTS:

@@ -30,9 +30,9 @@ def report(n, text):
 
 def test_criterion_1_convnext_cost_oracles():
     t0 = time.perf_counter()
-    tiny = C.count_arch(A.preset("convnext-t"), 224)
-    small = C.count_arch(A.preset("convnext-s"), 224)
-    base = C.count_arch(A.preset("convnext-b"), 224)
+    tiny = C.count_arch(A.preset("convnext-t"))
+    small = C.count_arch(A.preset("convnext-s"))
+    base = C.count_arch(A.preset("convnext-b"))
     elapsed = time.perf_counter() - t0
     assert rel(tiny.total_params, 28.6e6) <= 0.01
     assert rel(tiny.total_macs, 4.47e9) <= 0.02
@@ -56,7 +56,7 @@ def test_criterion_2_ran_i_reproduction():
         scaled = A.scale_arch(base, w_m, d_m)
         assert scaled.stages.widths == widths
         assert scaled.stages.depths == depths
-        r = C.count_arch(scaled, 224)
+        r = C.count_arch(scaled)
         assert rel(r.total_params, params_t) <= 0.01
         assert rel(r.total_macs, macs_t) <= 0.02
         lines.append(f"{w_m}/{d_m}->{r.total_params/1e6:.2f}M/{r.total_macs/1e9:.2f}B")
@@ -65,7 +65,7 @@ def test_criterion_2_ran_i_reproduction():
 
 def test_criterion_3_supernet_oracle():
     arch = A.preset("ran-e-supernet")
-    shapes = C.propagate_shapes(arch, C.Shape(3, 224, 224))
+    shapes = C.propagate_shapes(arch)
     # published table column; stages 2..7 sit at blocks 1..6, stages 8..17 at
     # blocks 8..17 (the repeated 80-channel row occupies block 7)
     stage_block = {s: s - 1 for s in range(2, 8)} | {s: s for s in range(8, 18)}
@@ -75,7 +75,7 @@ def test_criterion_3_supernet_oracle():
     for stage, side in column.items():
         s = shapes[stage_block[stage]]
         assert (s.height, s.width) == (side, side), f"stage {stage}"
-    r = C.count_arch(arch, 224)
+    r = C.count_arch(arch)
     assert rel(r.total_params, 4.7e6) <= 0.03
     assert rel(r.total_macs, 590e6) <= 0.03
     report(3, f"all 17 table shapes exact; params {r.total_params/1e6:.3f}M "
@@ -150,7 +150,7 @@ def test_criterion_6_restructuring_costs():
     lines = []
     for act in (A.NONE, A.GELU, A.exp_kernel()):
         arch = R.restructure_arch(A.preset("convnext-t"), 0.6, act)
-        r = C.count_arch(arch, 224)
+        r = C.count_arch(arch)
         assert rel(r.total_params, 21.5e6) <= 0.01
         assert rel(r.total_macs, 3.32e9) <= 0.02
         lines.append(f"{act.kind}:{r.total_params/1e6:.2f}M/{r.total_macs/1e9:.2f}B")
@@ -256,7 +256,7 @@ def test_criterion_10_expressivity():
 def test_criterion_11_scaling_search_end_to_end():
     base = A.preset("convnext-t")
     t0 = time.perf_counter()
-    cands = SC.enumerate_candidates(base, SC.DEFAULT_GRID, 224)
+    cands = SC.enumerate_candidates(base, SC.DEFAULT_GRID)
     elapsed = time.perf_counter() - t0
     assert len(cands) == 800
     assert elapsed < 5.0

@@ -38,10 +38,22 @@ def test_arch_validate_file(tmp_path, capsys):
 
 def test_arch_validate_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{")
-    code, _, err = run(capsys, "arch-validate", "--arch", str(path))
-    assert code == 1
-    assert "error" in err
+    for text, message in (("{", "syntax error"), ('{"a":' * 100000, "JSON nested too deeply")):
+        path.write_text(text)
+        for command in ("arch-validate", "cost"):
+            code, out, err = run(capsys, command, "--arch", str(path))
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["cost", "--arch"], ["report", "--scan"]])
+def test_file_that_is_not_utf8_is_domain_error(tmp_path, capsys, command):
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err
+    assert err.count("\n") == 1
 
 
 def test_cost_summary(capsys):
@@ -329,14 +341,10 @@ def test_collapse_interior_maximum_skips_nulls(tmp_path, capsys):
     ["afrb-search", "--width", "1024"],
     ["afrb-search", "--samples", "8193", "--width", "256", "--epochs", "1"],
     ["collapse-verify", "--size", "65"],
-    ["cost", "--preset", "convnext-t", "--resolution", "100000000000000000000000"],
-    ["scale", "--preset", "convnext-t", "--resolution", "2147483680"],
-    ["restructure", "--preset", "convnext-t", "--resolution", "2147483680"],
     ["regions", "--grid", "2048", "--trials", "1000"],
     ["collapse-verify", "--trials", "10000000"],
 ], ids=["ldi", "scale_grid", "pareto_grid", "afrb_epochs", "afrb_samples", "afrb_width",
-        "afrb_activations", "collapse_size", "cost_resolution", "scale_resolution",
-        "restructure_resolution", "regions_lattice", "collapse_trials"])
+        "afrb_activations", "collapse_size", "regions_lattice", "collapse_trials"])
 def test_oversized_work_is_refused_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -346,13 +354,34 @@ def test_oversized_work_is_refused_at_once(capsys, argv):
     assert err.startswith("error: ") and "exceeds" in err
 
 
+HUGE = "input_resolution must be an integer in [-2**31, 2**31], got "
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cost", "--resolution", "100000000000000000000000"], HUGE + "100000000000000000000000"),
+    (["scale", "--resolution", "2147483680"], HUGE + "2147483680"),
+    (["restructure", "--resolution", "2147483680"], HUGE + "2147483680"),
+    (["cost", "--resolution", "100"], "input_resolution 100 not divisible by total stride 32"),
+    (["scale", "--resolution", "0"], "input_resolution and input_channels must be positive"),
+], ids=["cost_resolution", "scale_resolution", "restructure_resolution", "cost_stride",
+        "scale_zero"])
+def test_resolution_flag_is_checked_like_a_file(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--preset", "convnext-t")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--n", "10000000", "--layers", "1", "--trials", "1"], "too many ReLU units"),
     (["--n", "2", "--n0", "4"], "need n >= n0 >= 1"),
     (["--layers", "2,0"], "layers must be >= 1"),
     (["--n", "3", "--n0", "3", "--layers", "1"], "1- or 2-D inputs"),
     (["--grid", "2048", "--trials", "1000"], "lattice points exceeds"),
-], ids=["units", "n_below_n0", "zero_layers", "three_inputs", "lattice"])
+    (["--radius", "1e308"], "box radius must be positive"),
+], ids=["units", "n_below_n0", "zero_layers", "three_inputs", "lattice", "radius"])
 def test_regions_checks_inputs_before_building_a_network(monkeypatch, capsys, argv, message):
     def build(*args, **kwargs):
         raise AssertionError("a network was built")
@@ -542,6 +571,17 @@ BOTTLENECK_STAGES = _stages(family="resnet_bottleneck", stage_widths=[32, 64],
                             stage_depths=[2, 1])
 CONVNEXT_STAGES = _stages(stage_widths=[16, 32], stage_depths=[2, 1])  # family defaults
 
+
+def test_cost_uses_the_file_resolution(tmp_path, capsys):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(CONVNEXT_STAGES))
+    code, out, _ = run(capsys, "cost", "--arch", str(path), "--per-block")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("x@32: ")
+    assert lines[2] == "0,stem,3,32,32,49152,816"  # 8 * 8 * 4 * 4 * 3 * 16 MACs
+
+
 BYTE_STABLE_RUNS = [
     ("arch-validate", ["arch-validate", "--preset", "convnext-t"], []),
     ("cost", ["cost", "--preset", "convnext-t"], []),
@@ -592,9 +632,9 @@ BYTE_STABLE_DIGESTS = {
     "restructure:stdout": "2c9d48743c6e716f803187985dfb01f64cddd0d7280e66448128a8bbf3061f8a",
     "restructure:model.json": "50785a08c6df214766b84460e006d9e8d173ed2328c0b531c1a4c26411525416",
     "mass-split:stdout": "93a7712cf4c2cde8d5c58ffe54e88243dff5e28cf17b743dbddaafc336b61809",
-    "scale-bottleneck:stdout": "81e332bfda95cf1071e46840ab1f6301cd4b8e9af066ca3b8689514f7781bfa2",
+    "scale-bottleneck:stdout": "46b658b825754479052112915025dcc9a0d564da602a8f5e8b60b93d53011c06",
     "cost-convnext-stages:stdout":
-        "59cf8745f27b1edcb0677cc6686064e460657ba97d9ced8b1274a0f7c59f79b8",
+        "a550142c15627e3efdea78d9bdfd31bdfbf7a79a0b85d05597efcf3dd029b747",
     "cost-convnext-stages-224:stdout":
         "59cf8745f27b1edcb0677cc6686064e460657ba97d9ced8b1274a0f7c59f79b8",
     "scale-bottleneck-224:stdout":

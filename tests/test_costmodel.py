@@ -19,7 +19,7 @@ SUPERNET_STAGE_BLOCK = {s: s - 1 for s in range(2, 8)} | {s: s for s in range(8,
 
 def test_supernet_shape_column():
     arch = A.preset("ran-e-supernet")
-    shapes = C.propagate_shapes(arch, C.Shape(3, 224, 224))
+    shapes = C.propagate_shapes(arch)
     expected = {
         2: 112, 3: 112, 4: 56, 5: 28, 6: 28, 7: 14, 8: 14, 9: 14,
         10: 14, 11: 14, 12: 14, 13: 7, 14: 7, 15: 7, 16: 7, 17: 7,
@@ -32,7 +32,7 @@ def test_supernet_shape_column():
 
 def test_convnext_stage_resolutions():
     arch = A.preset("convnext-t")
-    shapes = C.propagate_shapes(arch, C.Shape(3, 224, 224))
+    shapes = C.propagate_shapes(arch)
     sides = sorted({s.height for s, b in zip(shapes, arch.blocks)
                     if isinstance(b, A.ConvNextBlock)}, reverse=True)
     assert sides == [56, 28, 14, 7]
@@ -40,16 +40,16 @@ def test_convnext_stage_resolutions():
 
 def test_stride1_conv_keeps_spatial():
     block = A.RegularConv(kernel=3, stride=1, out_channels=5)
-    report = C.count_arch(A.ArchDescriptor("x", "generic", 20, 4, (block,)), 20)
+    report = C.count_arch(A.ArchDescriptor("x", "generic", 20, 4, (block,)))
     out = report.per_block[0].out_shape
     assert (out.height, out.width) == (20, 20)
 
 
 def test_non_integral_stride_errors():
     arch = A.ArchDescriptor(
-        "x", "generic", 224, 3, (A.Stem(kernel=4, stride=4, out_channels=8),))
+        "x", "generic", 225, 3, (A.Stem(kernel=4, stride=4, out_channels=8),))
     with pytest.raises(C.CostError, match="not divisible"):
-        C.propagate_shapes(arch, C.Shape(3, 225, 225))
+        C.propagate_shapes(arch)
 
 
 def test_convnext_stem_macs_exact():
@@ -75,14 +75,14 @@ def test_minimal_regular_conv():
     ("ran-e-supernet", 4.7e6, 590e6, 0.03, 0.03),
 ])
 def test_cost_oracles(name, params_t, macs_t, ptol, mtol):
-    report = C.count_arch(A.preset(name), 224)
+    report = C.count_arch(A.preset(name))
     assert rel_err(report.total_params, params_t) <= ptol
     assert rel_err(report.total_macs, macs_t) <= mtol
 
 
 def test_totals_equal_block_sums():
     for name in ("convnext-t", "ran-e-supernet"):
-        report = C.count_arch(A.preset(name), 224)
+        report = C.count_arch(A.preset(name))
         assert report.total_macs == sum(b.macs for b in report.per_block)
         assert report.total_params == sum(b.params for b in report.per_block)
 
@@ -194,12 +194,12 @@ GOLDEN_ARCHS = {
 ])
 def test_golden_totals(name, macs, params):
     arch = GOLDEN_ARCHS[name]
-    report = C.count_arch(arch, arch.input_resolution)
+    report = C.count_arch(arch)
     assert (report.total_macs, report.total_params) == (macs, params)
 
 
 def test_golden_per_block_all_kinds():
-    report = C.count_arch(ALL_KINDS, 32)
+    report = C.count_arch(ALL_KINDS)
     rows = [(b.kind, b.macs, b.params, b.out_shape.channels, b.out_shape.height)
             for b in report.per_block]
     assert rows == [

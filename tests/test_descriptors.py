@@ -130,7 +130,7 @@ def test_valid_descriptors_have_int_costs_and_round_trip(descriptor):
         arch = A.parse_arch(json.dumps(descriptor))
     except A.ArchError:
         return
-    report = C.count_arch(arch, arch.input_resolution)
+    report = C.count_arch(arch)
     for b in report.per_block:
         assert type(b.macs) is int and type(b.params) is int
         assert b.macs >= 0 and b.params > 0

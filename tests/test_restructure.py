@@ -175,15 +175,15 @@ def test_afrb_decide_monotone_band_membership():
 
 def test_restructure_arch_model_a_costs():
     arch = R.restructure_arch(A.preset("convnext-t"), 0.6, A.NONE)
-    report = C.count_arch(arch, 224)
+    report = C.count_arch(arch)
     assert abs(report.total_params - 21.5e6) / 21.5e6 <= 0.01
     assert abs(report.total_macs - 3.32e9) / 3.32e9 <= 0.02
 
 
 def test_restructure_arch_psi_does_not_change_cost():
-    base = C.count_arch(R.restructure_arch(A.preset("convnext-t"), 0.6, A.NONE), 224)
+    base = C.count_arch(R.restructure_arch(A.preset("convnext-t"), 0.6, A.NONE))
     for act in (A.GELU, A.exp_kernel()):
-        r = C.count_arch(R.restructure_arch(A.preset("convnext-t"), 0.6, act), 224)
+        r = C.count_arch(R.restructure_arch(A.preset("convnext-t"), 0.6, act))
         assert (r.total_params, r.total_macs) == (base.total_params, base.total_macs)
 
 

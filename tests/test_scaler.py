@@ -7,7 +7,7 @@ import nnscale.scaler as S
 
 @pytest.fixture(scope="module")
 def grid_800():
-    return S.enumerate_candidates(A.preset("convnext-t"), S.DEFAULT_GRID, 224)
+    return S.enumerate_candidates(A.preset("convnext-t"), S.DEFAULT_GRID)
 
 
 def brute_force_frontier(cands, axis):
@@ -45,8 +45,8 @@ def test_single_point_grid_equals_base():
     import nnscale.topology as T
     base = A.preset("convnext-t")
     grid = S.MultiplierGrid(1.0, 1.0, 1, 1.0, 1.0, 1)
-    (cand,) = S.enumerate_candidates(base, grid, 224)
-    report = C.count_arch(base, 224)
+    (cand,) = S.enumerate_candidates(base, grid)
+    report = C.count_arch(base)
     assert cand.macs == report.total_macs
     assert cand.params == report.total_params
     assert cand.mass == T.nn_mass(base).mass
@@ -54,7 +54,7 @@ def test_single_point_grid_equals_base():
 
 def test_published_multiplier_costs():
     base = A.preset("convnext-t")
-    cand = S.evaluate_candidate(base, 0.666, 1.65, 224)
+    cand = S.evaluate_candidate(base, 0.666, 1.65)
     assert cand.widths == (64, 128, 256, 511)
     assert abs(cand.macs - 3.3e9) / 3.3e9 <= 0.02
     assert abs(cand.params - 20.76e6) / 20.76e6 <= 0.01
@@ -63,7 +63,7 @@ def test_published_multiplier_costs():
 def test_degenerate_widths_marked_invalid():
     base = A.preset("convnext-t")
     grid = S.MultiplierGrid(0.01, 1.0, 3, 1.0, 1.0, 1)
-    cands = S.enumerate_candidates(base, grid, 224)
+    cands = S.enumerate_candidates(base, grid)
     assert len(cands) == 3
     assert not cands[0].valid
     assert cands[-1].valid
@@ -89,8 +89,8 @@ def test_budget_validation():
 
 def test_candidate_past_depth_bound_is_invalid():
     base = A.convnext_arch("deep", (16,), (4000,), resolution=32)
-    assert S.evaluate_candidate(base, 1.0, 1.0, 32).valid
-    assert not S.evaluate_candidate(base, 1.0, 1.1, 32).valid  # 4400 blocks
+    assert S.evaluate_candidate(base, 1.0, 1.0).valid
+    assert not S.evaluate_candidate(base, 1.0, 1.1).valid  # 4400 blocks
 
 
 def test_filter_budget_h2_nonempty(grid_800):
@@ -233,5 +233,5 @@ def test_enumeration_runtime(grid_800):
     import time
     base = A.preset("convnext-t")
     t0 = time.time()
-    S.enumerate_candidates(base, S.DEFAULT_GRID, 224)
+    S.enumerate_candidates(base, S.DEFAULT_GRID)
     assert time.time() - t0 < 5.0
