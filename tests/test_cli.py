@@ -609,6 +609,10 @@ BYTE_STABLE_RUNS = [
     ("scale-bottleneck-224", ["scale", "--arch", "bottleneck.json", "--wmin", "0.5",
                               "--wmax", "1.5", "--wsteps", "3", "--dmin", "1", "--dmax", "2",
                               "--dsteps", "2", "--format", "json", "--resolution", "224"], []),
+    ("arch-validate-supernet", ["arch-validate", "--preset", "ran-e-supernet"], []),
+    ("arch-validate-stages", ["arch-validate", "--arch", "convnext_stages.json"], []),
+    ("restructure-stages", ["restructure", "--arch", "convnext_stages.json", "--fraction", "0.5",
+                            "--out", "split_stages.json"], ["split_stages.json"]),
 ]
 
 # SHA-256 of each run's stdout, non-empty stderr and written files; none of these commands
@@ -639,6 +643,14 @@ BYTE_STABLE_DIGESTS = {
         "59cf8745f27b1edcb0677cc6686064e460657ba97d9ced8b1274a0f7c59f79b8",
     "scale-bottleneck-224:stdout":
         "81e332bfda95cf1071e46840ab1f6301cd4b8e9af066ca3b8689514f7781bfa2",
+    "arch-validate-supernet:stdout":
+        "e495f1e36bbea6562dbc7cd3622efc2d8eaabf271928ad6b70728f04388539d4",
+    "arch-validate-stages:stdout":
+        "483e1a379ae3b1f3c2396155db207a1e223702b091816f0142948f6e02f0a1fd",
+    "restructure-stages:stdout":
+        "5f699ff0bba59e6d88ca1eea2f149b3e835f2ce4546a430bac4c06a89c1a1e2a",
+    "restructure-stages:split_stages.json":
+        "eddcc3197dc97324c80835ab34c3b683b3a1423950907c8acb75fbb3cfd5500e",
 }
 
 
