@@ -1,5 +1,5 @@
-"""Architecture descriptors: typed block specs and their per-kind rules, validation,
-JSON format, presets, rescaling.
+"""Architecture descriptors: typed block specs and their per-kind rules, shape
+propagation, validation, JSON format, presets, rescaling.
 
 A descriptor is an ordered list of block specs plus the input geometry. Stage-structured
 families (convnext, resnet_bottleneck) additionally carry their stage widths/depths so
@@ -8,7 +8,8 @@ block lists and cannot be rescaled.
 
 Each block kind is one class that carries all of its rules: kind name, output channels,
 stride, expanded width, validation, output shape, MACs/parameters, non-linear units
-and NN-Mass terms. costmodel and topology only walk the block list and add up.
+and NN-Mass terms. propagate_shapes is the one walk along the main path; costmodel and
+topology add up the block rules at the shapes it gives.
 """
 
 from __future__ import annotations
@@ -502,14 +503,14 @@ class ArchDescriptor:
     stages: Optional[StageConfig] = None
 
 
-def input_channels_per_block(arch: ArchDescriptor) -> list:
-    """In-channel count seen by each block, walking the main path."""
-    chain = []
-    c = arch.input_channels
+def propagate_shapes(arch: ArchDescriptor) -> list:
+    """Per-block input shapes along the main path, from the descriptor's input."""
+    shapes = []
+    s = Shape(arch.input_channels, arch.input_resolution, arch.input_resolution)
     for block in arch.blocks:
-        chain.append(c)
-        c = block.channels_out(c)
-    return chain
+        shapes.append(s)
+        s = block.out_shape(s)
+    return shapes
 
 
 # Every block is built, validated and costed one by one, so the total stage depth
@@ -786,6 +787,9 @@ def parse_arch(text: str) -> ArchDescriptor:
     for key in ("name", "family", "input_resolution", "input_channels"):
         if key not in obj:
             raise ArchError(f"missing required field {key!r}")
+    for key in ("name", "family"):
+        if not isinstance(obj[key], str):
+            raise ArchError(f"{key} must be a string, got {obj[key]!r}")
 
     if "stage_widths" in obj or "stage_depths" in obj:
         _require_keys(obj, _TOP_KEYS_STAGE, "architecture")
@@ -819,8 +823,8 @@ def parse_arch(text: str) -> ArchDescriptor:
     if not isinstance(blocks, list):
         raise ArchError("'blocks' must be a list")
     arch = ArchDescriptor(
-        name=str(obj["name"]),
-        family=str(obj["family"]),
+        name=obj["name"],
+        family=obj["family"],
         input_resolution=obj["input_resolution"],
         input_channels=obj["input_channels"],
         blocks=tuple(_block_from_json(b, i) for i, b in enumerate(blocks)),

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from . import archspec, costmodel, restructure, scaler, search, topology, verify
 from .archspec import ArchError, NONE, GELU, NnscaleError, exp_kernel
-from .tensor import generator
 
 DOMAIN_ERRORS = (NnscaleError, OSError, UnicodeDecodeError)
 
@@ -140,9 +139,10 @@ def _human(v: float) -> str:
 
 def _cmd_arch_validate(args) -> int:
     arch = _load_arch(args)
-    chain = archspec.input_channels_per_block(arch)
+    shapes = archspec.propagate_shapes(arch)
     print(f"{arch.name}: family={arch.family} blocks={len(arch.blocks)} "
-          f"resolution={arch.input_resolution} channels={chain[0]}->{chain[-1]}")
+          f"resolution={arch.input_resolution} "
+          f"channels={shapes[0].channels}->{shapes[-1].channels}")
     return 0
 
 
@@ -222,37 +222,15 @@ def _cmd_pareto(args) -> int:
 
 
 def _cmd_collapse_verify(args) -> int:
-    if (work := args.trials * args.size ** 2) > restructure.MAX_TRIAL_WORK:
-        raise restructure.RestructureError(
-            f"trials x size^2 = {work} exceeds {restructure.MAX_TRIAL_WORK}")
-    gen = generator(args.seed)
-    reports = []
-    for _ in range(args.trials):
-        c_in = int(gen.choice([2, 4, 8]))
-        e = float(gen.choice([2, 4, 6]))
-        k = int(gen.choice([3, 5, 7]))
-        stride = int(gen.choice([1, 2]))
-        seed = int(gen.integers(0, 2**31))
-        reports.append(restructure.collapse_trial(
-            seed, c_in, e, k, stride, size=args.size, biased=args.biased))
-    ok = all(r["pass"] for r in reports)
-    interior = [r["max_abs_diff_interior"] for r in reports
-                if r["max_abs_diff_interior"] is not None]
-    out = {
-        "trials": len(reports),
-        "all_pass": ok,
-        "max_abs_diff_full": max(r["max_abs_diff_full"] for r in reports),
-        "max_abs_diff_interior": max(interior, default=None),
-        "reports": reports,
-    }
+    out = restructure.collapse_verify(args.trials, args.seed, args.size, args.biased)
     _emit(_json(out), args.out)
-    return 0 if ok else 1
+    return 0 if out["all_pass"] else 1
 
 
 def _cmd_restructure(args) -> int:
     arch = _load_arch(args)
     act = {"none": NONE, "gelu": GELU, "exp": exp_kernel()}[args.activation]
-    new = restructure.restructure_arch(arch, args.fraction, act)
+    new = archspec.restage(arch, split_fraction=args.fraction, split_activation=act)
     report = costmodel.count_arch(new)
     sys.stdout.write(
         f"{new.name} split(keep={args.fraction:g}, psi={args.activation}): "

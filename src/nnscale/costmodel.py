@@ -1,5 +1,6 @@
-"""Shape propagation and MAC/parameter counting for architecture descriptors: walks
-the block list; each block kind's shape and cost rules live on its archspec class.
+"""MAC/parameter counting for architecture descriptors: adds up each block's cost at
+the shape archspec.propagate_shapes gives it; each block kind's shape and cost rules
+live on its archspec class.
 
 Conventions: MACs are counted for convolution and linear layers only (normalization,
 activation, and pooling cost zero); parameters include conv weights, biases, norm
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .archspec import ArchDescriptor, BlockSpec, CostError, Ibn, Shape, round_half_up
+from .archspec import ArchDescriptor, CostError, Ibn, Shape, propagate_shapes, round_half_up
 
 
 @dataclass(frozen=True)
@@ -34,28 +35,13 @@ class CostReport:
     per_block: tuple
 
 
-def propagate_shapes(arch: ArchDescriptor) -> list:
-    """Per-block input shapes along the main path, from the descriptor's input."""
-    shapes = []
-    s = Shape(arch.input_channels, arch.input_resolution, arch.input_resolution)
-    for block in arch.blocks:
-        shapes.append(s)
-        s = block.out_shape(s)
-    return shapes
-
-
-def count_block(block: BlockSpec, in_shape: Shape):
-    """MACs and parameters of one block at the given input shape -> (macs, params)."""
-    return block.cost(in_shape)
-
-
 def count_arch(arch: ArchDescriptor) -> CostReport:
     """Full cost report at arch.input_resolution."""
     per_block = []
     total_macs = 0
     total_params = 0
     for i, (block, s) in enumerate(zip(arch.blocks, propagate_shapes(arch))):
-        macs, params = count_block(block, s)
+        macs, params = block.cost(s)
         per_block.append(BlockCost(i, block.kind, macs, params, s, block.out_shape(s)))
         total_macs += macs
         total_params += params

@@ -1,6 +1,7 @@
 """Analytic restructuring: collapse linear conv/norm sequences into a single regular
 convolution, the alpha-band collapse decision for restructurable blocks, and the
-ConvNext MLP branch split.
+seeded two-path trials behind collapse-verify. The ConvNext MLP split is a rewrite
+of the descriptor, archspec.restage.
 
 Collapse exactness: with all biases absent the collapsed conv matches the original
 sequence everywhere under zero same-padding. With biases, border pixels of the
@@ -18,16 +19,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .archspec import (
-    Activation,
-    ArchDescriptor,
-    ArchError,
-    Ibn,
-    NONE,
-    NnscaleError,
-    restage,
-)
-from .tensor import ConvWeights, conv2d, fold_bn, rand_normal
+from .archspec import Ibn, NnscaleError
+from .tensor import ConvWeights, conv2d, fold_bn, generator, rand_normal
 
 # A searched block whose alpha lands in this band (inclusive) is collapsed.
 COLLAPSE_BAND = (0.8, 1.3)
@@ -142,20 +135,6 @@ def afrb_decide(alpha: float) -> str:
     return "collapse" if lo <= alpha <= hi else "keep_ibn"
 
 
-def restructure_arch(
-    arch: ArchDescriptor,
-    fraction: float,
-    branch_activation: Activation = NONE,
-) -> ArchDescriptor:
-    """Replace every ConvNext block by its split form across the whole network.
-    Rebuilding the stages refuses a flat or non-ConvNext family, a fraction outside
-    (0, 1) and a split that keeps every expanded channel at some stage width."""
-    try:
-        return restage(arch, split_fraction=fraction, split_activation=branch_activation)
-    except ArchError as exc:
-        raise RestructureError(str(exc)) from exc
-
-
 def random_ibn_sequence(
     seed: int,
     c_in: int,
@@ -216,4 +195,30 @@ def collapse_trial(
         "max_abs_diff_interior": max_interior,
         "max_abs_diff_full": max_full,
         "pass": bool(passed),
+    }
+
+
+def collapse_verify(trials: int, seed: int, size: int, biased: bool) -> dict:
+    """collapse_trial on `trials` sequences whose widths, expansions, kernels, strides
+    and seeds are drawn from one generator at `seed`; reports every trial and the
+    maxima over them."""
+    if (work := trials * size ** 2) > MAX_TRIAL_WORK:
+        raise RestructureError(f"trials x size^2 = {work} exceeds {MAX_TRIAL_WORK}")
+    gen = generator(seed)
+    reports = []
+    for _ in range(trials):
+        c_in = int(gen.choice([2, 4, 8]))
+        e = float(gen.choice([2, 4, 6]))
+        k = int(gen.choice([3, 5, 7]))
+        stride = int(gen.choice([1, 2]))
+        trial_seed = int(gen.integers(0, 2**31))
+        reports.append(collapse_trial(trial_seed, c_in, e, k, stride, size=size, biased=biased))
+    interior = [r["max_abs_diff_interior"] for r in reports
+                if r["max_abs_diff_interior"] is not None]
+    return {
+        "trials": len(reports),
+        "all_pass": all(r["pass"] for r in reports),
+        "max_abs_diff_full": max(r["max_abs_diff_full"] for r in reports),
+        "max_abs_diff_interior": max(interior, default=None),
+        "reports": reports,
     }

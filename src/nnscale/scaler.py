@@ -219,8 +219,9 @@ def _count(text: str, name: str) -> int:
 def candidates_from_csv(text: str) -> List[ScaleCandidate]:
     """Parse a scan CSV back into candidates (in_budget/selected flags dropped). A row
     with a non-finite mass, a multiplier that is not finite and positive, a stage
-    width or depth that is not positive, a negative count, or a valid flag other
-    than 0/1 is refused with its line number."""
+    width or depth that is not positive, a negative count, a valid flag other than
+    0/1, or a valid row without one depth per stage width is refused with its line
+    number."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != CSV_COLUMNS:
@@ -234,7 +235,7 @@ def candidates_from_csv(text: str) -> List[ScaleCandidate]:
         try:
             if row[8] not in ("0", "1"):
                 raise ValueError(f"valid {row[8]!r} is not 0 or 1")
-            out.append(ScaleCandidate(
+            c = ScaleCandidate(
                 w_m=_finite(row[0], "w_m", positive=True),
                 d_m=_finite(row[1], "d_m", positive=True),
                 widths=_sizes(row[2], "widths"),
@@ -244,7 +245,11 @@ def candidates_from_csv(text: str) -> List[ScaleCandidate]:
                 mass=_finite(row[6], "mass"),
                 nonlinear_units=_count(row[7], "nonlinear_units"),
                 valid=row[8] == "1",
-            ))
+            )
+            if c.valid and not len(c.widths) == len(c.depths) > 0:
+                raise ValueError(f"valid row needs one depth per stage width, got widths "
+                                 f"{row[2]!r} and depths {row[3]!r}")
+            out.append(c)
         except ValueError as exc:
             raise ScaleError(f"line {lineno}: {exc}") from exc
     return out

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .archspec import STAGE_RULES, ArchDescriptor, NnscaleError, input_channels_per_block
+from .archspec import STAGE_RULES, ArchDescriptor, NnscaleError, propagate_shapes
 
 
 class TopologyError(NnscaleError):
@@ -49,15 +49,14 @@ def proportionality_constant(family: str, e) -> Fraction:
 
 def nonlinear_units(arch: ArchDescriptor) -> int:
     """Total count of scalar non-linear activation sites in the network."""
-    chain = input_channels_per_block(arch)
-    return sum(b.units(c) for b, c in zip(arch.blocks, chain))
+    return sum(b.units(s.channels) for b, s in zip(arch.blocks, propagate_shapes(arch)))
 
 
 def nn_mass(arch: ArchDescriptor) -> MassReport:
     """NN-Mass report of a network whose mass-carrying blocks share one k rule and one
     expansion, whatever its family label; k is that rule at that expansion. At one
     expansion the ConvNext and bottleneck rules never give the same k."""
-    chain = input_channels_per_block(arch)
+    chain = [s.channels for s in propagate_shapes(arch)]
     per_block = []
     bodies = set()
     mass = 0.0

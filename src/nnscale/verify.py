@@ -50,7 +50,6 @@ class LinearDensenetConfig:
 
 @dataclass(frozen=True)
 class LinearDensenet:
-    config: LinearDensenetConfig
     weights: tuple          # layer l: [w, w + s_l]
     skip_sources: tuple     # layer l: tuple of (source_layer, channel)
 
@@ -71,7 +70,7 @@ def build_linear_densenet(cfg: LinearDensenetConfig) -> LinearDensenet:
             sources.append(tuple(zip(src_layers.tolist(), src_channels.tolist())))
         else:
             sources.append(())
-    return LinearDensenet(config=cfg, weights=tuple(weights), skip_sources=tuple(sources))
+    return LinearDensenet(weights=tuple(weights), skip_sources=tuple(sources))
 
 
 @dataclass(frozen=True)

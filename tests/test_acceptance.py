@@ -107,8 +107,7 @@ def test_criterion_4_width_algebra():
         arch = A.ArchDescriptor("x", "ran_e", 32, 3, blocks)
         assert T.nonlinear_units(arch) == 12 * n
         ibn_pw = C.ibn_pointwise_macs(n, 6, 14, 14)
-        conv, _ = C.count_block(A.RegularConv(kernel=3, stride=1, out_channels=n),
-                                C.Shape(n, 14, 14))
+        conv, _ = A.RegularConv(kernel=3, stride=1, out_channels=n).cost(C.Shape(n, 14, 14))
         assert Fraction(ibn_pw - conv, ibn_pw) == Fraction(1, 4)
     report(4, "width identity on 16..512, exact-width MAC equality, 0.5% bound on "
               "its attainable range (n>=153 plus exemplars 64/96), 12n units and "
@@ -149,7 +148,7 @@ def test_criterion_5_proportionality_property():
 def test_criterion_6_restructuring_costs():
     lines = []
     for act in (A.NONE, A.GELU, A.exp_kernel()):
-        arch = R.restructure_arch(A.preset("convnext-t"), 0.6, act)
+        arch = A.restage(A.preset("convnext-t"), split_fraction=0.6, split_activation=act)
         r = C.count_arch(arch)
         assert rel(r.total_params, 21.5e6) <= 0.01
         assert rel(r.total_macs, 3.32e9) <= 0.02

@@ -38,7 +38,14 @@ def test_arch_validate_file(tmp_path, capsys):
 
 def test_arch_validate_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for text, message in (("{", "syntax error"), ('{"a":' * 100000, "JSON nested too deeply")):
+    for text, message in (
+        ("{", "syntax error"),
+        ('{"a":' * 100000, "JSON nested too deeply"),
+        (json.dumps(_stages(name={"a": 1})), "name must be a string, got {'a': 1}"),
+        (json.dumps(_stages(family=["convnext"])), "family must be a string, got ['convnext']"),
+        (json.dumps(_full([STEM, HEAD], name=None)), "name must be a string, got None"),
+        (json.dumps(_full([STEM, HEAD], family=3)), "family must be a string, got 3"),
+    ):
         path.write_text(text)
         for command in ("arch-validate", "cost"):
             code, out, err = run(capsys, command, "--arch", str(path))

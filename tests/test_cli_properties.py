@@ -1,9 +1,12 @@
-"""Property test of the CLI's exit-code contract: every command, given flags drawn
-from a small vocabulary of good, malformed and non-finite values, exits 0, 1 with
-`error: ...`, or 2 with a usage message, and never raises."""
+"""Property tests of the CLI. The exit-code contract: every command, given flags
+drawn from a small vocabulary of good, malformed and non-finite values, exits 0, 1
+with `error: ...`, or 2 with a usage message, and never raises. Cross-command
+consistency: a file one command writes or reports gives the same numbers under the
+commands that read it."""
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from nnscale.cli import main
 
 from conftest import PROFILE
+from test_descriptors import stage_descriptors
 
 VALUES = ["0", "-1", "1", "2", "3", "0.5", "1e9", "nan", "inf", "1e400", "x", "2,x"]
 BUDGETS = ["4e9:28e6", "1:1", "-1:5", "0:0", "nan:1", "1e400:1", "a:b", "1:2:3", "x"]
@@ -80,3 +84,55 @@ def test_every_command_keeps_the_exit_code_contract(scan_csv, argv):
         assert text.startswith("error: ") or "\nerror: " in text
     if code == 2:
         assert "usage: nnscale" in text
+
+
+def _run(*argv):
+    """Exit code and stdout of one in-process run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(**PROFILE)
+@given(stage_descriptors(), st.sampled_from(["0.3", "0.5", "0.6"]),
+       st.sampled_from(["16", "32", "64", "224"]))
+def test_restructured_file_costs_what_restructure_printed(tmp_path_factory, descriptor,
+                                                          fraction, resolution):
+    base = tmp_path_factory.getbasetemp()
+    f, g = base / "chain-base.json", base / "chain-split.json"
+    f.write_text(json.dumps(descriptor))
+    for flags in ([], ["--resolution", resolution]):
+        code, printed = _run("restructure", "--arch", str(f), "--fraction", fraction,
+                             "--out", str(g), *flags)
+        if code != 0:
+            assert code == 1
+            continue
+        code, costed = _run("cost", "--arch", str(g))
+        assert code == 0
+        assert costed[costed.index(" params="):] == printed[printed.index(" params="):]
+
+
+@settings(**PROFILE)
+@given(stage_descriptors(), st.integers(1, 3), st.integers(1, 3))
+def test_scan_rows_cost_and_mass_as_stage_files(tmp_path_factory, descriptor, wsteps, dsteps):
+    base = tmp_path_factory.getbasetemp()
+    f, g, report = base / "row-base.json", base / "row.json", base / "row-report.json"
+    f.write_text(json.dumps(descriptor))
+    code, scan = _run("scale", "--arch", str(f), "--wmin", "0.5", "--wmax", "2",
+                      "--wsteps", str(wsteps), "--dmin", "0.5", "--dmax", "2",
+                      "--dsteps", str(dsteps), "--format", "json")
+    if code != 0:
+        assert code == 1
+        return
+    for row in json.loads(scan):
+        if not row["valid"]:
+            continue
+        g.write_text(json.dumps(dict(descriptor, stage_widths=row["widths"],
+                                     stage_depths=row["depths"])))
+        assert _run("cost", "--arch", str(g), "--format", "json", "--out", str(report))[0] == 0
+        cost = json.loads(report.read_text())
+        assert (cost["total_params"], cost["total_macs"]) == (row["params"], row["macs"])
+        assert _run("mass", "--arch", str(g), "--format", "json", "--out", str(report))[0] == 0
+        mass = json.loads(report.read_text())
+        assert (mass["mass"], mass["nonlinear_units"]) == (row["mass"], row["nonlinear_units"])

@@ -53,7 +53,7 @@ def test_non_integral_stride_errors():
 
 
 def test_convnext_stem_macs_exact():
-    macs, _ = C.count_block(A.Stem(kernel=4, stride=4, out_channels=96), C.Shape(3, 224, 224))
+    macs, _ = A.Stem(kernel=4, stride=4, out_channels=96).cost(C.Shape(3, 224, 224))
     assert macs == 56 * 56 * 4 * 4 * 3 * 96 == 14_450_688
 
 
@@ -62,8 +62,7 @@ def test_ibn_pointwise_approximation():
 
 
 def test_minimal_regular_conv():
-    macs, params = C.count_block(A.RegularConv(kernel=1, stride=1, out_channels=1),
-                                 C.Shape(1, 1, 1))
+    macs, params = A.RegularConv(kernel=1, stride=1, out_channels=1).cost(C.Shape(1, 1, 1))
     assert macs == 1
 
 
@@ -97,8 +96,7 @@ def test_pointwise_macs_quadratic_in_width():
 def test_ibn_to_conv_saving_exactly_25_percent():
     n, h, w = 80, 14, 14
     ibn = C.ibn_pointwise_macs(n, 6, h, w)
-    conv, _ = C.count_block(A.RegularConv(kernel=3, stride=1, out_channels=n),
-                            C.Shape(n, h, w))
+    conv, _ = A.RegularConv(kernel=3, stride=1, out_channels=n).cost(C.Shape(n, h, w))
     assert Fraction(ibn - conv, ibn) == Fraction(1, 4)
 
 
@@ -117,18 +115,18 @@ def test_ibn_equivalent_width_rejects_bad_e():
 
 def test_split_block_channels_and_cost():
     block = A.ConvNextSplitBlock(expansion=4, dw_kernel=7, nonlinear_fraction=0.6)
-    macs, params = C.count_block(block, C.Shape(96, 56, 56))
+    macs, params = block.cost(C.Shape(96, 56, 56))
     kept = 231  # ceil(0.6 * 4 * 96)
     hw = 56 * 56
     assert macs == hw * (49 * 96 + 96 * kept + kept * 96 + 96 * 96)
-    plain_macs, _ = C.count_block(A.ConvNextBlock(), C.Shape(96, 56, 56))
+    plain_macs, _ = A.ConvNextBlock().cost(C.Shape(96, 56, 56))
     assert macs < plain_macs
 
 
 def test_split_block_keep_all_errors():
     block = A.ConvNextSplitBlock(expansion=4, dw_kernel=7, nonlinear_fraction=0.999)
     with pytest.raises(C.CostError, match="keeps all"):
-        C.count_block(block, C.Shape(96, 56, 56))
+        block.cost(C.Shape(96, 56, 56))
 
 
 def test_split_mlp_mac_ratio_exact():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nnscale.archspec as A
+import nnscale.cli as cli
 import nnscale.costmodel as C
 import nnscale.restructure as R
 import nnscale.tensor as T
@@ -57,6 +58,20 @@ def test_collapse_grid_200_trials():
     for seed, (c_in, e, k, stride) in zip(seeds, itertools.cycle(grid)):
         rep = R.collapse_trial(seed, c_in, e, k, stride, size=12, biased=False)
         assert rep["max_abs_diff_full"] <= 1e-10, rep["dims"]
+
+
+def test_collapse_verify_bounds_work_before_any_trial(monkeypatch):
+    def trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the work bound was checked")
+    monkeypatch.setattr(R, "collapse_trial", trial)
+    with pytest.raises(R.RestructureError, match="exceeds"):
+        R.collapse_verify(2**20, 0, 12, False)
+
+
+def test_collapse_verify_is_what_the_command_writes(tmp_path):
+    path = tmp_path / "report.json"
+    assert cli.main(["collapse-verify", "--trials", "3", "--size", "6", "--out", str(path)]) == 0
+    assert path.read_text() == cli._json(R.collapse_verify(3, 0, 6, False))
 
 
 def test_collapse_with_folded_bn():
@@ -174,32 +189,34 @@ def test_afrb_decide_monotone_band_membership():
 
 
 def test_restructure_arch_model_a_costs():
-    arch = R.restructure_arch(A.preset("convnext-t"), 0.6, A.NONE)
+    arch = A.restage(A.preset("convnext-t"), split_fraction=0.6, split_activation=A.NONE)
     report = C.count_arch(arch)
     assert abs(report.total_params - 21.5e6) / 21.5e6 <= 0.01
     assert abs(report.total_macs - 3.32e9) / 3.32e9 <= 0.02
 
 
 def test_restructure_arch_psi_does_not_change_cost():
-    base = C.count_arch(R.restructure_arch(A.preset("convnext-t"), 0.6, A.NONE))
+    base = C.count_arch(A.restage(A.preset("convnext-t"), split_fraction=0.6,
+                                  split_activation=A.NONE))
     for act in (A.GELU, A.exp_kernel()):
-        r = C.count_arch(R.restructure_arch(A.preset("convnext-t"), 0.6, act))
+        r = C.count_arch(A.restage(A.preset("convnext-t"), split_fraction=0.6,
+                                   split_activation=act))
         assert (r.total_params, r.total_macs) == (base.total_params, base.total_macs)
 
 
 def test_restructure_arch_roundtrips_through_file():
-    arch = R.restructure_arch(A.preset("convnext-t"), 0.6, A.exp_kernel())
+    arch = A.restage(A.preset("convnext-t"), split_fraction=0.6, split_activation=A.exp_kernel())
     assert A.parse_arch(A.serialize_arch(arch)) == arch
 
 
 def test_restructure_arch_rejects_keep_all():
-    with pytest.raises(R.RestructureError, match="keeps all"):
-        R.restructure_arch(A.preset("convnext-t"), 0.9999)
+    with pytest.raises(A.ArchError, match="keeps all"):
+        A.restage(A.preset("convnext-t"), split_fraction=0.9999)
 
 
 def test_restructure_arch_rejects_other_families():
-    with pytest.raises(R.RestructureError):
-        R.restructure_arch(A.preset("ran-e-supernet"), 0.6)
+    with pytest.raises(A.ArchError):
+        A.restage(A.preset("ran-e-supernet"), split_fraction=0.6)
 
 
 def test_split_linear_branch_is_one_collapsed_1x1():
@@ -233,7 +250,7 @@ def test_mlp_ratio_matches_counted_blocks_in_rational_mode():
     # at widths where fraction * e * w1 is whole, counted MACs hit the exact ratio
     f, e, w1 = Fraction(3, 5), 4, 80
     block = A.ConvNextSplitBlock(expansion=e, dw_kernel=7, nonlinear_fraction=float(f))
-    macs, _ = C.count_block(block, C.Shape(w1, 10, 10))
-    plain, _ = C.count_block(A.ConvNextBlock(expansion=e, dw_kernel=7), C.Shape(w1, 10, 10))
+    macs, _ = block.cost(C.Shape(w1, 10, 10))
+    plain, _ = A.ConvNextBlock(expansion=e, dw_kernel=7).cost(C.Shape(w1, 10, 10))
     dw = 100 * 49 * w1
     assert Fraction(macs - dw, plain - dw) == C.split_mlp_mac_ratio(f, e) == Fraction(29, 40)

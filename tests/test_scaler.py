@@ -223,6 +223,10 @@ def test_csv_rejects_malformed_row():
         ("1.0,1.0,8|0,1,5,2,3.0,4,1,0,0", "widths '8|0' has an entry that is not positive"),
         ("1.0,1.0,8,-3,5,2,3.0,4,1,0,0", "depths '-3' has an entry that is not positive"),
         ("1.0,1.0,8,1|0,5,2,3.0,4,1,0,0", "depths '1|0' has an entry that is not positive"),
+        ("1.0,1.0,8|16,3,28000000,4500000000,6.0,4,1,0,0",
+         "valid row needs one depth per stage width, got widths '8|16' and depths '3'"),
+        ("1.0,1.0,,,5,2,3.0,4,1,0,0",
+         "valid row needs one depth per stage width, got widths '' and depths ''"),
     ]:
         text = ",".join(S.CSV_COLUMNS) + "\n" + good + row + "\n"
         with pytest.raises(S.ScaleError, match=f"line 3: {message}"):
