@@ -86,6 +86,10 @@ def test_every_command_keeps_the_exit_code_contract(scan_csv, argv):
         assert "usage: nnscale" in text
 
 
+# Each example below runs up to 20 commands; 100 examples keep tier-1 near 30 s.
+CHAIN_PROFILE = dict(PROFILE, max_examples=100)
+
+
 def _run(*argv):
     """Exit code and stdout of one in-process run."""
     out = io.StringIO()
@@ -94,7 +98,7 @@ def _run(*argv):
     return code, out.getvalue()
 
 
-@settings(**PROFILE)
+@settings(**CHAIN_PROFILE)
 @given(stage_descriptors(), st.sampled_from(["0.3", "0.5", "0.6"]),
        st.sampled_from(["16", "32", "64", "224"]))
 def test_restructured_file_costs_what_restructure_printed(tmp_path_factory, descriptor,
@@ -113,7 +117,7 @@ def test_restructured_file_costs_what_restructure_printed(tmp_path_factory, desc
         assert costed[costed.index(" params="):] == printed[printed.index(" params="):]
 
 
-@settings(**PROFILE)
+@settings(**CHAIN_PROFILE)
 @given(stage_descriptors(), st.integers(1, 3), st.integers(1, 3))
 def test_scan_rows_cost_and_mass_as_stage_files(tmp_path_factory, descriptor, wsteps, dsteps):
     base = tmp_path_factory.getbasetemp()
