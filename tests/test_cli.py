@@ -577,6 +577,8 @@ SMALL_SCAN = ["--preset", "convnext-t", "--wmin", "0.005", "--wmax", "1.0", "--w
 BOTTLENECK_STAGES = _stages(family="resnet_bottleneck", stage_widths=[32, 64],
                             stage_depths=[2, 1])
 CONVNEXT_STAGES = _stages(stage_widths=[16, 32], stage_depths=[2, 1])  # family defaults
+DEEP_STAGES = _stages(stage_depths=[2000])  # d_m = 3 passes MAX_TOTAL_DEPTH
+KEEP_ALL_STAGES = _stages(expansion=0.3, split={"fraction": 0.5})  # keeps all at width 8
 
 
 def test_cost_uses_the_file_resolution(tmp_path, capsys):
@@ -620,6 +622,15 @@ BYTE_STABLE_RUNS = [
     ("arch-validate-stages", ["arch-validate", "--arch", "convnext_stages.json"], []),
     ("restructure-stages", ["restructure", "--arch", "convnext_stages.json", "--fraction", "0.5",
                             "--out", "split_stages.json"], ["split_stages.json"]),
+    ("scale-depth-bound", ["scale", "--arch", "deep_stages.json", "--wmin", "0.5", "--wmax", "1",
+                           "--wsteps", "2", "--dmin", "1", "--dmax", "3", "--dsteps", "3"], []),
+    ("scale-keeps-all", ["scale", "--arch", "keep_all_stages.json", "--wmin", "0.5",
+                         "--wmax", "1", "--wsteps", "3", "--dmin", "1", "--dmax", "2",
+                         "--dsteps", "2", "--format", "json"], []),
+    ("scale-split-stages", ["scale", "--arch", "split_stages.json", "--wmin", "0.5",
+                            "--wmax", "1.5", "--wsteps", "3", "--dmin", "1", "--dmax", "2",
+                            "--dsteps", "2", "--budget-macs", "9e5", "--tol", "0.1",
+                            "--format", "csv", "--out", "split_scan.csv"], ["split_scan.csv"]),
 ]
 
 # SHA-256 of each run's stdout, non-empty stderr and written files; none of these commands
@@ -658,6 +669,16 @@ BYTE_STABLE_DIGESTS = {
         "5f699ff0bba59e6d88ca1eea2f149b3e835f2ce4546a430bac4c06a89c1a1e2a",
     "restructure-stages:split_stages.json":
         "eddcc3197dc97324c80835ab34c3b683b3a1423950907c8acb75fbb3cfd5500e",
+    "scale-depth-bound:stdout":
+        "a498008464ef5727c0e530e673bee78db6f0a2190ce84e0f35078aa5ffaed47e",
+    "scale-keeps-all:stdout":
+        "eb7cc8b103976fc7cd92384a4ec8805052226d82a526e3c9ea2ffb04c216a492",
+    "scale-split-stages:stdout":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "scale-split-stages:stderr":
+        "aadd8848536957e41f209ee9e93c0cca47262b67f36276eb20c2f35909c9f9e8",
+    "scale-split-stages:split_scan.csv":
+        "4672b4cb2ad2eee0a340ce7834b9317e7cefc55b4a8f8d2df637c5240e7556ca",
 }
 
 
@@ -665,6 +686,8 @@ def test_outputs_are_byte_stable(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bottleneck.json").write_text(json.dumps(BOTTLENECK_STAGES))
     (tmp_path / "convnext_stages.json").write_text(json.dumps(CONVNEXT_STAGES))
+    (tmp_path / "deep_stages.json").write_text(json.dumps(DEEP_STAGES))
+    (tmp_path / "keep_all_stages.json").write_text(json.dumps(KEEP_ALL_STAGES))
     digests = {}
     for name, argv, files in BYTE_STABLE_RUNS:
         code, out, err = run(capsys, *argv)
