@@ -173,6 +173,13 @@ class _Block:
             if not test(value):
                 raise ArchError(f"block {i}: {name} must be {expected}, got {value!r}")
 
+    def _validate_expansion(self, i: int, c: int) -> None:
+        """A positive expansion that leaves at least one expanded channel at width c."""
+        _require(self.expansion > 0, i, "expansion must be > 0")
+        if self.mid(c) < 1:
+            raise ArchError(f"block {i}: expanded width rounds to 0 (expansion "
+                            f"{self.expansion} at width {c})")
+
     def units(self, c: int) -> int:
         return 0
 
@@ -248,7 +255,7 @@ class Ibn(_Conv):
 
     def validate(self, i: int, c: int, last: bool) -> None:
         super().validate(i, c, last)
-        _require(self.expansion > 0, i, "expansion must be > 0")
+        self._validate_expansion(i, c)
         _require(_odd(self.dw_kernel), i, "ibn depthwise kernel must be odd")
         if self.residual and (self.stride != 1 or self.out_channels != c):
             raise ArchError(
@@ -277,7 +284,7 @@ class _ConvNextBase(_Block):
 
     def validate(self, i: int, c: int, last: bool) -> None:
         super().validate(i, c, last)
-        _require(self.expansion > 0, i, "expansion must be > 0")
+        self._validate_expansion(i, c)
         _require(_odd(self.dw_kernel), i, "depthwise kernel must be odd")
 
     def mass_inputs(self, c: int) -> int:
@@ -381,7 +388,7 @@ class ResNetBottleneckBlock(_Block):
 
     def validate(self, i: int, c: int, last: bool) -> None:
         super().validate(i, c, last)
-        _require(self.expansion > 0, i, "expansion must be > 0")
+        self._validate_expansion(i, c)
         _require(_odd(self.mid_kernel), i, "mid kernel must be odd")
 
     def cost(self, s: Shape) -> tuple:
@@ -513,9 +520,15 @@ def propagate_shapes(arch: ArchDescriptor) -> list:
     return shapes
 
 
-# Every block is built, validated and costed one by one, so the total stage depth
-# bounds the work a stage file can ask for.
+# A stage file's descriptor is built, validated and costed block by block, so the
+# total stage depth bounds the work it can ask for. A scan builds one body block per
+# stage, but refuses each candidate past the same bound.
 MAX_TOTAL_DEPTH = 4096
+
+
+def _check_total_depth(depths) -> None:
+    if sum(depths) > MAX_TOTAL_DEPTH:
+        raise ArchError(f"total stage depth {sum(depths)} exceeds {MAX_TOTAL_DEPTH}")
 
 
 def _stage_lists(widths, depths):
@@ -532,8 +545,7 @@ def _stage_lists(widths, depths):
         raise ArchError("stage widths and depths must have equal length")
     if any(w <= 0 for w in widths) or any(d <= 0 for d in depths):
         raise ArchError("stage widths and depths must be positive")
-    if sum(depths) > MAX_TOTAL_DEPTH:
-        raise ArchError(f"total stage depth {sum(depths)} exceeds {MAX_TOTAL_DEPTH}")
+    _check_total_depth(depths)
     return tuple(map(int, widths)), tuple(map(int, depths))
 
 
@@ -669,21 +681,30 @@ def preset(name: str) -> ArchDescriptor:
     raise ArchError(f"unknown preset {name!r} (known: {', '.join(PRESET_NAMES)})")
 
 
+def scale_widths(widths, w_m: float) -> tuple:
+    """Stage widths x w_m, rounded half-up; a width below 8 is degenerate. Widths are
+    not snapped to a multiple: the published configs use unsnapped widths such as 511."""
+    out = tuple(round_half_up(w * w_m) for w in widths)
+    for w, nw in zip(widths, out):
+        if nw < 8:
+            raise ArchError(f"degenerate width {nw} (stage width {w} x {w_m})")
+    return out
+
+
+def scale_depths(depths, d_m: float) -> tuple:
+    """Stage depths x d_m, rounded half-up and floored at 1, within MAX_TOTAL_DEPTH."""
+    out = tuple(max(1, round_half_up(d * d_m)) for d in depths)
+    _check_total_depth(out)
+    return out
+
+
 def scale_arch(base: ArchDescriptor, w_m: float, d_m: float) -> ArchDescriptor:
-    """Rescale a stage-structured descriptor: widths x w_m and depths x d_m, both
-    rounded half-up (depths floored at 1). Widths are not snapped to a multiple:
-    the published configs use unsnapped widths such as 511."""
+    """Rescale a stage-structured descriptor by scale_widths and scale_depths."""
     if w_m <= 0 or d_m <= 0:
         raise ArchError("multipliers must be positive")
     st = _stages_of(base)
-    widths = []
-    for w in st.widths:
-        nw = round_half_up(w * w_m)
-        if nw < 8:
-            raise ArchError(f"degenerate width {nw} (stage width {w} x {w_m})")
-        widths.append(nw)
-    depths = [max(1, round_half_up(d * d_m)) for d in st.depths]
-    return restage(base, widths=widths, depths=depths)
+    return restage(base, widths=scale_widths(st.widths, w_m),
+                   depths=scale_depths(st.depths, d_m))
 
 
 def _stages_of(arch: ArchDescriptor) -> StageConfig:

@@ -6,6 +6,10 @@ Exit codes: 0 success, 1 domain error, 2 usage error. File outputs are written
 to a temp file and renamed so partial files never appear. Every report is
 rendered here, by _json and _csv; only the scan CSV, which report reads back,
 has its writer beside its reader in scaler.
+
+Only collapse-verify, afrb-search, ldi and regions need numpy. They import the
+modules that use it (restructure, search, verify) when they run, so the
+descriptor commands start without loading numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import tempfile
 from dataclasses import asdict, is_dataclass, replace
 from fractions import Fraction
 
-from . import archspec, costmodel, restructure, scaler, search, topology, verify
+from . import archspec, costmodel, scaler, topology
 from .archspec import ArchError, NONE, GELU, NnscaleError, exp_kernel
 
 DOMAIN_ERRORS = (NnscaleError, OSError, UnicodeDecodeError)
@@ -222,6 +226,7 @@ def _cmd_pareto(args) -> int:
 
 
 def _cmd_collapse_verify(args) -> int:
+    from . import restructure
     out = restructure.collapse_verify(args.trials, args.seed, args.size, args.biased)
     _emit(_json(out), args.out)
     return 0 if out["all_pass"] else 1
@@ -242,6 +247,7 @@ def _cmd_restructure(args) -> int:
 
 
 def _cmd_afrb_search(args) -> int:
+    from . import restructure, search
     variants = args.variants.split(",")
     dims = [2] + [args.width] * len(variants)
     model = search.make_model(dims, variants, seed=args.seed)
@@ -266,6 +272,7 @@ def _cmd_afrb_search(args) -> int:
 
 
 def _cmd_ldi(args) -> int:
+    from . import verify
     cfg = verify.LinearDensenetConfig(
         width=args.width, depth=args.depth, skip_channels=args.skips,
         q=args.q, seed=args.seed)
@@ -275,6 +282,7 @@ def _cmd_ldi(args) -> int:
 
 
 def _cmd_regions(args) -> int:
+    from . import verify
     trend = verify.montufar_trend(
         args.n, args.n0, args.layers, args.trials,
         grid=args.grid, box_radius=args.radius, seed=args.seed)

@@ -1,6 +1,12 @@
 """Training-free scaling search: enumerate a width/depth multiplier grid, evaluate
 cost and NN-Mass for every candidate, filter by MAC/parameter budgets, pick the
 highest-mass survivor, and compute cost-mass Pareto frontiers.
+
+The scan is factored: a candidate's widths depend only on w_m and its depths only
+on d_m, and every body block of a stage sees the same input width. So each w_m
+column builds and validates one descriptor with one body block per stage and reads
+each block's cost, units and mass term once; each candidate then sums them over its
+stage depths.
 """
 
 from __future__ import annotations
@@ -11,16 +17,15 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .archspec import ArchDescriptor, ArchError, NnscaleError, scale_arch
-from .costmodel import count_arch
-from .topology import nn_mass
+from .archspec import (ArchDescriptor, ArchError, Head, NnscaleError, Stem, propagate_shapes,
+                       restage, scale_depths, scale_widths)
 
 
 class ScaleError(NnscaleError):
     pass
 
 
-# Each candidate is built, costed and massed on its own (a 400 x 200 grid is allowed).
+# Each candidate costs a sum over its stages and one CSV row (a 400 x 200 grid is allowed).
 MAX_CANDIDATES = 100_000
 
 
@@ -104,36 +109,62 @@ class ScaleCandidate:
     valid: bool = True
 
 
-def evaluate_candidate(base: ArchDescriptor, w_m: float, d_m: float) -> ScaleCandidate:
-    """Scale, count, and measure one (w_m, d_m) sample; degenerate widths yield an
-    invalid candidate rather than an exception."""
+def _column(base: ArchDescriptor, w_m: float):
+    """The stage widths at w_m, the (MACs, params, units) of the blocks that appear
+    once (stem, downsamples, head) and the (MACs, params, units, mass term) of each
+    stage's body block; None when the widths are degenerate or fail validation."""
     try:
-        arch = scale_arch(base, w_m, d_m)
+        widths = scale_widths(base.stages.widths, w_m)
+        one = restage(base, widths=widths, depths=(1,) * len(widths))
     except ArchError:
-        return ScaleCandidate(w_m, d_m, (), (), 0, 0, 0.0, 0, valid=False)
-    report = count_arch(arch)
-    mass = nn_mass(arch)
-    return ScaleCandidate(
-        w_m=w_m,
-        d_m=d_m,
-        widths=arch.stages.widths,
-        depths=arch.stages.depths,
-        macs=report.total_macs,
-        params=report.total_params,
-        mass=mass.mass,
-        nonlinear_units=mass.nonlinear_units,
-    )
+        return None
+    once, body = [0, 0, 0], []
+    for block, s in zip(one.blocks, propagate_shapes(one)):
+        macs, params = block.cost(s)
+        units = block.units(s.channels)
+        if isinstance(block, (Stem, Head)):  # Downsample is a Stem; these carry no mass
+            once = [once[0] + macs, once[1] + params, once[2] + units]
+        else:
+            body.append((macs, params, units,
+                         float(block.mass_inputs(s.channels) * block.cell_density)))
+    return one.stages.widths, once, body
+
+
+def _candidate(w_m: float, d_m: float, column, depths) -> ScaleCandidate:
+    widths, (macs, params, units), body = column
+    mass = 0.0
+    for (b_macs, b_params, b_units, term), d in zip(body, depths):
+        macs += b_macs * d
+        params += b_params * d
+        units += b_units * d
+        # one addition per block in block order, as nn_mass walks them, so the float
+        # sum has the same bits (the blocks that appear once add 0.0)
+        for _ in range(d):
+            mass += term
+    return ScaleCandidate(w_m, d_m, widths, depths, macs, params, mass, units)
 
 
 def enumerate_candidates(base: ArchDescriptor,
                          grid: MultiplierGrid = DEFAULT_GRID) -> List[ScaleCandidate]:
-    """All grid samples in (w_m, d_m) ascending order; deterministic."""
+    """All grid samples in (w_m, d_m) ascending order; deterministic. A degenerate or
+    invalid width makes its whole w_m column invalid, a total depth past
+    MAX_TOTAL_DEPTH its whole d_m row."""
     if base.stages is None:
         raise ScaleError(f"base {base.name!r} is not stage-structured")
+    rows = []
+    for d_m in grid.depth_values():
+        try:
+            rows.append((d_m, scale_depths(base.stages.depths, d_m)))
+        except ArchError:
+            rows.append((d_m, None))
     out = []
     for w_m in grid.width_values():
-        for d_m in grid.depth_values():
-            out.append(evaluate_candidate(base, w_m, d_m))
+        column = _column(base, w_m)
+        for d_m, depths in rows:
+            if column is None or depths is None:
+                out.append(ScaleCandidate(w_m, d_m, (), (), 0, 0, 0.0, 0, valid=False))
+            else:
+                out.append(_candidate(w_m, d_m, column, depths))
     return out
 
 

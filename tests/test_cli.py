@@ -45,6 +45,10 @@ def test_arch_validate_bad_file(tmp_path, capsys):
         (json.dumps(_stages(family=["convnext"])), "family must be a string, got ['convnext']"),
         (json.dumps(_full([STEM, HEAD], name=None)), "name must be a string, got None"),
         (json.dumps(_full([STEM, HEAD], family=3)), "family must be a string, got 3"),
+        (json.dumps(_stages(stage_widths=[8], expansion=0.01)),
+         "block 1: expanded width rounds to 0 (expansion 0.01 at width 8)"),
+        (json.dumps(_stages(family="resnet_bottleneck", stage_widths=[8], expansion=0.01)),
+         "block 1: expanded width rounds to 0 (expansion 0.01 at width 8)"),
     ):
         path.write_text(text)
         for command in ("arch-validate", "cost"):
@@ -453,6 +457,25 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_descriptor_commands_do_not_load_numpy(tmp_path):
+    probe = ("import sys\n"
+             "from nnscale.cli import main\n"
+             "for argv in (['arch-validate', '--preset', 'convnext-t'],\n"
+             "             ['cost', '--preset', 'convnext-t'],\n"
+             "             ['mass', '--preset', 'ran-i-t'],\n"
+             "             ['scale', '--preset', 'convnext-t', '--budget-macs', '4.5e9',\n"
+             "              '--out', 's.csv'],\n"
+             "             ['report', '--scan', 's.csv', '--budget', '4.5e9:28e6'],\n"
+             "             ['pareto', '--preset', 'ran-i-t', '--out', 'front.csv'],\n"
+             "             ['restructure', '--preset', 'convnext-t', '--out', 'split.json']):\n"
+             "    assert main(argv) == 0, argv\n"
+             "print('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_every_module_error_shares_one_base():

@@ -9,7 +9,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nnscale.cli import main
 
@@ -140,3 +140,60 @@ def test_scan_rows_cost_and_mass_as_stage_files(tmp_path_factory, descriptor, ws
         assert _run("mass", "--arch", str(g), "--format", "json", "--out", str(report))[0] == 0
         mass = json.loads(report.read_text())
         assert (mass["mass"], mass["nonlinear_units"]) == (row["mass"], row["nonlinear_units"])
+
+
+def _grid_flags(wsteps, dsteps):
+    return ["--wmin", "0.5", "--wmax", "2", "--wsteps", str(wsteps),
+            "--dmin", "0.5", "--dmax", "2", "--dsteps", str(dsteps)]
+
+
+# Each example below runs three commands on a grid of at most 16 candidates.
+SCAN_PROFILE = dict(PROFILE, max_examples=30)
+
+
+@settings(**SCAN_PROFILE)
+@given(stage_descriptors(), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_scale_and_report_select_the_same_candidate(tmp_path_factory, descriptor, wsteps,
+                                                    dsteps, data):
+    base = tmp_path_factory.getbasetemp()
+    f, scan = base / "select-base.json", base / "select-scan.csv"
+    f.write_text(json.dumps(descriptor))
+    grid = _grid_flags(wsteps, dsteps)
+    code, rows = _run("scale", "--arch", str(f), *grid, "--format", "json")
+    assert code in (0, 1)
+    valid = [row for row in json.loads(rows) if row["valid"]] if code == 0 else []
+    assume(valid)
+    # a budget near a drawn candidate, so that some budgets admit several and some none
+    row = data.draw(st.sampled_from(valid))
+    scale = data.draw(st.sampled_from([0.8, 0.97, 1.0, 1.03]))
+    macs, params = repr(row["macs"] * scale), repr(row["params"] * scale)
+    tol = data.draw(st.sampled_from(["0", "0.025", "0.1", "0.25"]))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["scale", "--arch", str(f), *grid, "--budget-macs", macs,
+                     "--budget-params", params, "--tol", tol, "--out", str(scan)]) == 0
+    code, report = _run("report", "--scan", str(scan), "--budget", f"{macs}:{params}",
+                        "--tol", tol)
+    assert code == 0
+    section = report.splitlines()[2]
+    if err.getvalue():
+        assert section == "  " + err.getvalue().rstrip("\n")
+    else:
+        assert section == "  no candidates"
+
+
+@settings(**SCAN_PROFILE)
+@given(stage_descriptors(), st.integers(1, 4), st.integers(1, 4))
+def test_pareto_is_the_frontier_report_writes(tmp_path_factory, descriptor, wsteps, dsteps):
+    base = tmp_path_factory.getbasetemp()
+    f, scan = base / "front-base.json", base / "front-scan.csv"
+    frontier = base / "front.csv"
+    f.write_text(json.dumps(descriptor))
+    grid = _grid_flags(wsteps, dsteps)
+    code, pareto = _run("pareto", "--arch", str(f), *grid)
+    assert code in (0, 1)
+    assume(code == 0)
+    assert _run("scale", "--arch", str(f), *grid, "--out", str(scan))[0] == 0
+    assert _run("report", "--scan", str(scan), "--frontier-out", str(frontier))[0] == 0
+    front = [row.split(",")[5:7] for row in pareto.splitlines()[1:]]
+    assert front == [row.split(",") for row in frontier.read_text().splitlines()[1:]]

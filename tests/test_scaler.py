@@ -1,13 +1,42 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import nnscale.archspec as A
+import nnscale.costmodel as C
 import nnscale.scaler as S
+import nnscale.topology as T
+
+from conftest import PROFILE
+from test_descriptors import stage_descriptors
 
 
 @pytest.fixture(scope="module")
 def grid_800():
     return S.enumerate_candidates(A.preset("convnext-t"), S.DEFAULT_GRID)
+
+
+def block_walk(base, w_m, d_m):
+    """Oracle of the factored scan: build the scaled descriptor block by block, then
+    cost and mass it whole; a width or depth that scale_arch refuses gives an invalid
+    candidate."""
+    try:
+        arch = A.scale_arch(base, w_m, d_m)
+    except A.ArchError:
+        return S.ScaleCandidate(w_m, d_m, (), (), 0, 0, 0.0, 0, valid=False)
+    report = C.count_arch(arch)
+    mass = T.nn_mass(arch)
+    return S.ScaleCandidate(w_m, d_m, arch.stages.widths, arch.stages.depths,
+                            report.total_macs, report.total_params, mass.mass,
+                            mass.nonlinear_units)
+
+
+def one_sample(base, w_m, d_m):
+    (cand,) = S.enumerate_candidates(base, S.MultiplierGrid(w_m, w_m, 1, d_m, d_m, 1))
+    return cand
 
 
 def brute_force_frontier(cands, axis):
@@ -41,8 +70,6 @@ def test_candidates_ordered_by_multipliers(grid_800):
 
 
 def test_single_point_grid_equals_base():
-    import nnscale.costmodel as C
-    import nnscale.topology as T
     base = A.preset("convnext-t")
     grid = S.MultiplierGrid(1.0, 1.0, 1, 1.0, 1.0, 1)
     (cand,) = S.enumerate_candidates(base, grid)
@@ -54,7 +81,7 @@ def test_single_point_grid_equals_base():
 
 def test_published_multiplier_costs():
     base = A.preset("convnext-t")
-    cand = S.evaluate_candidate(base, 0.666, 1.65)
+    cand = one_sample(base, 0.666, 1.65)
     assert cand.widths == (64, 128, 256, 511)
     assert abs(cand.macs - 3.3e9) / 3.3e9 <= 0.02
     assert abs(cand.params - 20.76e6) / 20.76e6 <= 0.01
@@ -89,8 +116,8 @@ def test_budget_validation():
 
 def test_candidate_past_depth_bound_is_invalid():
     base = A.convnext_arch("deep", (16,), (4000,), resolution=32)
-    assert S.evaluate_candidate(base, 1.0, 1.0).valid
-    assert not S.evaluate_candidate(base, 1.0, 1.1).valid  # 4400 blocks
+    assert one_sample(base, 1.0, 1.0).valid
+    assert not one_sample(base, 1.0, 1.1).valid  # 4400 blocks
 
 
 def test_filter_budget_h2_nonempty(grid_800):
@@ -229,8 +256,48 @@ def test_csv_rejects_malformed_row():
          "valid row needs one depth per stage width, got widths '' and depths ''"),
     ]:
         text = ",".join(S.CSV_COLUMNS) + "\n" + good + row + "\n"
-        with pytest.raises(S.ScaleError, match=f"line 3: {message}"):
+        with pytest.raises(S.ScaleError, match=re.escape(f"line 3: {message}")):
             S.candidates_from_csv(text)
+
+
+def assert_same_candidates(got, want):
+    assert got == want
+    assert [repr(c.mass) for c in got] == [repr(c.mass) for c in want]
+
+
+def test_keep_all_column_is_invalid():
+    # e = 0.3 and f = 0.5 keep all 2 expanded channels at width 8, not at 12 or 16
+    base = A.convnext_arch("x", (16,), (1,), expansion=0.3, resolution=32)
+    base = A.restage(base, split_fraction=0.5)
+    grid = S.MultiplierGrid(0.5, 1.0, 3, 1.0, 2.0, 2)
+    cands = S.enumerate_candidates(base, grid)
+    assert [c.valid for c in cands] == [False, False, True, True, True, True]
+    assert_same_candidates(cands, [block_walk(base, w, d) for w in grid.width_values()
+                                   for d in grid.depth_values()])
+
+
+# Each example walks up to 36 candidates block by block, a few of them thousands of
+# blocks deep.
+FACTORED_PROFILE = dict(PROFILE, max_examples=40)
+
+
+@settings(**FACTORED_PROFILE)
+@given(stage_descriptors(), st.data())
+def test_factored_scan_is_the_block_walk(descriptor, data):
+    try:
+        base = A.parse_arch(json.dumps(descriptor))
+    except A.ArchError:
+        assume(False)
+    # w_m from well below the degenerate width 8 / 24; d_m up to past the depth bound
+    w_min = data.draw(st.floats(0.05, 2.0))
+    w_max = w_min + data.draw(st.floats(0.0, 2.0))
+    d_min = data.draw(st.floats(0.1, 3.0))
+    d_top = 1.25 * A.MAX_TOTAL_DEPTH / sum(base.stages.depths)
+    d_max = d_min + data.draw(st.sampled_from([0.0, 1.0, d_top]))
+    grid = S.MultiplierGrid(w_min, w_max, data.draw(st.integers(1, 6)),
+                            d_min, d_max, data.draw(st.integers(1, 6)))
+    want = [block_walk(base, w, d) for w in grid.width_values() for d in grid.depth_values()]
+    assert_same_candidates(S.enumerate_candidates(base, grid), want)
 
 
 def test_enumeration_runtime(grid_800):
