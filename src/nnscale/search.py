@@ -157,15 +157,10 @@ def _forward(model: MlpModel, x: np.ndarray):
     return logits, h, caches
 
 
-def _softmax_ce(logits: np.ndarray, y: np.ndarray):
+def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     expv = np.exp(shifted)
-    probs = expv / expv.sum(axis=1, keepdims=True)
-    n = len(y)
-    ce = -np.log(probs[np.arange(n), y] + 1e-300).mean()
-    grad = probs.copy()
-    grad[np.arange(n), y] -= 1.0
-    return ce, grad / n, probs
+    return expv / expv.sum(axis=1, keepdims=True)
 
 
 def forward_loss(model: MlpModel, batch, lam: float) -> dict:
@@ -174,7 +169,8 @@ def forward_loss(model: MlpModel, batch, lam: float) -> dict:
     logits, _, _ = _forward(model, x)
     if not np.all(np.isfinite(logits)):
         raise SearchError("non-finite activations in forward pass")
-    ce, _, probs = _softmax_ce(logits, y)
+    probs = _softmax(logits)
+    ce = -np.log(probs[np.arange(len(y)), y] + 1e-300).mean()
     reg = float(sum((b.alpha - 1.0) ** 2 for b in model.blocks))
     acc = float((np.argmax(probs, axis=1) == y).mean())
     return {
@@ -199,7 +195,10 @@ def backward(model: MlpModel, batch, lam: float) -> Grads:
     the first PReLU site (chain factor -1), the second site (+1), and 2 lam (a-1)."""
     x, y = batch
     logits, feats, caches = _forward(model, x)
-    _, dlogits, _ = _softmax_ce(logits, y)
+    # d(mean cross-entropy)/d logits = (softmax - onehot) / n
+    dlogits = _softmax(logits)
+    dlogits[np.arange(len(y)), y] -= 1.0
+    dlogits /= len(y)
     g_wh = dlogits.T @ feats
     g_bh = dlogits.sum(axis=0)
     d_out = dlogits @ model.w_head
@@ -274,11 +273,12 @@ def train_search(model: MlpModel, dataset, cfg: SearchConfig) -> SearchTrace:
     trace = SearchTrace()
     for epoch in range(cfg.epochs):
         perm = gen.permutation(n)
+        x_perm, y_perm = x[perm], y[perm]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, cfg.batch):
-                    sel = perm[start:start + cfg.batch]
-                    grads = backward(model, (x[sel], y[sel]), cfg.lam)
+                    stop = start + cfg.batch
+                    grads = backward(model, (x_perm[start:stop], y_perm[start:stop]), cfg.lam)
                     for i, blk in enumerate(model.blocks):
                         blk.w_expand -= cfg.lr * grads.w_expand[i]
                         blk.w_project -= cfg.lr * grads.w_project[i]

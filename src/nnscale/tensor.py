@@ -94,20 +94,23 @@ def conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
         raise TensorError(f"input channels {c} != weight in_channels {w.in_channels}")
     k = w.kernel_size
     s = w.stride
-    ho = -(-h // s)
-    wo = -(-wd // s)
-    pad_h = max((ho - 1) * s + k - h, 0)
-    pad_w = max((wo - 1) * s + k - wd, 0)
-    pt, pl = pad_h // 2, pad_w // 2
-    xp = np.pad(x, ((0, 0), (pt, pad_h - pt), (pl, pad_w - pl)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
-    win = win[:, :ho, :wo]
-    g = w.groups
-    cig = w.kernel.shape[1]
-    win = win.reshape(g, cig, ho, wo, k, k)
-    ker = w.kernel.reshape(g, w.out_channels // g, cig, k, k)
-    out = np.einsum("gihwuv,goiuv->gohw", win, ker, optimize=True)
-    out = out.reshape(w.out_channels, ho, wo)
+    if k == 1 and s == 1 and w.groups == 1:  # pointwise: one matmul, no windows
+        out = (w.kernel[:, :, 0, 0] @ x.reshape(c, h * wd)).reshape(w.out_channels, h, wd)
+    else:
+        ho = -(-h // s)
+        wo = -(-wd // s)
+        pad_h = max((ho - 1) * s + k - h, 0)
+        pad_w = max((wo - 1) * s + k - wd, 0)
+        pt, pl = pad_h // 2, pad_w // 2
+        xp = np.pad(x, ((0, 0), (pt, pad_h - pt), (pl, pad_w - pl)))
+        win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+        win = win[:, :ho, :wo]
+        g = w.groups
+        cig = w.kernel.shape[1]
+        win = win.reshape(g, cig, ho, wo, k, k)
+        ker = w.kernel.reshape(g, w.out_channels // g, cig, k, k)
+        out = np.einsum("gihwuv,goiuv->gohw", win, ker, optimize=True)
+        out = out.reshape(w.out_channels, ho, wo)
     if w.bias is not None:
         out = out + w.bias[:, None, None]
     return out

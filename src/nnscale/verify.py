@@ -11,7 +11,7 @@ the skip layers' fan-in, which is what the isometry bound is stated over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -84,8 +84,8 @@ class LdiReport:
     vacuous: bool
 
 
-# Every trial's weights are held at once, trials x depth x width x (width + skips)
-# float64 entries at most: 2**24 of them is 128 MB.
+# A run draws trials x depth x width x (width + skips) float64 weight entries but
+# holds one trial's network at a time; 2**24 entries bound the work, not memory.
 MAX_LDI_ENTRIES = 2**24
 
 
@@ -100,17 +100,12 @@ def ldi_report(cfg: LinearDensenetConfig, trials: int) -> LdiReport:
         raise VerifyError(f"trials x depth x width x (width + skips) = {entries} "
                           f"weight entries exceeds {MAX_LDI_ENTRIES}")
     bounds = ldi_bounds(cfg.q, cfg.width, cfg.k_hat)
-    nets = [
-        build_linear_densenet(
-            LinearDensenetConfig(cfg.width, cfg.depth, cfg.skip_channels, cfg.q, cfg.seed + t)
-        )
-        for t in range(trials)
-    ]
-    # one batched SVD per layer index over all trials: [trials, depth]
-    mean_sv = np.stack([
-        singular_values_batch(np.stack(layer)).mean(axis=1)
-        for layer in zip(*(net.weights for net in nets))
-    ], axis=1)
+    mean_sv = np.empty((trials, cfg.depth))
+    for t in range(trials):
+        weights = build_linear_densenet(replace(cfg, seed=cfg.seed + t)).weights
+        # layers 0-1 are square and the rest carry skips: one batched SVD each
+        mean_sv[t, :2] = singular_values_batch(np.stack(weights[:2])).mean(axis=1)
+        mean_sv[t, 2:] = singular_values_batch(np.stack(weights[2:])).mean(axis=1)
     within = (mean_sv >= bounds.lower) & (mean_sv <= bounds.upper)
     return LdiReport(
         per_layer_mean_sv=tuple(mean_sv.mean(axis=0).tolist()),
@@ -160,7 +155,10 @@ class RegionCount:
 
 
 # A trend evaluates trials x depths x grid^n0 lattice points; the default run 9.8M.
+# This bounds work, not memory: a count holds one net's lattice as one int64 code
+# per point (and a 1-byte mask while counting), plus one chunk's activations.
 MAX_LATTICE_POINTS = 2**26
+LATTICE_CHUNK = 2**16
 
 
 def _check_lattice(d: int, x_units: int, grid: int, box_radius: float, nets: int = 1) -> None:
@@ -183,16 +181,22 @@ def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCo
     x_units, d = net.relu_units, net.input_dim
     _check_lattice(d, x_units, grid, box_radius)
     axis = np.linspace(-box_radius, box_radius, grid)
-    pts = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
     # one bit per ReLU unit, set where the unit is active; X <= 24 fits an int64
-    codes = np.zeros(pts.shape[0], dtype=np.int64)
-    h = pts
-    for w, b in net.hidden:
-        pre = h @ w.T + b
-        for unit in (pre > 0).T:
-            codes = (codes << 1) | unit
-        h = np.maximum(pre, 0.0)
-    distinct = int(np.unique(codes).size)
+    codes = np.zeros(grid ** d, dtype=np.int64)
+    for start in range(0, codes.size, LATTICE_CHUNK):
+        stop = min(start + LATTICE_CHUNK, codes.size)
+        chunk = codes[start:stop]
+        # point i * grid + j of the 2-D lattice is (axis[i], axis[j])
+        h = axis[np.stack(np.unravel_index(np.arange(start, stop), (grid,) * d))]
+        for w, b in net.hidden:  # activations are [units, points]
+            pre = w @ h
+            pre += b[:, None]
+            for unit in pre > 0:
+                chunk <<= 1
+                chunk |= unit
+            h = np.maximum(pre, 0.0, out=pre)
+    codes.sort()
+    distinct = int(np.count_nonzero(codes[1:] != codes[:-1])) + int(codes.size > 0)
     if distinct > 2 ** x_units:
         raise VerifyError("pattern count exceeded 2^X; counter is broken")
     return RegionCount(

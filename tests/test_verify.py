@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import nnscale.verify as V
+from nnscale.tensor import singular_values_batch
+from nnscale.topology import ldi_bounds
 
 
 def test_build_shapes_and_convention():
@@ -80,6 +84,63 @@ def test_ldi_deterministic():
     assert a == b
 
 
+def _stacked_ldi_mean_sv(cfg, trials):
+    """Every trial's network built first, then one batched SVD per layer index
+    over all trials: [trials, depth]."""
+    nets = [
+        V.build_linear_densenet(
+            V.LinearDensenetConfig(cfg.width, cfg.depth, cfg.skip_channels, cfg.q, cfg.seed + t))
+        for t in range(trials)
+    ]
+    return np.stack([
+        singular_values_batch(np.stack(layer)).mean(axis=1)
+        for layer in zip(*(net.weights for net in nets))
+    ], axis=1)
+
+
+@pytest.mark.parametrize("width,depth,skips,q,seed,trials", [
+    (32, 16, 32, 1 / 64, 0, 50),
+    (16, 4, 0, 1 / 16, 1, 50),
+    (8, 3, 5, 0.5, 9, 61),
+    (12, 7, 3, 0.05, 4, 50),
+])
+def test_ldi_report_equals_stacked_oracle(width, depth, skips, q, seed, trials):
+    cfg = V.LinearDensenetConfig(width, depth, skips, q, seed)
+    mean_sv = _stacked_ldi_mean_sv(cfg, trials)
+    bounds = ldi_bounds(q, width, cfg.k_hat)
+    within = (mean_sv >= bounds.lower) & (mean_sv <= bounds.upper)
+    assert V.ldi_report(cfg, trials) == V.LdiReport(
+        per_layer_mean_sv=tuple(mean_sv.mean(axis=0).tolist()),
+        k_hat=cfg.k_hat,
+        bounds=bounds,
+        fraction_within=float(within.mean()),
+        grand_mean=float(mean_sv.mean()),
+        trials=trials,
+        vacuous=skips == 0,
+    )
+
+
+def _traced_peak_mb(fn, *args) -> float:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_ldi_report_holds_one_trial_at_a_time():
+    # all 50 trials' weights together are 14 MB
+    cfg = V.LinearDensenetConfig(width=32, depth=16, skip_channels=32, q=1 / 64, seed=0)
+    assert _traced_peak_mb(V.ldi_report, cfg, 50) < 2
+
+
+def test_region_count_holds_codes_and_one_chunk():
+    # 2^20 points: 8 MB of codes, 1 MB of mask, 6 MB of activations per layer
+    net = V.random_relu_net(2, 12, 2, seed=0)
+    assert _traced_peak_mb(V.count_linear_regions, net, 2.0, 1024) < 64
+
+
 def test_ldi_requires_enough_trials():
     cfg = V.LinearDensenetConfig(width=16, depth=6, skip_channels=8, q=1 / 24, seed=5)
     with pytest.raises(V.VerifyError):
@@ -139,6 +200,9 @@ def _oracle_patterns(net, box_radius, grid):
     (1, 5, 2, 512),    # 1-D input
     (2, 4, 3, 128),    # multi-layer
     (2, 12, 2, 96),    # X = 24: the top bit of the code
+    (2, 3, 2, 300),    # 90000 points: two lattice chunks
+    (2, 4, 2, 1),      # a single point
+    (1, 3, 2, 1),      # a single 1-D point
 ])
 def test_region_count_matches_tuple_oracle(n0, n, layers, grid):
     for seed in range(3):
