@@ -25,9 +25,9 @@ from .tensor import ConvWeights, conv2d, fold_bn, generator, rand_normal
 # A searched block whose alpha lands in this band (inclusive) is collapsed.
 COLLAPSE_BAND = (0.8, 1.3)
 
-# collapse_trial's conv windows grow with size^2; at 64 a run peaks near 190 MB.
+# collapse_trial's conv patches grow with size^2; at 64 a run peaks near 52 MB RSS.
 MAX_TRIAL_SIZE = 64
-# trials x size^2 bounds a run's time: at the bound about a minute at size 12, 20 s at 64.
+# trials x size^2 bounds a run's time: at the bound about 30 s at size 12, 5 s at 64.
 MAX_TRIAL_WORK = 2**22
 
 

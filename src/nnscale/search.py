@@ -20,6 +20,7 @@ from .restructure import afrb_decide
 from .tensor import generator
 
 VARIANTS = ("a1", "a2", "a3")
+RESIDUAL_VARIANTS = ("a2", "a3")
 
 
 class SearchError(NnscaleError):
@@ -48,7 +49,7 @@ class AfrbMlpBlock:
 
     @property
     def residual(self) -> bool:
-        return self.variant in ("a2", "a3")
+        return self.variant in RESIDUAL_VARIANTS
 
     @property
     def expanded_width(self) -> int:
@@ -82,7 +83,11 @@ def make_model(
     if len(layer_dims) != len(variants) + 1:
         raise SearchError("need len(layer_dims) == len(variants) + 1")
     shapes = []  # (d_in, m, d_out) per block
-    for d_in, d_out, variant in zip(layer_dims, layer_dims[1:], variants):
+    for i, (d_in, d_out, variant) in enumerate(zip(layer_dims, layer_dims[1:], variants)):
+        if variant in RESIDUAL_VARIANTS and d_in != d_out:
+            raise SearchError(
+                f"block {i} ({variant}) is residual but maps width {d_in} to {d_out}; "
+                f"the variant list must start with a1 unless --width {d_in}")
         e = 0.5 if variant == "a3" else 4.0
         shapes.append((d_in, max(1, round_half_up(e * d_in)), d_out))
     entries = sum(m * (d_in + d_out) for d_in, m, d_out in shapes) + 2 * layer_dims[-1]

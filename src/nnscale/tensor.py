@@ -1,9 +1,11 @@
 """Float64 numeric substrate: direct 2-D convolution, batch-norm folding, batched
 LAPACK singular values, and seeded tensor generation.
 
-Tensors are plain C-contiguous float64 numpy arrays. Everything here is pure and
-deterministic; the random generator is counter-based (Philox, 64-bit keyed) so draws
-are reproducible and independently seedable by index.
+Tensors are plain C-contiguous float64 numpy arrays. A convolution is one batched
+matmul per block of groups over that block's patch matrices, so its temporaries are
+bounded by PATCH_ENTRIES or by one group's patches, whichever is larger. Everything
+here is pure and deterministic; the random generator is counter-based (Philox, 64-bit
+keyed) so draws are reproducible and independently seedable by index.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .archspec import NnscaleError
+
+# A conv2d patch block holds at most this many entries (512 KB), and never less than
+# one group.
+PATCH_ENTRIES = 2**16
 
 
 class TensorError(NnscaleError):
@@ -85,7 +91,12 @@ class BNParams:
 
 def conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
     """Direct convolution (cross-correlation) of x [C_in, H, W] -> [C_out, H', W'].
-    Same-padding pads with zeros to give H' = ceil(H / stride)."""
+    Same-padding pads with zeros to give H' = ceil(H / stride).
+
+    Each group's kernel [C_out/groups, C_in/groups*k*k] multiplies its patch matrix
+    [C_in/groups*k*k, H'*W'], a batched matmul over blocks of whole groups. A block's
+    patches are copied out of a sliding-window view, so the temporaries stay within
+    PATCH_ENTRIES, or one group's patches when a group alone is larger."""
     x = _as_f64(x)
     if x.ndim != 3:
         raise TensorError(f"input must be [C, H, W], got shape {x.shape}")
@@ -104,15 +115,23 @@ def conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
         pt, pl = pad_h // 2, pad_w // 2
         xp = np.pad(x, ((0, 0), (pt, pad_h - pt), (pl, pad_w - pl)))
         win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
-        win = win[:, :ho, :wo]
         g = w.groups
         cig = w.kernel.shape[1]
-        win = win.reshape(g, cig, ho, wo, k, k)
-        ker = w.kernel.reshape(g, w.out_channels // g, cig, k, k)
-        out = np.einsum("gihwuv,goiuv->gohw", win, ker, optimize=True)
+        og = w.out_channels // g
+        depth = cig * k * k
+        # [g, cig, k, k, ho, wo] view: each group's patches reshape to [cig*k*k, ho*wo].
+        win = win[:, :ho, :wo].reshape(g, cig, ho, wo, k, k).transpose(0, 1, 4, 5, 2, 3)
+        ker = w.kernel.reshape(g, og, depth)
+        out = np.empty((g, og, ho * wo))
+        step = max(PATCH_ENTRIES // (depth * ho * wo), 1)
+        for a in range(0, g, step):
+            b = min(a + step, g)
+            # Kernel first, split by whole groups: patches first, or a split of the
+            # pixels, moves the last bits of the output.
+            np.matmul(ker[a:b], win[a:b].reshape(b - a, depth, ho * wo), out=out[a:b])
         out = out.reshape(w.out_channels, ho, wo)
     if w.bias is not None:
-        out = out + w.bias[:, None, None]
+        out += w.bias[:, None, None]
     return out
 
 

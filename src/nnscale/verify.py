@@ -158,7 +158,7 @@ class RegionCount:
 # This bounds work, not memory: a count holds one net's lattice as one int64 code
 # per point (and a 1-byte mask while counting), plus one chunk's activations.
 MAX_LATTICE_POINTS = 2**26
-LATTICE_CHUNK = 2**16
+LATTICE_CHUNK = 2**13
 
 
 def _check_lattice(d: int, x_units: int, grid: int, box_radius: float, nets: int = 1) -> None:

@@ -12,6 +12,7 @@ import pytest
 import nnscale
 import nnscale.archspec as A
 import nnscale.scaler as S
+import nnscale.search as search
 import nnscale.verify as V
 from nnscale.cli import main
 
@@ -179,6 +180,25 @@ def test_afrb_search_trace(tmp_path, capsys):
     assert len(lines) == 6
     summary = json.loads(out)
     assert set(summary) >= {"alphas", "decisions", "collapsed", "final_accuracy"}
+
+
+@pytest.mark.parametrize("variants", ["a2,a2", "a3,a1"])
+def test_afrb_search_residual_first_block_names_the_fix(monkeypatch, capsys, variants):
+    def draw(*args, **kwargs):
+        raise AssertionError("weights were drawn")
+
+    monkeypatch.setattr(search, "generator", draw)
+    code, out, err = run(capsys, "afrb-search", "--variants", variants)
+    assert code == 1 and out == ""
+    assert err == (f"error: block 0 ({variants[:2]}) is residual but maps width 2 to 8; "
+                   "the variant list must start with a1 unless --width 2\n")
+
+
+def test_afrb_search_residual_first_block_at_input_width(tmp_path, capsys):
+    code, out, _ = run(capsys, "afrb-search", "--variants", "a2,a2", "--width", "2",
+                       "--epochs", "3", "--out", str(tmp_path / "trace.csv"))
+    assert code == 0
+    assert len(json.loads(out)["alphas"]) == 2
 
 
 def test_ldi_json(tmp_path, capsys):

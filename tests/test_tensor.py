@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from conftest import traced_peak_mb
 from scipy.signal import correlate2d
 
+import nnscale.restructure as R
 import nnscale.tensor as T
 
 
@@ -75,6 +79,55 @@ def test_conv2d_shape_mismatch():
     x = T.rand_normal((3, 5, 5), 1.0, seed=6)
     with pytest.raises(T.TensorError, match="channels"):
         T.conv2d(x, T.ConvWeights(np.ones((2, 4, 1, 1))))
+
+
+def einsum_conv(x, w):
+    """The windowed conv2d as one optimized einsum, the expression the blocked matmul
+    replaced: its bits are the reference."""
+    c, h, wd = x.shape
+    k, s, g = w.kernel_size, w.stride, w.groups
+    ho, wo = -(-h // s), -(-wd // s)
+    pad_h, pad_w = max((ho - 1) * s + k - h, 0), max((wo - 1) * s + k - wd, 0)
+    xp = np.pad(x, ((0, 0), (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    win = win[:, :ho, :wo].reshape(g, c // g, ho, wo, k, k)
+    ker = w.kernel.reshape(g, w.out_channels // g, c // g, k, k)
+    out = np.einsum("gihwuv,goiuv->gohw", win, ker, optimize=True)
+    out = out.reshape(w.out_channels, ho, wo)
+    if w.bias is not None:
+        out = out + w.bias[:, None, None]
+    return out
+
+
+# (C_out, groups) on 8 input channels: dense, two groups, depthwise, multiplier 2
+GROUPINGS = [(6, 1), (6, 2), (8, 8), (16, 8)]
+
+
+@pytest.mark.parametrize("patch_entries", [T.PATCH_ENTRIES, 1])
+def test_conv2d_keeps_the_bits_of_the_einsum(monkeypatch, patch_entries):
+    # PATCH_ENTRIES = 1 puts each group in a block of its own
+    monkeypatch.setattr(T, "PATCH_ENTRIES", patch_entries)
+    rng = np.random.default_rng(8)
+    cases = itertools.product(GROUPINGS, (1, 2), (3, 5, 7), (5, 9, 12, 17), (False, True))
+    for (c_out, groups), stride, k, size, biased in cases:
+        x = rng.standard_normal((8, size, size))
+        kernel = rng.standard_normal((c_out, 8 // groups, k, k))
+        bias = rng.standard_normal(c_out) if biased else None
+        w = T.ConvWeights(kernel, bias, stride=stride, groups=groups)
+        assert np.array_equal(T.conv2d(x, w), einsum_conv(x, w)), (c_out, groups, stride, k, size)
+
+
+def test_conv2d_holds_one_patch_block():
+    # a 48-channel 7x7 depthwise conv at 64 px: one group's patches are 1.5 MB, all
+    # 48 groups' 73.5 MB
+    x = T.rand_normal((48, 64, 64), 1.0, seed=9)
+    w = T.ConvWeights(T.rand_normal((48, 1, 7, 7), 1.0, seed=10), groups=48)
+    assert traced_peak_mb(T.conv2d, x, w) < 8
+
+
+def test_collapse_trial_holds_one_dense_group():
+    # the collapsed 8 -> 8 7x7 conv at 64 px is one group of 12.25 MB of patches
+    assert traced_peak_mb(R.collapse_trial, 3, 8, 6.0, 7, 1, size=64) < 20
 
 
 def test_fold_bn_identity():

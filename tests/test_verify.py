@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak_mb
 
 import nnscale.verify as V
 from nnscale.tensor import singular_values_batch
@@ -120,25 +119,17 @@ def test_ldi_report_equals_stacked_oracle(width, depth, skips, q, seed, trials):
     )
 
 
-def _traced_peak_mb(fn, *args) -> float:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 def test_ldi_report_holds_one_trial_at_a_time():
     # all 50 trials' weights together are 14 MB
     cfg = V.LinearDensenetConfig(width=32, depth=16, skip_channels=32, q=1 / 64, seed=0)
-    assert _traced_peak_mb(V.ldi_report, cfg, 50) < 2
+    assert traced_peak_mb(V.ldi_report, cfg, 50) < 2
 
 
 def test_region_count_holds_codes_and_one_chunk():
-    # 2^20 points: 8 MB of codes, 1 MB of mask, 6 MB of activations per layer
+    # 2^20 points: 8 MB of codes, 1 MB of mask, 0.75 MB per array of one chunk's
+    # activations
     net = V.random_relu_net(2, 12, 2, seed=0)
-    assert _traced_peak_mb(V.count_linear_regions, net, 2.0, 1024) < 64
+    assert traced_peak_mb(V.count_linear_regions, net, 2.0, 1024) < 16
 
 
 def test_ldi_requires_enough_trials():
@@ -200,7 +191,7 @@ def _oracle_patterns(net, box_radius, grid):
     (1, 5, 2, 512),    # 1-D input
     (2, 4, 3, 128),    # multi-layer
     (2, 12, 2, 96),    # X = 24: the top bit of the code
-    (2, 3, 2, 300),    # 90000 points: two lattice chunks
+    (2, 3, 2, 300),    # 90000 points: 11 lattice chunks
     (2, 4, 2, 1),      # a single point
     (1, 3, 2, 1),      # a single 1-D point
 ])
