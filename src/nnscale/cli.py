@@ -26,25 +26,32 @@ from dataclasses import asdict, is_dataclass, replace
 from fractions import Fraction
 
 from . import archspec, costmodel, scaler, topology
-from .archspec import ArchError, NONE, GELU, NnscaleError, exp_kernel
+from .archspec import NONE, GELU, NnscaleError, exp_kernel
 
 DOMAIN_ERRORS = (NnscaleError, OSError, UnicodeDecodeError)
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text to stdout, or to `out` through a renamed temp file that gets the
+    mode open() gives a new file. A failed write names `out`, not the temp file."""
     if out is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nnscale-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nnscale-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _float_fraction(value):
@@ -71,13 +78,11 @@ def _csv(header, rows) -> str:
 def _load_arch(args) -> archspec.ArchDescriptor:
     """The preset or file descriptor; a --resolution replaces its input_resolution
     and is checked like one read from a file."""
-    if getattr(args, "preset", None):
+    if args.preset:
         arch = archspec.preset(args.preset)
-    elif getattr(args, "arch", None):
+    else:
         with open(args.arch, "r", encoding="utf-8") as fh:
             arch = archspec.parse_arch(fh.read())
-    else:
-        raise ArchError("provide --preset or --arch")
     if getattr(args, "resolution", None) is not None:
         arch = replace(arch, input_resolution=args.resolution)
         archspec.validate_arch(arch)
@@ -85,8 +90,9 @@ def _load_arch(args) -> archspec.ArchDescriptor:
 
 
 def _add_arch_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=archspec.PRESET_NAMES, help="built-in architecture")
-    p.add_argument("--arch", help="architecture JSON file")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--preset", choices=archspec.PRESET_NAMES, help="built-in architecture")
+    g.add_argument("--arch", help="architecture JSON file")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:

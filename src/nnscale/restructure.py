@@ -1,4 +1,4 @@
-"""Analytic restructuring: collapse linear conv/norm sequences into a single regular
+"""Analytic restructuring: collapse activation-free conv chains into a single regular
 convolution, the alpha-band collapse decision for restructurable blocks, and the
 seeded two-path trials behind collapse-verify. The ConvNext MLP split is a rewrite
 of the descriptor, archspec.restage.
@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .archspec import Ibn, NnscaleError
-from .tensor import ConvWeights, conv2d, fold_bn, generator, rand_normal
+from .tensor import ConvWeights, conv2d, generator, rand_normal
 
 # A searched block whose alpha lands in this band (inclusive) is collapsed.
 COLLAPSE_BAND = (0.8, 1.3)
@@ -37,18 +37,17 @@ class RestructureError(NnscaleError):
 
 @dataclass(frozen=True)
 class LinearSequence:
-    """Activation-free chain of convolutions (each with an optional following batch
-    norm). At most one element may be spatial (k > 1), and only that element may
-    stride; channels must chain."""
+    """Activation-free chain of ConvWeights. At most one layer may be spatial (k > 1),
+    and only that layer may stride; channels must chain."""
 
-    layers: Tuple
+    layers: Tuple[ConvWeights, ...]
 
     def __post_init__(self):
         if not self.layers:
             raise RestructureError("sequence must contain at least one layer")
         spatial = 0
-        c = self.layers[0][0].in_channels
-        for i, (w, bn) in enumerate(self.layers):
+        c = self.layers[0].in_channels
+        for i, w in enumerate(self.layers):
             if w.in_channels != c:
                 raise RestructureError(
                     f"layer {i}: in_channels {w.in_channels} != chained {c}"
@@ -57,31 +56,20 @@ class LinearSequence:
                 spatial += 1
             elif w.stride != 1:
                 raise RestructureError(f"layer {i}: pointwise layers must have stride 1")
-            if bn is not None and bn.mean.shape != (w.out_channels,):
-                raise RestructureError(f"layer {i}: batch-norm width mismatch")
             c = w.out_channels
         if spatial > 1:
             raise RestructureError("more than one spatial element in sequence")
 
     @property
     def in_channels(self) -> int:
-        return self.layers[0][0].in_channels
-
-    @property
-    def out_channels(self) -> int:
-        return self.layers[-1][0].out_channels
+        return self.layers[0].in_channels
 
     @property
     def stride(self) -> int:
-        for w, _ in self.layers:
+        for w in self.layers:
             if w.stride != 1:
                 return w.stride
         return 1
-
-
-def _folded(seq: LinearSequence):
-    for w, bn in seq.layers:
-        yield fold_bn(w, bn) if bn is not None else w
 
 
 def _dense(w: ConvWeights) -> np.ndarray:
@@ -99,17 +87,16 @@ def collapse(seq: LinearSequence) -> ConvWeights:
     """Merge the sequence into one regular convolution: starting from the identity,
     each layer W with bias c maps the running kernel K and bias b to K' = W K and
     b' = (sum_uv W) b + c. At most one layer is spatial, so W or K is always 1x1."""
-    layers = list(_folded(seq))
     kernel = np.eye(seq.in_channels)[:, :, None, None]
     bias = np.zeros(seq.in_channels)
-    for w in layers:
+    for w in seq.layers:
         k = _dense(w)
         if w.kernel_size == 1:
             kernel = np.einsum("oc,ciuv->oiuv", k[:, :, 0, 0], kernel)
         else:
             kernel = np.einsum("ocuv,ci->oiuv", k, kernel[:, :, 0, 0])
         bias = k.sum((2, 3)) @ bias + (w.bias if w.bias is not None else 0.0)
-    any_bias = any(w.bias is not None for w in layers)
+    any_bias = any(w.bias is not None for w in seq.layers)
     return ConvWeights(kernel=kernel, bias=bias if any_bias else None, stride=seq.stride)
 
 
@@ -151,12 +138,11 @@ def random_ibn_sequence(
     p2 = rand_normal((c_in, mid, 1, 1), 1.0 / mid, seed, 2)
     def b(n, idx):
         return rand_normal((n,), 0.25, seed, idx) if biased else None
-    layers = (
-        (ConvWeights(p1, b(mid, 3)), None),
-        (ConvWeights(d, b(mid, 4), stride=stride, groups=mid), None),
-        (ConvWeights(p2, b(c_in, 5)), None),
-    )
-    return LinearSequence(layers=layers)
+    return LinearSequence(layers=(
+        ConvWeights(p1, b(mid, 3)),
+        ConvWeights(d, b(mid, 4), stride=stride, groups=mid),
+        ConvWeights(p2, b(c_in, 5)),
+    ))
 
 
 def collapse_trial(
@@ -175,7 +161,7 @@ def collapse_trial(
         raise RestructureError(f"size {size} exceeds {MAX_TRIAL_SIZE}")
     seq = random_ibn_sequence(seed, c_in, expansion, kernel, stride, biased)
     x = rand_normal((c_in, size, size), 1.0, seed, 7)
-    y = reduce(conv2d, _folded(seq), x)
+    y = reduce(conv2d, seq.layers, x)
     diff = np.abs(y - conv2d(x, collapse(seq)))
     rs, cs = interior_slices(size, size, kernel, stride)
     interior = diff[:, rs, cs]

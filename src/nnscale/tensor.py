@@ -1,5 +1,5 @@
-"""Float64 numeric substrate: direct 2-D convolution, batch-norm folding, batched
-LAPACK singular values, and seeded tensor generation.
+"""Float64 numeric substrate: direct 2-D convolution, batched LAPACK singular
+values, and seeded tensor generation.
 
 Tensors are plain C-contiguous float64 numpy arrays. A convolution is one batched
 matmul per block of groups over that block's patch matrices, so its temporaries are
@@ -69,26 +69,6 @@ class ConvWeights:
         return self.kernel.shape[2]
 
 
-@dataclass(frozen=True)
-class BNParams:
-    mean: np.ndarray
-    var: np.ndarray
-    gamma: np.ndarray
-    beta: np.ndarray
-    epsilon: float = 1e-5
-
-    def __post_init__(self):
-        for name in ("mean", "var", "gamma", "beta"):
-            object.__setattr__(self, name, _as_f64(getattr(self, name)))
-        c = self.mean.shape
-        if not (self.var.shape == c and self.gamma.shape == c and self.beta.shape == c):
-            raise TensorError("batch-norm parameter shapes disagree")
-        if np.any(self.var < 0):
-            raise TensorError("variance must be non-negative")
-        if self.epsilon <= 0:
-            raise TensorError("epsilon must be positive")
-
-
 def conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
     """Direct convolution (cross-correlation) of x [C_in, H, W] -> [C_out, H', W'].
     Same-padding pads with zeros to give H' = ceil(H / stride).
@@ -133,23 +113,6 @@ def conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
     if w.bias is not None:
         out += w.bias[:, None, None]
     return out
-
-
-def fold_bn(w: ConvWeights, bn: BNParams) -> ConvWeights:
-    """Fold a following batch norm into the convolution:
-    kernel' = kernel * g/sqrt(var+eps), bias' = (bias - mean) * g/sqrt(var+eps) + beta."""
-    if bn.mean.shape != (w.out_channels,):
-        raise TensorError(
-            f"batch-norm channels {bn.mean.shape} != conv out channels {w.out_channels}"
-        )
-    denom_sq = bn.var + bn.epsilon
-    if np.any(denom_sq <= 0):
-        raise TensorError("var + epsilon must be positive")
-    scale = bn.gamma / np.sqrt(denom_sq)
-    kernel = w.kernel * scale[:, None, None, None]
-    bias = w.bias if w.bias is not None else np.zeros(w.out_channels)
-    bias = (bias - bn.mean) * scale + bn.beta
-    return ConvWeights(kernel=kernel, bias=bias, stride=w.stride, groups=w.groups)
 
 
 def singular_values_batch(ms: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib
 import json
@@ -249,6 +250,50 @@ def test_no_partial_file_on_error(tmp_path, capsys):
     assert code == 1  # directory does not exist
     assert not target.exists()
     assert not list(tmp_path.glob("*.nnscale-*"))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002])
+@pytest.mark.parametrize("existing", [None, 0o444])
+def test_out_file_gets_the_mode_open_gives(tmp_path, capsys, umask, existing):
+    path = tmp_path / "cost.csv"
+    if existing is not None:
+        path.write_text("old\n")
+        path.chmod(existing)
+    old = os.umask(umask)
+    try:
+        code, _, _ = run(capsys, "cost", "--preset", "convnext-t", "--out", str(path))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_failed_write_names_the_out_path(tmp_path, capsys):
+    missing = tmp_path / "sub" / "x.csv"
+    taken = tmp_path / "dir"
+    taken.mkdir()
+    for out, code in ((missing, errno.ENOENT), (taken, errno.EISDIR)):
+        exit_code, _, err = run(capsys, "cost", "--preset", "convnext-t", "--out", str(out))
+        assert exit_code == 1
+        assert err == f"error: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n"
+        assert ".nnscale-" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir"]
+
+
+ARCH_COMMANDS = ["arch-validate", "cost", "mass", "scale", "pareto", "restructure"]
+
+
+@pytest.mark.parametrize("command", ARCH_COMMANDS)
+@pytest.mark.parametrize("flags, message", [
+    ([], "one of the arguments --preset --arch is required"),
+    (["--preset", "convnext-t", "--arch", "f.json"], "not allowed with argument"),
+])
+def test_preset_and_arch_are_one_required_choice(capsys, command, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
 
 
 def test_regions_bad_layers_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,12 +13,7 @@ import nnscale.tensor as T
 
 
 def seq_forward(seq, x):
-    y = x
-    for w, bn in seq.layers:
-        if bn is not None:
-            w = T.fold_bn(w, bn)
-        y = T.conv2d(y, w)
-    return y
+    return reduce(T.conv2d, seq.layers, x)
 
 
 def test_all_identity_sequence_collapses_to_delta():
@@ -26,9 +22,9 @@ def test_all_identity_sequence_collapses_to_delta():
     d = np.zeros((c, 1, 3, 3))
     d[:, 0, 1, 1] = 1.0
     seq = R.LinearSequence(layers=(
-        (T.ConvWeights(p1), None),
-        (T.ConvWeights(d, groups=c), None),
-        (T.ConvWeights(p1), None),
+        T.ConvWeights(p1),
+        T.ConvWeights(d, groups=c),
+        T.ConvWeights(p1),
     ))
     merged = R.collapse(seq)
     assert merged.kernel.shape == (c, c, 3, 3)
@@ -74,26 +70,6 @@ def test_collapse_verify_is_what_the_command_writes(tmp_path):
     assert path.read_text() == cli._json(R.collapse_verify(3, 0, 6, False))
 
 
-def test_collapse_with_folded_bn():
-    gen = T.generator(21)
-    c, mid = 3, 9
-    def bn(n, idx):
-        g2 = T.generator(21, idx)
-        return T.BNParams(mean=g2.standard_normal(n), var=g2.uniform(0.2, 2.0, n),
-                          gamma=g2.uniform(0.5, 1.5, n), beta=g2.standard_normal(n))
-    d = gen.standard_normal((mid, 1, 3, 3))
-    seq = R.LinearSequence(layers=(
-        (T.ConvWeights(gen.standard_normal((mid, c, 1, 1))), bn(mid, 1)),
-        (T.ConvWeights(d, groups=mid), bn(mid, 2)),
-        (T.ConvWeights(gen.standard_normal((c, mid, 1, 1))), bn(c, 3)),
-    ))
-    x = gen.standard_normal((c, 10, 10))
-    y = seq_forward(seq, x)
-    z = T.conv2d(x, R.collapse(seq))
-    rs, cs = R.interior_slices(10, 10, 3, 1)
-    assert np.abs((y - z)[:, rs, cs]).max() <= 1e-10
-
-
 def _dw(gen, c, k, multiplier=1, stride=1):
     return T.ConvWeights(gen.standard_normal((c * multiplier, 1, k, k)), stride=stride, groups=c)
 
@@ -121,13 +97,13 @@ def test_collapse_two_path_on_any_layer_order(name, biased):
     layers = []
     for w in FOLD_SEQUENCES[name](gen):
         bias = gen.standard_normal(w.out_channels) if biased else None
-        layers.append((T.ConvWeights(w.kernel, bias, w.stride, w.groups), None))
+        layers.append(T.ConvWeights(w.kernel, bias, w.stride, w.groups))
     seq = R.LinearSequence(layers=tuple(layers))
     x = gen.standard_normal((3, 9, 9))
     merged = R.collapse(seq)
     diff = np.abs(seq_forward(seq, x) - T.conv2d(x, merged))
     if biased:  # biases ahead of the spatial layer differ on the border only
-        k = max(w.kernel_size for w, _ in seq.layers)
+        k = max(w.kernel_size for w in seq.layers)
         rs, cs = R.interior_slices(9, 9, k, seq.stride)
         diff = diff[:, rs, cs]
     assert merged.groups == 1 and merged.stride == seq.stride
@@ -141,7 +117,7 @@ def test_collapse_rejects_grouped_conv_other_than_depthwise(position):
     grouped = T.ConvWeights(gen.standard_normal((4, 2, 3, 3)), groups=2)
     layers = [_dense(gen, 4, 4), _dense(gen, 4, 4)]
     layers.insert(position, grouped)
-    seq = R.LinearSequence(layers=tuple((w, None) for w in layers))
+    seq = R.LinearSequence(layers=tuple(layers))
     with pytest.raises(R.RestructureError, match="grouped"):
         R.collapse(seq)
 
@@ -157,8 +133,8 @@ def test_collapse_rejects_two_spatial_layers():
     k2 = gen.standard_normal((4, 4, 3, 3))
     with pytest.raises(R.RestructureError, match="spatial"):
         R.LinearSequence(layers=(
-            (T.ConvWeights(k1), None),
-            (T.ConvWeights(k2), None),
+            T.ConvWeights(k1),
+            T.ConvWeights(k2),
         ))
 
 
@@ -166,8 +142,8 @@ def test_sequence_rejects_channel_mismatch():
     gen = T.generator(4)
     with pytest.raises(R.RestructureError, match="in_channels"):
         R.LinearSequence(layers=(
-            (T.ConvWeights(gen.standard_normal((8, 4, 1, 1))), None),
-            (T.ConvWeights(gen.standard_normal((4, 6, 1, 1))), None),
+            T.ConvWeights(gen.standard_normal((8, 4, 1, 1))),
+            T.ConvWeights(gen.standard_normal((4, 6, 1, 1))),
         ))
 
 
@@ -239,8 +215,8 @@ def test_split_linear_branch_is_one_collapsed_1x1():
     a = np.maximum(T.conv2d(h, T.ConvWeights(up[:kept], b_up[:kept])), 0.0)
     nonlinear = T.conv2d(a, T.ConvWeights(down[:, :kept], b_down))
     linear = R.collapse(R.LinearSequence(layers=(
-        (T.ConvWeights(up[kept:], b_up[kept:]), None),
-        (T.ConvWeights(down[:, kept:]), None),
+        T.ConvWeights(up[kept:], b_up[kept:]),
+        T.ConvWeights(down[:, kept:]),
     )))
     assert linear.kernel.shape == (c, c, 1, 1)
     assert np.abs(full - (nonlinear + T.conv2d(h, linear))).max() <= 1e-10

@@ -130,51 +130,6 @@ def test_collapse_trial_holds_one_dense_group():
     assert traced_peak_mb(R.collapse_trial, 3, 8, 6.0, 7, 1, size=64) < 20
 
 
-def test_fold_bn_identity():
-    k = T.rand_normal((4, 3, 3, 3), 1.0, seed=7)
-    w = T.ConvWeights(k)
-    bn = T.BNParams(mean=np.zeros(4), var=np.ones(4), gamma=np.ones(4),
-                    beta=np.zeros(4), epsilon=1e-300)
-    folded = T.fold_bn(w, bn)
-    assert np.allclose(folded.kernel, k)
-    assert np.allclose(folded.bias, 0)
-
-
-def test_fold_bn_pure_shift():
-    w = T.ConvWeights(np.ones((2, 2, 1, 1)), bias=np.array([1.0, 2.0]))
-    bn = T.BNParams(mean=np.zeros(2), var=np.ones(2), gamma=np.ones(2),
-                    beta=np.array([3.0, 3.0]), epsilon=1e-300)
-    folded = T.fold_bn(w, bn)
-    assert np.allclose(folded.bias, [4.0, 5.0])
-
-
-@pytest.mark.parametrize("seed", range(100))
-def test_fold_bn_two_path_equivalence(seed):
-    gen = T.generator(seed)
-    c_in, c_out = 3, 5
-    x = gen.standard_normal((c_in, 6, 6))
-    w = T.ConvWeights(gen.standard_normal((c_out, c_in, 3, 3)),
-                      bias=gen.standard_normal(c_out))
-    bn = T.BNParams(
-        mean=gen.standard_normal(c_out),
-        var=gen.uniform(0.1, 2.0, c_out),
-        gamma=gen.uniform(0.5, 1.5, c_out),
-        beta=gen.standard_normal(c_out),
-        epsilon=1e-5,
-    )
-    raw = T.conv2d(x, w)
-    scale = bn.gamma / np.sqrt(bn.var + bn.epsilon)
-    bn_out = (raw - bn.mean[:, None, None]) * scale[:, None, None] + bn.beta[:, None, None]
-    folded_out = T.conv2d(x, T.fold_bn(w, bn))
-    assert np.abs(bn_out - folded_out).max() <= 1e-12
-
-
-def test_fold_bn_rejects_bad_variance():
-    w = T.ConvWeights(np.ones((2, 2, 1, 1)))
-    with pytest.raises(T.TensorError):
-        T.BNParams(mean=np.zeros(2), var=-np.ones(2), gamma=np.ones(2), beta=np.zeros(2))
-
-
 def sv(m):
     """Singular values of one matrix through the batch path."""
     return T.singular_values_batch(np.asarray(m)[None])[0]
