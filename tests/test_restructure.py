@@ -4,6 +4,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from conftest import batch_norm, fold_bn
 
 import nnscale.archspec as A
 import nnscale.cli as cli
@@ -68,6 +69,29 @@ def test_collapse_verify_is_what_the_command_writes(tmp_path):
     path = tmp_path / "report.json"
     assert cli.main(["collapse-verify", "--trials", "3", "--size", "6", "--out", str(path)]) == 0
     assert path.read_text() == cli._json(R.collapse_verify(3, 0, 6, False))
+
+
+def test_collapse_with_folded_bn():
+    """A conv chain with a batch norm after every layer, each folded into its conv,
+    collapses to the chain run with the norms applied explicitly."""
+    gen = T.generator(21)
+    c, mid = 3, 9
+    def bn(n, idx):
+        g2 = T.generator(21, idx)
+        return (g2.standard_normal(n), g2.uniform(0.2, 2.0, n),
+                g2.uniform(0.5, 1.5, n), g2.standard_normal(n))
+    d = gen.standard_normal((mid, 1, 3, 3))
+    layers = (
+        (T.ConvWeights(gen.standard_normal((mid, c, 1, 1))), bn(mid, 1)),
+        (T.ConvWeights(d, groups=mid), bn(mid, 2)),
+        (T.ConvWeights(gen.standard_normal((c, mid, 1, 1))), bn(c, 3)),
+    )
+    x = gen.standard_normal((c, 10, 10))
+    y = reduce(lambda h, layer: batch_norm(T.conv2d(h, layer[0]), *layer[1]), layers, x)
+    seq = R.LinearSequence(layers=tuple(fold_bn(w, *stats) for w, stats in layers))
+    z = T.conv2d(x, R.collapse(seq))
+    rs, cs = R.interior_slices(10, 10, 3, 1)
+    assert np.abs((y - z)[:, rs, cs]).max() <= 1e-10
 
 
 def _dw(gen, c, k, multiplier=1, stride=1):

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import traced_peak_mb
+from conftest import batch_norm, fold_bn, traced_peak_mb
 from scipy.signal import correlate2d
 
 import nnscale.restructure as R
@@ -128,6 +128,22 @@ def test_conv2d_holds_one_patch_block():
 def test_collapse_trial_holds_one_dense_group():
     # the collapsed 8 -> 8 7x7 conv at 64 px is one group of 12.25 MB of patches
     assert traced_peak_mb(R.collapse_trial, 3, 8, 6.0, 7, 1, size=64) < 20
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_fold_bn_two_path_equivalence(seed):
+    """conv2d honours the batch-norm folding identity: scaling each output
+    channel's kernel and shifting its bias equals the affine map after the conv."""
+    gen = T.generator(seed)
+    c_in, c_out = 3, 5
+    x = gen.standard_normal((c_in, 6, 6))
+    w = T.ConvWeights(gen.standard_normal((c_out, c_in, 3, 3)),
+                      bias=gen.standard_normal(c_out))
+    bn = (gen.standard_normal(c_out), gen.uniform(0.1, 2.0, c_out),
+          gen.uniform(0.5, 1.5, c_out), gen.standard_normal(c_out))
+    bn_out = batch_norm(T.conv2d(x, w), *bn)
+    folded_out = T.conv2d(x, fold_bn(w, *bn))
+    assert np.abs(bn_out - folded_out).max() <= 1e-12
 
 
 def sv(m):
