@@ -14,11 +14,8 @@ topology add up the block rules at the shapes it gives.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from collections import namedtuple
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional, Union, get_args
 
@@ -66,7 +63,7 @@ def _is_number(value, integer: bool = False) -> bool:
 
 
 # Field annotation -> (test, what a value must be). Block fields are checked
-# against their dataclass annotation, so a new field needs no check of its own.
+# against their record annotation, so a new field needs no check of its own.
 _TYPES = {
     "int": (lambda v: _is_number(v, integer=True), "an integer in [-2**31, 2**31]"),
     "Optional[int]": (lambda v: v is None or _is_number(v, integer=True),
@@ -83,8 +80,79 @@ def _check_type(value, annotation: str, what: str) -> None:
         raise ArchError(f"{what} must be {expected}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Activation:
+class Record:
+    """Frozen record base that generates no code per class. A subclass's fields are
+    its string annotations, base classes first; a class attribute of the same name is
+    that field's default, and fields with defaults come last. Fields are given by
+    position or keyword, then __post_init__ runs. Records equal only records of their
+    own class, hash by field values, repr as Name(field=value, ...) and are frozen."""
+
+    def __init_subclass__(cls):
+        cls._fields = {}  # field name -> annotation string
+        for base in reversed(cls.__mro__):
+            cls._fields.update(vars(base).get("__annotations__", {}))
+        cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
+        cls._tail = tuple(cls._defaults.values())
+        if tuple(cls._fields)[len(cls._fields) - len(cls._tail):] != tuple(cls._defaults):
+            raise TypeError(f"{cls.__name__}: a field without a default follows a default")
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) < len(names) and not kwargs:  # the last fields take their defaults
+            args += self._tail[len(args) - len(names):]
+        if len(args) != len(names) or kwargs:  # bind by keyword, checking every field
+            given = dict(zip(names, args))
+            if len(args) > len(names) or not kwargs.keys() <= names.keys() - given.keys():
+                raise TypeError(f"{type(self).__name__} takes each of {', '.join(names)} once")
+            args = {**self._defaults, **given, **kwargs}
+            if len(args) < len(names):
+                raise TypeError(f"missing field(s) {', '.join(n for n in names if n not in args)}")
+            args = map(args.__getitem__, names)
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        values = ", ".join(f"{n}={v!r}" for n, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
+
+    __delattr__ = __setattr__
+
+
+def fields(record) -> dict:
+    """A record class's or instance's field table: name -> annotation string."""
+    return record._fields
+
+
+def replace(record, **changes):
+    """A new record of the same class with the given fields changed; validates again."""
+    return type(record)(**{**record.__dict__, **changes})
+
+
+def asdict(value):
+    """A record as a field name -> value dict, with the records in its fields and in
+    lists, tuples and dicts turned into dicts as well; any other value as it is."""
+    if isinstance(value, Record):
+        value = value.__dict__
+    if isinstance(value, dict):
+        return {k: asdict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(asdict, value))
+    return value
+
+
+class Activation(Record):
     """Elementwise non-linearity tag. `alpha` is the prelu slope, `clamp` bounds the
     pre-exponential input of exp_kernel."""
 
@@ -114,8 +182,7 @@ def exp_kernel(clamp: float = 10.0) -> Activation:
     return Activation("exp_kernel", clamp=clamp)
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(Record):
     channels: int
     height: int
     width: int
@@ -146,7 +213,7 @@ def _require(ok: bool, i: int, rule: str) -> None:
         raise ArchError(f"block {i}: {rule}")
 
 
-class _Block:
+class _Block(Record):
     """Rules of a block kind at input width c or shape s: channels_out(c), out_shape(s),
     the expanded width mid(c), validate(i, c, last), cost(s) -> (MACs, params),
     non-linear units(c), and the NN-Mass terms mass_inputs(c) (i_b), cell_density (rho_b,
@@ -155,7 +222,6 @@ class _Block:
     no mass."""
 
     kind = ""
-    _field_types = ()  # (name, test, expected) per dataclass field, set below
     cell_density = Fraction(0)
 
     def channels_out(self, c: int) -> int:
@@ -168,7 +234,8 @@ class _Block:
         return round_half_up(self.expansion * c)
 
     def validate(self, i: int, c: int, last: bool) -> None:
-        for name, test, expected in self._field_types:
+        for name, annotation in fields(self).items():
+            test, expected = _TYPES[annotation]
             value = getattr(self, name)
             if not test(value):
                 raise ArchError(f"block {i}: {name} must be {expected}, got {value!r}")
@@ -211,7 +278,6 @@ class _Conv(_Block):
         return _conv_cost(s.channels, self.out_channels, self.kernel, out.height * out.width)
 
 
-@dataclass(frozen=True)
 class Stem(_Conv):
     kernel: int
     stride: int
@@ -224,7 +290,6 @@ class Stem(_Conv):
         _require(self.kernel >= 1, i, f"{self.kind} kernel must be >= 1")
 
 
-@dataclass(frozen=True)
 class RegularConv(_Conv):
     kernel: int
     stride: int
@@ -241,7 +306,6 @@ class RegularConv(_Conv):
         return self.out_channels if self.activation.kind != "none" else 0
 
 
-@dataclass(frozen=True)
 class Ibn(_Conv):
     """Inverted bottleneck: 1x1 expand -> depthwise k x k -> 1x1 project."""
 
@@ -292,7 +356,6 @@ class _ConvNextBase(_Block):
         return 2 * c + self.mid(c)
 
 
-@dataclass(frozen=True)
 class ConvNextBlock(_ConvNextBase):
     """Depthwise k x k -> norm -> 1x1 expand -> gelu -> 1x1 project, residual add.
     X = e w, so k = 3e/(2+e), exact whenever e w is whole."""
@@ -319,7 +382,6 @@ class ConvNextBlock(_ConvNextBase):
         return 3 * e / (2 + e)
 
 
-@dataclass(frozen=True)
 class ConvNextSplitBlock(_ConvNextBase):
     """ConvNext block with the MLP split into a non-linear branch keeping
     ceil(nonlinear_fraction * expansion * w1) channels and a linear branch merged
@@ -370,7 +432,6 @@ class ConvNextSplitBlock(_ConvNextBase):
         return 3 * f * e / (2 + e)
 
 
-@dataclass(frozen=True)
 class ResNetBottleneckBlock(_Block):
     """1x1 -> k x k -> 1x1 bottleneck with residual add; mid width = expansion * w.
     At input width w: i_b = (1+2e) w, rho_b = 1/(2+e), mass (1+2e)/(2+e) w and
@@ -411,7 +472,6 @@ class ResNetBottleneckBlock(_Block):
         return 2 * e * (2 + e) / (1 + 2 * e)
 
 
-@dataclass(frozen=True)
 class Downsample(Stem):
     kind = "downsample"
 
@@ -421,7 +481,6 @@ class Downsample(Stem):
         return macs, params - 2 * self.out_channels + 2 * s.channels
 
 
-@dataclass(frozen=True)
 class Head(_Block):
     """Classifier head. With hidden_channels set: 1x1 conv (+ optional depthwise
     dw_kernel conv) then global pool then linear. Without: norm-pool-linear."""
@@ -459,25 +518,24 @@ class Head(_Block):
         return macs + feat * self.classes, params + feat * self.classes + self.classes
 
 
-BlockSpec = Union[
-    Stem,
-    RegularConv,
-    Ibn,
-    ConvNextBlock,
-    ConvNextSplitBlock,
-    ResNetBottleneckBlock,
-    Downsample,
-    Head,
-]
+BlockSpec = Union[Stem, RegularConv, Ibn, ConvNextBlock, ConvNextSplitBlock,
+                  ResNetBottleneckBlock, Downsample, Head]
 
 _KIND_TO_CLS = {cls.kind: cls for cls in get_args(BlockSpec)}
-for _cls in _KIND_TO_CLS.values():
-    _cls._field_types = tuple((f.name, *_TYPES[f.type]) for f in fields(_cls))
-del _cls
 
-# Each stage family's body block and split form (None: it has none), stem and downsample
-# kernels, and the body expansion and kernel a stage file may leave out.
-StageFamily = namedtuple("StageFamily", "body split stem_kernel downsample_kernel expansion kernel")
+
+class StageFamily(Record):
+    """A stage family's body block and split form (None: it has none), stem and
+    downsample kernels, and the body expansion and kernel a stage file may leave out."""
+
+    body: type
+    split: Optional[type]
+    stem_kernel: int
+    downsample_kernel: int
+    expansion: float
+    kernel: int
+
+
 STAGE_RULES = {
     "convnext": StageFamily(ConvNextBlock, ConvNextSplitBlock, 4, 2, 4.0, 7),
     "resnet_bottleneck": StageFamily(ResNetBottleneckBlock, None, 7, 1, 0.25, 3),
@@ -486,8 +544,7 @@ STAGE_FAMILIES = tuple(STAGE_RULES)
 FAMILIES = STAGE_FAMILIES + ("ran_e", "generic")
 
 
-@dataclass(frozen=True)
-class StageConfig:
+class StageConfig(Record):
     """Per-stage widths/depths of a stage-structured family, with the shared block
     parameters needed to rebuild the flat block list."""
 
@@ -500,8 +557,7 @@ class StageConfig:
     split_activation: Activation = NONE
 
 
-@dataclass(frozen=True)
-class ArchDescriptor:
+class ArchDescriptor(Record):
     name: str
     family: str
     input_resolution: int
@@ -648,13 +704,7 @@ def _ran_e_supernet() -> ArchDescriptor:
             Ibn(expansion=float(e), dw_kernel=3, stride=s, out_channels=co, residual=res)
         )
     blocks.append(Head(classes=1000, hidden_channels=1344, dw_kernel=7))
-    arch = ArchDescriptor(
-        name="ran-e-supernet",
-        family="ran_e",
-        input_resolution=224,
-        input_channels=3,
-        blocks=tuple(blocks),
-    )
+    arch = ArchDescriptor("ran-e-supernet", "ran_e", 224, 3, tuple(blocks))
     validate_arch(arch)
     return arch
 
@@ -761,12 +811,12 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
 
 def _block_to_json(block: BlockSpec) -> dict:
     out = {"kind": block.kind}
-    for f in fields(block):
-        v = getattr(block, f.name)
+    for name in fields(block):
+        v = getattr(block, name)
         if isinstance(v, Activation):
             v = _activation_to_json(v)
         if v is not None:
-            out[f.name] = v
+            out[name] = v
     return out
 
 
@@ -777,12 +827,9 @@ def _block_from_json(obj: dict, index: int) -> BlockSpec:
     cls = _KIND_TO_CLS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ArchError(f"block {index}: unknown block kind {kind!r}")
-    allowed = {"kind"} | {f.name for f in fields(cls)}
-    _require_keys(obj, allowed, f"block {index} ({kind})")
-    kwargs = {k: v for k, v in obj.items() if k != "kind"}
-    for f in fields(cls):
-        if f.type == "Activation" and f.name in kwargs:
-            kwargs[f.name] = _activation_from_json(kwargs[f.name])
+    _require_keys(obj, {"kind", *fields(cls)}, f"block {index} ({kind})")
+    kwargs = {k: _activation_from_json(v) if fields(cls)[k] == "Activation" else v
+              for k, v in obj.items() if k != "kind"}
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -797,6 +844,7 @@ _TOP_KEYS_STAGE = _TOP_KEYS_FULL - {"blocks"} | {
 
 def parse_arch(text: str) -> ArchDescriptor:
     """Parse an architecture file (full block list or stage shorthand); validates."""
+    import json
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -827,14 +875,11 @@ def parse_arch(text: str) -> ArchDescriptor:
             split_act = _activation_from_json(split.get("branch_activation", "none"))
         # integers go through unconverted: validate_arch type-checks them
         st = StageConfig(
-            widths=obj.get("stage_widths"),
-            depths=obj.get("stage_depths"),
+            widths=obj.get("stage_widths"), depths=obj.get("stage_depths"),
             expansion=_float(obj.get("expansion", STAGE_RULES[family].expansion), "expansion"),
             dw_kernel=obj.get("dw_kernel", STAGE_RULES[family].kernel),
             classes=obj.get("classes", 1000),
-            split_fraction=split_fraction,
-            split_activation=split_act,
-        )
+            split_fraction=split_fraction, split_activation=split_act)
         return _stage_arch(
             obj["name"], family, st, obj["input_resolution"], obj["input_channels"]
         )
@@ -843,19 +888,16 @@ def parse_arch(text: str) -> ArchDescriptor:
     blocks = obj.get("blocks")
     if not isinstance(blocks, list):
         raise ArchError("'blocks' must be a list")
-    arch = ArchDescriptor(
-        name=obj["name"],
-        family=obj["family"],
-        input_resolution=obj["input_resolution"],
-        input_channels=obj["input_channels"],
-        blocks=tuple(_block_from_json(b, i) for i, b in enumerate(blocks)),
-    )
+    arch = ArchDescriptor(obj["name"], obj["family"], obj["input_resolution"],
+                          obj["input_channels"],
+                          tuple(_block_from_json(b, i) for i, b in enumerate(blocks)))
     validate_arch(arch)
     return arch
 
 
 def serialize_arch(arch: ArchDescriptor) -> str:
     """Canonical JSON text; deterministic, round-trips through parse_arch."""
+    import json
     obj = {
         "name": arch.name,
         "family": arch.family,

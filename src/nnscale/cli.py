@@ -15,18 +15,14 @@ descriptor commands start without loading numpy.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, is_dataclass, replace
-from fractions import Fraction
 
 from . import archspec, costmodel, scaler, topology
-from .archspec import NONE, GELU, NnscaleError, exp_kernel
+from .archspec import NONE, GELU, NnscaleError, asdict, exp_kernel, replace
 
 DOMAIN_ERRORS = (NnscaleError, OSError, UnicodeDecodeError)
 
@@ -54,20 +50,14 @@ def _emit(text: str, out: str | None) -> None:
             os.unlink(tmp)
 
 
-def _float_fraction(value):
-    if isinstance(value, Fraction):
-        return float(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _json(obj) -> str:
-    """The one JSON rendering: a dataclass becomes its asdict, Fractions floats."""
-    if is_dataclass(obj):
-        obj = asdict(obj)
-    return json.dumps(obj, sort_keys=True, indent=2, default=_float_fraction) + "\n"
+    """The one JSON rendering: records become field dicts, Fractions floats."""
+    import json
+    return json.dumps(asdict(obj), sort_keys=True, indent=2, default=float) + "\n"
 
 
 def _csv(header, rows) -> str:
+    import csv
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)
@@ -185,6 +175,7 @@ def _cmd_mass(args) -> int:
 
 
 def _scan(args):
+    scaler.check_tolerance(args.tol)
     base = _load_arch(args)
     grid = _grid_from(args)
     cands = scaler.enumerate_candidates(base, grid)
@@ -310,6 +301,7 @@ def _parse_budgets(specs, tol: float):
 
 
 def _cmd_report(args) -> int:
+    scaler.check_tolerance(args.tol)
     with open(args.scan, "r", encoding="utf-8") as fh:
         cands = scaler.candidates_from_csv(fh.read())
     budgets = _parse_budgets(args.budget, args.tol)

@@ -11,15 +11,14 @@ convolutions use same-padding, output side = H / stride (strides must divide eve
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .archspec import ArchDescriptor, CostError, Ibn, Shape, propagate_shapes, round_half_up
+from .archspec import (ArchDescriptor, CostError, Ibn, Record, Shape, propagate_shapes,
+                       round_half_up)
 
 
-@dataclass(frozen=True)
-class BlockCost:
+class BlockCost(Record):
     block_index: int
     kind: str
     macs: int
@@ -28,8 +27,7 @@ class BlockCost:
     out_shape: Shape
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     total_macs: int
     total_params: int
     per_block: tuple

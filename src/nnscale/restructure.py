@@ -13,13 +13,12 @@ bounds); `interior_slices` computes that region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Tuple
 
 import numpy as np
 
-from .archspec import Ibn, NnscaleError
+from .archspec import Ibn, NnscaleError, Record
 from .tensor import ConvWeights, conv2d, generator, rand_normal
 
 # A searched block whose alpha lands in this band (inclusive) is collapsed.
@@ -35,8 +34,7 @@ class RestructureError(NnscaleError):
     pass
 
 
-@dataclass(frozen=True)
-class LinearSequence:
+class LinearSequence(Record):
     """Activation-free chain of ConvWeights. At most one layer may be spatial (k > 1),
     and only that layer may stride; channels must chain."""
 

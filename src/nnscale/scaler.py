@@ -11,14 +11,12 @@ stage depths.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .archspec import (ArchDescriptor, ArchError, Head, NnscaleError, Stem, propagate_shapes,
-                       restage, scale_depths, scale_widths)
+from .archspec import (ArchDescriptor, ArchError, Head, NnscaleError, Record, Stem,
+                       propagate_shapes, restage, scale_depths, scale_widths)
 
 
 class ScaleError(NnscaleError):
@@ -29,8 +27,7 @@ class ScaleError(NnscaleError):
 MAX_CANDIDATES = 100_000
 
 
-@dataclass(frozen=True)
-class MultiplierGrid:
+class MultiplierGrid(Record):
     w_min: float
     w_max: float
     w_steps: int
@@ -70,8 +67,13 @@ def _linspace(lo: float, hi: float, n: int) -> List[float]:
 DEFAULT_GRID = MultiplierGrid(0.25, 1.6, 40, 0.6, 2.56, 20)
 
 
-@dataclass(frozen=True)
-class Budget:
+def check_tolerance(tolerance: float) -> None:
+    """A budget's relative tolerance lies in [0, 0.25]."""
+    if not 0 <= tolerance <= 0.25:
+        raise ScaleError("tolerance must lie in [0, 0.25]")
+
+
+class Budget(Record):
     target_macs: Optional[int] = None
     target_params: Optional[int] = None
     tolerance: float = 0.025
@@ -83,8 +85,7 @@ class Budget:
             target = getattr(self, name)
             if target is not None and not target > 0:
                 raise ScaleError(f"{name} must be positive, got {target}")
-        if not 0 <= self.tolerance <= 0.25:
-            raise ScaleError("tolerance must lie in [0, 0.25]")
+        check_tolerance(self.tolerance)
 
     def admits(self, macs: int, params: int) -> bool:
         if self.target_macs is not None:
@@ -96,8 +97,7 @@ class Budget:
         return True
 
 
-@dataclass(frozen=True)
-class ScaleCandidate:
+class ScaleCandidate(Record):
     w_m: float
     d_m: float
     widths: tuple
@@ -211,6 +211,7 @@ def candidates_to_csv(
     in_budget: Optional[Sequence[ScaleCandidate]] = None,
     selected: Optional[ScaleCandidate] = None,
 ) -> str:
+    import csv
     budget_set = set(id(c) for c in (in_budget or []))
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -253,6 +254,7 @@ def candidates_from_csv(text: str) -> List[ScaleCandidate]:
     width or depth that is not positive, a negative count, a valid flag other than
     0/1, or a valid row without one depth per stage width is refused with its line
     number."""
+    import csv
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != CSV_COLUMNS:

@@ -10,12 +10,11 @@ reverse-mode gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
 
-from .archspec import NnscaleError, round_half_up
+from .archspec import NnscaleError, Record, round_half_up
 from .restructure import afrb_decide
 from .tensor import generator
 
@@ -27,17 +26,16 @@ class SearchError(NnscaleError):
     pass
 
 
-@dataclass
 class AfrbMlpBlock:
     """x -> prelu(x; 1-alpha) -> expand -> prelu(.; alpha) -> project (+x for the
     residual variants). a1 is plain, a2 residual, a3 half-width residual."""
 
-    alpha: float
-    w_expand: np.ndarray   # [m, d_in]
-    w_project: np.ndarray  # [d_out, m]
-    variant: str = "a1"
-
-    def __post_init__(self):
+    def __init__(self, alpha: float, w_expand: np.ndarray, w_project: np.ndarray,
+                 variant: str = "a1"):
+        self.alpha = alpha
+        self.w_expand = w_expand    # [m, d_in]
+        self.w_project = w_project  # [d_out, m]
+        self.variant = variant
         if self.variant not in VARIANTS:
             raise SearchError(f"unknown variant {self.variant!r}")
         if not math.isfinite(self.alpha):
@@ -56,11 +54,11 @@ class AfrbMlpBlock:
         return self.w_expand.shape[0]
 
 
-@dataclass
 class MlpModel:
-    blocks: List[AfrbMlpBlock]
-    w_head: np.ndarray  # [classes, d_last]
-    b_head: np.ndarray  # [classes]
+    def __init__(self, blocks: List[AfrbMlpBlock], w_head: np.ndarray, b_head: np.ndarray):
+        self.blocks = blocks
+        self.w_head = w_head  # [classes, d_last]
+        self.b_head = b_head  # [classes]
 
     @property
     def alphas(self) -> List[float]:
@@ -186,13 +184,14 @@ def forward_loss(model: MlpModel, batch, lam: float) -> dict:
     }
 
 
-@dataclass
 class Grads:
-    w_expand: List[np.ndarray]
-    w_project: List[np.ndarray]
-    alpha: List[float]
-    w_head: np.ndarray
-    b_head: np.ndarray
+    def __init__(self, w_expand: List[np.ndarray], w_project: List[np.ndarray],
+                 alpha: List[float], w_head: np.ndarray, b_head: np.ndarray):
+        self.w_expand = w_expand
+        self.w_project = w_project
+        self.alpha = alpha
+        self.w_head = w_head
+        self.b_head = b_head
 
 
 def backward(model: MlpModel, batch, lam: float) -> Grads:
@@ -229,8 +228,7 @@ def backward(model: MlpModel, batch, lam: float) -> Grads:
     return Grads(w_expand=g_we, w_project=g_wp, alpha=g_a, w_head=g_wh, b_head=g_bh)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     lam: float = 1e-3
     lr: float = 0.2
     epochs: int = 300
@@ -244,15 +242,12 @@ class SearchConfig:
             raise SearchError("bad optimizer settings")
 
 
-@dataclass
 class SearchTrace:
     """Per-epoch history; regularizer holds the penalty as it enters the loss,
     lam * sum((alpha_i - 1)^2), so it is identically zero at lam = 0."""
 
-    loss: List[float] = field(default_factory=list)
-    accuracy: List[float] = field(default_factory=list)
-    alphas: List[List[float]] = field(default_factory=list)
-    regularizer: List[float] = field(default_factory=list)
+    def __init__(self):
+        self.loss, self.accuracy, self.alphas, self.regularizer = [], [], [], []
 
     def __len__(self) -> int:
         return len(self.loss)

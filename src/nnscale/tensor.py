@@ -11,13 +11,12 @@ keyed) so draws are reproducible and independently seedable by index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .archspec import NnscaleError
+from .archspec import NnscaleError, Record
 
 # A conv2d patch block holds at most this many entries (512 KB), and never less than
 # one group.
@@ -32,8 +31,7 @@ def _as_f64(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class ConvWeights:
+class ConvWeights(Record):
     """kernel [C_out, C_in_per_group, k, k]; groups == C for depthwise."""
 
     kernel: np.ndarray

@@ -10,26 +10,23 @@ class states its closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .archspec import STAGE_RULES, ArchDescriptor, NnscaleError, propagate_shapes
+from .archspec import STAGE_RULES, ArchDescriptor, NnscaleError, Record, propagate_shapes
 
 
 class TopologyError(NnscaleError):
     pass
 
 
-@dataclass(frozen=True)
-class BlockMass:
+class BlockMass(Record):
     block_index: int
     input_channels: int      # i_b: total input channels over the block's layers
     cell_density: Fraction   # rho_b
     mass: float
 
 
-@dataclass(frozen=True)
-class MassReport:
+class MassReport(Record):
     mass: float
     per_block: tuple
     nonlinear_units: int
@@ -81,13 +78,7 @@ def nn_mass(arch: ArchDescriptor) -> MassReport:
     ((k, _),) = rules
     bearing = [(b, c) for b, c in zip(per_block, chain) if b.input_channels > 0]
     mean_w = sum(c for _, c in bearing) / len(bearing)
-    return MassReport(
-        mass=mass,
-        per_block=tuple(per_block),
-        nonlinear_units=units,
-        k=k,
-        avg_degree=average_degree(mean_w, mass),
-    )
+    return MassReport(mass, tuple(per_block), units, k, average_degree(mean_w, mass))
 
 
 def average_degree(w: float, m: float) -> float:
@@ -99,8 +90,7 @@ def average_degree(w: float, m: float) -> float:
     return w + m / 2.0
 
 
-@dataclass(frozen=True)
-class IsometryBounds:
+class IsometryBounds(Record):
     lower: float
     upper: float
 

@@ -11,12 +11,11 @@ the skip layers' fan-in, which is what the isometry bound is stated over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .archspec import NUMBER_BOUND, NnscaleError
+from .archspec import NUMBER_BOUND, NnscaleError, Record, replace
 from .tensor import generator, singular_values_batch
 from .topology import IsometryBounds, ldi_bounds, log2_montufar_bound
 
@@ -25,8 +24,7 @@ class VerifyError(NnscaleError):
     pass
 
 
-@dataclass(frozen=True)
-class LinearDensenetConfig:
+class LinearDensenetConfig(Record):
     width: int
     depth: int
     skip_channels: int
@@ -48,8 +46,7 @@ class LinearDensenetConfig:
         return self.width + self.skip_channels  # w + m/2 with m = 2 s
 
 
-@dataclass(frozen=True)
-class LinearDensenet:
+class LinearDensenet(Record):
     weights: tuple          # layer l: [w, w + s_l]
     skip_sources: tuple     # layer l: tuple of (source_layer, channel)
 
@@ -73,8 +70,7 @@ def build_linear_densenet(cfg: LinearDensenetConfig) -> LinearDensenet:
     return LinearDensenet(weights=tuple(weights), skip_sources=tuple(sources))
 
 
-@dataclass(frozen=True)
-class LdiReport:
+class LdiReport(Record):
     per_layer_mean_sv: tuple
     k_hat: float
     bounds: IsometryBounds
@@ -108,18 +104,12 @@ def ldi_report(cfg: LinearDensenetConfig, trials: int) -> LdiReport:
         mean_sv[t, 2:] = singular_values_batch(np.stack(weights[2:])).mean(axis=1)
     within = (mean_sv >= bounds.lower) & (mean_sv <= bounds.upper)
     return LdiReport(
-        per_layer_mean_sv=tuple(mean_sv.mean(axis=0).tolist()),
-        k_hat=cfg.k_hat,
-        bounds=bounds,
-        fraction_within=float(within.mean()),
-        grand_mean=float(mean_sv.mean()),
-        trials=trials,
-        vacuous=cfg.skip_channels == 0,
-    )
+        per_layer_mean_sv=tuple(mean_sv.mean(axis=0).tolist()), k_hat=cfg.k_hat,
+        bounds=bounds, fraction_within=float(within.mean()),
+        grand_mean=float(mean_sv.mean()), trials=trials, vacuous=cfg.skip_channels == 0)
 
 
-@dataclass(frozen=True)
-class ReluNet:
+class ReluNet(Record):
     """Hidden ReLU layers then a linear readout to one output."""
 
     hidden: tuple   # tuple of (W, b)
@@ -147,8 +137,7 @@ def random_relu_net(n0: int, n: int, layers: int, seed: int) -> ReluNet:
     return ReluNet(hidden=tuple(hidden), readout=(w, np.zeros(1)))
 
 
-@dataclass(frozen=True)
-class RegionCount:
+class RegionCount(Record):
     distinct_patterns: int
     grid_resolution: int
     relu_units: int
@@ -199,11 +188,7 @@ def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCo
     distinct = int(np.count_nonzero(codes[1:] != codes[:-1])) + int(codes.size > 0)
     if distinct > 2 ** x_units:
         raise VerifyError("pattern count exceeded 2^X; counter is broken")
-    return RegionCount(
-        distinct_patterns=distinct,
-        grid_resolution=grid,
-        relu_units=x_units,
-    )
+    return RegionCount(distinct, grid, x_units)
 
 
 def montufar_consistency(

@@ -365,6 +365,21 @@ def test_report_non_positive_budget_is_domain_error(tmp_path, capsys):
     assert err.startswith("error: ") and "must be positive" in err
 
 
+@pytest.mark.parametrize("budget", [[], ["--budget-macs", "4.5e9"]], ids=["no_budget", "budget"])
+@pytest.mark.parametrize("command", ["scale", "pareto", "report"])
+@pytest.mark.parametrize("tol", ["-1", "0.3", "-0.0001"])
+def test_tolerance_out_of_range_is_domain_error(tmp_path, capsys, command, budget, tol):
+    scan = tmp_path / "scan.csv"
+    assert run(capsys, "scale", "--preset", "convnext-t", "--wsteps", "2", "--dsteps", "2",
+               "--out", str(scan))[0] == 0
+    if command == "report":
+        argv = ["report", "--scan", str(scan)] + (["--budget", "4.5e9:28e6"] if budget else [])
+    else:
+        argv = [command, "--preset", "convnext-t", "--wsteps", "2", "--dsteps", "2", *budget]
+    assert run(capsys, *argv, "--tol", tol) == (1, "", "error: tolerance must lie in [0, 0.25]\n")
+    assert run(capsys, *argv, "--tol", "0.25")[0] == 0
+
+
 @pytest.mark.parametrize("command", ["arch-validate", "mass", "cost"])
 def test_keep_all_split_is_rejected_by_every_command(tmp_path, capsys, command):
     path = tmp_path / "split.json"
@@ -525,22 +540,23 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_descriptor_commands_do_not_load_numpy(tmp_path):
-    probe = ("import sys\n"
-             "from nnscale.cli import main\n"
-             "for argv in (['arch-validate', '--preset', 'convnext-t'],\n"
-             "             ['cost', '--preset', 'convnext-t'],\n"
-             "             ['mass', '--preset', 'ran-i-t'],\n"
-             "             ['scale', '--preset', 'convnext-t', '--budget-macs', '4.5e9',\n"
-             "              '--out', 's.csv'],\n"
-             "             ['report', '--scan', 's.csv', '--budget', '4.5e9:28e6'],\n"
-             "             ['pareto', '--preset', 'ran-i-t', '--out', 'front.csv'],\n"
-             "             ['restructure', '--preset', 'convnext-t', '--out', 'split.json']):\n"
-             "    assert main(argv) == 0, argv\n"
-             "print('numpy' in sys.modules)")
+    """Each descriptor command, alone in a fresh interpreter, ends without numpy,
+    dataclasses or inspect loaded (report reads the scan that scale wrote)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "False"
+    for argv in (["arch-validate", "--preset", "convnext-t"],
+                 ["cost", "--preset", "convnext-t"],
+                 ["mass", "--preset", "ran-i-t"],
+                 ["scale", "--preset", "convnext-t", "--budget-macs", "4.5e9", "--out", "s.csv"],
+                 ["report", "--scan", "s.csv", "--budget", "4.5e9:28e6"],
+                 ["pareto", "--preset", "ran-i-t", "--out", "front.csv"],
+                 ["restructure", "--preset", "convnext-t", "--out", "split.json"]):
+        probe = ("import sys\n"
+                 "from nnscale.cli import main\n"
+                 f"assert main({argv!r}) == 0\n"
+                 "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "[]", argv
 
 
 def test_every_module_error_shares_one_base():
@@ -593,11 +609,16 @@ HEAD = {"kind": "head", "classes": 10}
     (_stages(stage_depths=[0]), "stage widths and depths must be positive"),
     (_stages(family="resnet_bottleneck", split={"fraction": 0.5}),
      "family 'resnet_bottleneck' has no split form"),
+    (_full([{"kind": "stem", "stride": 2, "out_channels": 8}, HEAD]),
+     "error: block 0 (stem): missing field(s) kernel\n"),
+    (_full([STEM, {"kind": "convnext_split_block", "expansion": 4.0}, HEAD]),
+     "error: block 1 (convnext_split_block): missing field(s) dw_kernel, nonlinear_fraction\n"),
 ], ids=["kernel_str", "out_channels_float", "stride_bool", "expansion_huge",
         "expansion_nan", "resolution_null", "stage_width_float", "stage_width_str",
         "hidden_channels_negative", "stem_kernel_zero", "downsample_kernel_zero",
         "head_dw_kernel_negative", "stage_depth_too_deep", "stage_lengths_differ",
-        "stage_width_zero", "stage_depth_zero", "split_on_bottleneck"])
+        "stage_width_zero", "stage_depth_zero", "split_on_bottleneck", "one_field_missing",
+        "two_fields_missing"])
 def test_ill_typed_descriptor_is_domain_error(tmp_path, capsys, descriptor, message):
     path = tmp_path / "arch.json"
     path.write_text(json.dumps(descriptor))

@@ -1,19 +1,25 @@
 """Property tests at the descriptor boundary: random, partly ill-typed architecture
 files never crash the CLI, and every file that validates can be costed at its own
-resolution, has non-negative integer costs and round-trips through the JSON format."""
+resolution, has non-negative integer costs and round-trips through the JSON format.
+Every record (block specs, descriptors, reports) behaves as its dataclass twin."""
 
 import contextlib
 import io
 import json
-from dataclasses import fields
 
 from hypothesis import example, given, settings, strategies as st
 
+import pytest
+
 import nnscale.archspec as A
 import nnscale.costmodel as C
+import nnscale.scaler as S
+import nnscale.search as search
+import nnscale.topology as T
+import nnscale.verify as V
 from nnscale.cli import main
 
-from conftest import PROFILE
+from conftest import PROFILE, RECORD_TWINS, check_record_contract
 
 # Values that are not descriptor numbers, plus numbers at and past the bounds.
 junk = st.sampled_from([
@@ -48,8 +54,8 @@ BAD = st.one_of(junk, st.sampled_from(["swish", {"kind": "prelu"}, {"kind": []}]
 def block_dicts(draw):
     cls = draw(st.sampled_from(list(A._KIND_TO_CLS.values())))
     obj = {"kind": cls.kind}
-    for f in fields(cls):
-        obj[f.name] = draw(GOOD[f.name])
+    for name in A.fields(cls):
+        obj[name] = draw(GOOD[name])
     if draw(st.integers(0, 2)) == 0:  # spoil one field: a bad value or a missing one
         name = draw(st.sampled_from(sorted(obj)))
         if draw(st.booleans()):
@@ -137,3 +143,65 @@ def test_valid_descriptors_have_int_costs_and_round_trip(descriptor):
     text = A.serialize_arch(arch)
     assert A.parse_arch(text) == arch
     assert A.serialize_arch(A.parse_arch(text)) == text
+
+
+def test_every_record_class_has_a_dataclass_twin():
+    assert sorted(f"{cls.__module__}.{cls.__name__}" for cls in RECORD_TWINS) == sorted(
+        [f"nnscale.archspec.{n}" for n in (
+            "Activation", "Shape", "Stem", "RegularConv", "Ibn", "ConvNextBlock",
+            "ConvNextSplitBlock", "ResNetBottleneckBlock", "Downsample", "Head",
+            "StageFamily", "StageConfig", "ArchDescriptor")]
+        + ["nnscale.costmodel.BlockCost", "nnscale.costmodel.CostReport",
+           "nnscale.scaler.MultiplierGrid", "nnscale.scaler.Budget",
+           "nnscale.scaler.ScaleCandidate", "nnscale.topology.BlockMass",
+           "nnscale.topology.MassReport", "nnscale.topology.IsometryBounds",
+           "nnscale.restructure.LinearSequence", "nnscale.tensor.ConvWeights",
+           "nnscale.search.SearchConfig"]
+        + [f"nnscale.verify.{n}" for n in (
+            "LinearDensenetConfig", "LinearDensenet", "LdiReport", "ReluNet", "RegionCount")])
+
+
+def _preset_records(name):
+    arch = A.preset(name)
+    records = [arch, *arch.blocks, *A.propagate_shapes(arch), C.count_arch(arch)]
+    if arch.stages is not None:
+        split = A.restage(arch, split_fraction=0.5, split_activation=A.prelu(0.25))
+        records += [arch.stages, split, *set(split.blocks), T.nn_mass(arch),
+                    *S.enumerate_candidates(arch, S.MultiplierGrid(0.5, 1.0, 2, 1.0, 1.0, 1))]
+    return records
+
+
+@pytest.mark.parametrize("name", A.PRESET_NAMES)
+def test_preset_records_match_their_dataclass_twins(name):
+    records = _preset_records(name)
+    for a, b in zip(records, records[1:] + records[:1]):
+        check_record_contract(a, b, changed=list(A.fields(b))[::2])
+        check_record_contract(a, a, changed=list(A.fields(a))[1::2])
+
+
+def test_other_records_match_their_dataclass_twins():
+    records = [*A.STAGE_RULES.values(), S.DEFAULT_GRID, S.Budget(target_macs=10**9),
+               S.Budget(target_params=10**6, tolerance=0.1), search.SearchConfig(),
+               search.SearchConfig(lam=0.0, epochs=3), T.ldi_bounds(0.01, 8.0, 12.0),
+               V.LinearDensenetConfig(4, 3, 2, 0.5), V.RegionCount(3, 8, 4), A.NONE, A.GELU,
+               A.Stem(2, 2, 16), A.Downsample(2, 2, 16)]  # equal fields, different classes
+    for a in records:
+        for b in records:
+            check_record_contract(a, b, changed=list(A.fields(b))[-1:])
+
+
+@st.composite
+def block_pairs(draw):
+    """Two well-typed blocks of one kind and a subset of that kind's fields."""
+    cls = draw(st.sampled_from(list(A._KIND_TO_CLS.values())))
+    pair = [A._block_from_json({"kind": cls.kind, **{n: draw(GOOD[n]) for n in A.fields(cls)}}, 0)
+            for _ in range(2)]
+    return (*pair, draw(st.lists(st.sampled_from(list(A.fields(cls))), unique=True)))
+
+
+@settings(**PROFILE)
+@given(block_pairs())
+def test_drawn_blocks_match_their_dataclass_twins(pair):
+    a, b, changed = pair
+    check_record_contract(a, b, changed)
+    check_record_contract(b, a, changed)
