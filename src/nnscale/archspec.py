@@ -234,7 +234,7 @@ class _Block(Record):
         return round_half_up(self.expansion * c)
 
     def validate(self, i: int, c: int, last: bool) -> None:
-        for name, annotation in fields(self).items():
+        for name, annotation in self._fields.items():  # not fields(): run per block
             test, expected = _TYPES[annotation]
             value = getattr(self, name)
             if not test(value):
