@@ -14,6 +14,7 @@ topology add up the block rules at the shapes it gives.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from fractions import Fraction
@@ -98,8 +99,8 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names = self._fields
-        if len(args) < len(names) and not kwargs:  # the last fields take their defaults
-            args += self._tail[len(args) - len(names):]
+        if not kwargs and len(names) - len(self._tail) <= len(args) < len(names):
+            args += self._tail[len(args) - len(names):]  # the defaults fill the rest
         if len(args) != len(names) or kwargs:  # bind by keyword, checking every field
             given = dict(zip(names, args))
             if len(args) > len(names) or not kwargs.keys() <= names.keys() - given.keys():
@@ -844,7 +845,6 @@ _TOP_KEYS_STAGE = _TOP_KEYS_FULL - {"blocks"} | {
 
 def parse_arch(text: str) -> ArchDescriptor:
     """Parse an architecture file (full block list or stage shorthand); validates."""
-    import json
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -897,24 +897,13 @@ def parse_arch(text: str) -> ArchDescriptor:
 
 def serialize_arch(arch: ArchDescriptor) -> str:
     """Canonical JSON text; deterministic, round-trips through parse_arch."""
-    import json
-    obj = {
-        "name": arch.name,
-        "family": arch.family,
-        "input_resolution": arch.input_resolution,
-        "input_channels": arch.input_channels,
-    }
+    obj = {key: getattr(arch, key) for key in _TOP_KEYS_FULL - {"blocks"}}
     st = arch.stages
     if st is None:
         obj["blocks"] = [_block_to_json(b) for b in arch.blocks]
     else:
-        obj.update(
-            stage_widths=list(st.widths),
-            stage_depths=list(st.depths),
-            expansion=st.expansion,
-            dw_kernel=st.dw_kernel,
-            classes=st.classes,
-        )
+        obj.update(stage_widths=list(st.widths), stage_depths=list(st.depths),
+                   expansion=st.expansion, dw_kernel=st.dw_kernel, classes=st.classes)
         if st.split_fraction is not None:
             obj["split"] = {
                 "fraction": st.split_fraction,

@@ -15,11 +15,14 @@ descriptor commands start without loading numpy.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
+import json
 import math
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 from . import archspec, costmodel, scaler, topology
 from .archspec import NONE, GELU, NnscaleError, asdict, exp_kernel, replace
@@ -50,14 +53,18 @@ def _emit(text: str, out: str | None) -> None:
             os.unlink(tmp)
 
 
+def _float_fraction(value):
+    if isinstance(value, Fraction):
+        return float(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _json(obj) -> str:
     """The one JSON rendering: records become field dicts, Fractions floats."""
-    import json
-    return json.dumps(asdict(obj), sort_keys=True, indent=2, default=float) + "\n"
+    return json.dumps(asdict(obj), sort_keys=True, indent=2, default=_float_fraction) + "\n"
 
 
 def _csv(header, rows) -> str:
-    import csv
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)

@@ -11,6 +11,7 @@ stage depths.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from typing import List, Optional, Sequence
@@ -211,7 +212,6 @@ def candidates_to_csv(
     in_budget: Optional[Sequence[ScaleCandidate]] = None,
     selected: Optional[ScaleCandidate] = None,
 ) -> str:
-    import csv
     budget_set = set(id(c) for c in (in_budget or []))
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -254,7 +254,6 @@ def candidates_from_csv(text: str) -> List[ScaleCandidate]:
     width or depth that is not positive, a negative count, a valid flag other than
     0/1, or a valid row without one depth per stage width is refused with its line
     number."""
-    import csv
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != CSV_COLUMNS:

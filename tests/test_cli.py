@@ -230,6 +230,17 @@ def test_cost_json_format(tmp_path, capsys):
     assert data["total_macs"] == sum(b["macs"] for b in data["per_block"])
 
 
+def test_json_writes_fractions_as_floats_and_refuses_other_values():
+    from decimal import Decimal
+    from fractions import Fraction
+
+    from nnscale.cli import _json
+    assert json.loads(_json({"k": Fraction(3, 4), "shape": A.Shape(1, 2, 3)})) == {
+        "k": 0.75, "shape": {"channels": 1, "height": 2, "width": 3}}
+    with pytest.raises(TypeError, match="^Decimal is not JSON serializable$"):
+        _json({"k": Decimal("0.75")})
+
+
 def test_scale_json_format(tmp_path, capsys):
     path = tmp_path / "scan.json"
     code, _, _ = run(capsys, "scale", "--preset", "convnext-t",
@@ -613,12 +624,17 @@ HEAD = {"kind": "head", "classes": 10}
      "error: block 0 (stem): missing field(s) kernel\n"),
     (_full([STEM, {"kind": "convnext_split_block", "expansion": 4.0}, HEAD]),
      "error: block 1 (convnext_split_block): missing field(s) dw_kernel, nonlinear_fraction\n"),
+    (_full([STEM, {"kind": "resnet_bottleneck"}, HEAD]),
+     "error: block 1 (resnet_bottleneck): missing field(s) expansion\n"),
+    (_full([STEM, {"kind": "head"}]), "error: block 1 (head): missing field(s) classes\n"),
+    (_full([STEM, {"kind": "ibn"}, HEAD]),
+     "error: block 1 (ibn): missing field(s) expansion, dw_kernel, stride, out_channels\n"),
 ], ids=["kernel_str", "out_channels_float", "stride_bool", "expansion_huge",
         "expansion_nan", "resolution_null", "stage_width_float", "stage_width_str",
         "hidden_channels_negative", "stem_kernel_zero", "downsample_kernel_zero",
         "head_dw_kernel_negative", "stage_depth_too_deep", "stage_lengths_differ",
         "stage_width_zero", "stage_depth_zero", "split_on_bottleneck", "one_field_missing",
-        "two_fields_missing"])
+        "two_fields_missing", "bottleneck_kind_only", "head_kind_only", "ibn_kind_only"])
 def test_ill_typed_descriptor_is_domain_error(tmp_path, capsys, descriptor, message):
     path = tmp_path / "arch.json"
     path.write_text(json.dumps(descriptor))

@@ -205,3 +205,19 @@ def test_drawn_blocks_match_their_dataclass_twins(pair):
     a, b, changed = pair
     check_record_contract(a, b, changed)
     check_record_contract(b, a, changed)
+
+
+@pytest.mark.parametrize("cls", sorted(RECORD_TWINS, key=lambda c: c.__qualname__),
+                         ids=lambda c: c.__qualname__)
+def test_short_positional_call_is_refused_like_the_twin(cls):
+    """A call that leaves out a field without a default raises TypeError naming every
+    missing field, as the dataclass twin does; the defaults never fill a gap they do
+    not cover."""
+    names = list(A.fields(cls))
+    required = [n for n in names if not hasattr(cls, n)]
+    for given in range(len(required)):
+        with pytest.raises(TypeError):
+            RECORD_TWINS[cls](*[None] * given)
+        missing = ", ".join(required[given:])
+        with pytest.raises(TypeError, match=f"^missing field\\(s\\) {missing}$"):
+            cls(*[None] * given)
