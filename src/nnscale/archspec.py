@@ -902,8 +902,13 @@ def serialize_arch(arch: ArchDescriptor) -> str:
     if st is None:
         obj["blocks"] = [_block_to_json(b) for b in arch.blocks]
     else:
-        obj.update(stage_widths=list(st.widths), stage_depths=list(st.depths),
-                   expansion=st.expansion, dw_kernel=st.dw_kernel, classes=st.classes)
+        obj.update(
+            stage_widths=list(st.widths),
+            stage_depths=list(st.depths),
+            expansion=st.expansion,
+            dw_kernel=st.dw_kernel,
+            classes=st.classes,
+        )
         if st.split_fraction is not None:
             obj["split"] = {
                 "fraction": st.split_fraction,
