@@ -141,29 +141,34 @@ def make_dataset(kind: str, n: int, noise: float, seed: int):
     return x[perm], y[perm]
 
 
-def _prelu(x: np.ndarray, a: float) -> np.ndarray:
-    return np.maximum(x, 0.0) + a * np.minimum(x, 0.0)
+def _prelu(x: np.ndarray, a: float):
+    """-> (prelu(x; a), min(x, 0)); backward reuses the second term for the slope
+    gradient."""
+    neg = np.minimum(x, 0.0)
+    return np.maximum(x, 0.0) + a * neg, neg
 
 
 def _forward(model: MlpModel, x: np.ndarray):
-    """-> (logits, last features, per-block caches of (x, h0, z, h1) for backward)."""
+    """-> (logits, last features, per-block caches of (x, min(x, 0), h0, z, min(z, 0),
+    h1) for backward)."""
     caches = []
     h = x
     for blk in model.blocks:
-        h0 = _prelu(h, 1.0 - blk.alpha)
+        h0, neg_x = _prelu(h, 1.0 - blk.alpha)
         z = h0 @ blk.w_expand.T
-        h1 = _prelu(z, blk.alpha)
+        h1, neg_z = _prelu(z, blk.alpha)
         out = h1 @ blk.w_project.T
-        caches.append((h, h0, z, h1))
+        caches.append((h, neg_x, h0, z, neg_z, h1))
         h = out + h if blk.residual else out
     logits = h @ model.w_head.T + model.b_head
     return logits, h, caches
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expv = np.exp(shifted)
-    return expv / expv.sum(axis=1, keepdims=True)
+    """Row softmax of two-class logits [n, 2]. Column ops give the same bits as a
+    row max and a row sum, and cost less than those two axis reductions."""
+    expv = np.exp(logits - np.maximum(logits[:, 0], logits[:, 1])[:, None])
+    return expv / (expv[:, 0] + expv[:, 1])[:, None]
 
 
 def forward_loss(model: MlpModel, batch, lam: float) -> dict:
@@ -194,38 +199,73 @@ class Grads:
         self.b_head = b_head
 
 
+def _weights(model: MlpModel) -> List[np.ndarray]:
+    """The model's weight arrays in the order of a flat parameter buffer."""
+    arrays = [a for blk in model.blocks for a in (blk.w_expand, blk.w_project)]
+    return arrays + [model.w_head, model.b_head]
+
+
+def _views(buf: np.ndarray, arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Views of the flat buffer buf shaped like arrays, one after another."""
+    views, at = [], 0
+    for a in arrays:
+        views.append(buf[at:at + a.size].reshape(a.shape))
+        at += a.size
+    return views
+
+
+def _grads_in(model: MlpModel, buf: np.ndarray) -> Grads:
+    """Gradients held in views of buf, laid out as the model's flat parameters."""
+    v = _views(buf, _weights(model))
+    n = len(model.blocks)
+    return Grads(w_expand=v[0:2 * n:2], w_project=v[1:2 * n:2], alpha=[0.0] * n,
+                 w_head=v[-2], b_head=v[-1])
+
+
 def backward(model: MlpModel, batch, lam: float) -> Grads:
     """Exact reverse-mode gradients of the full objective. The alpha gradient sums
     the first PReLU site (chain factor -1), the second site (+1), and 2 lam (a-1)."""
     x, y = batch
+    grads = _grads_in(model, np.empty(sum(a.size for a in _weights(model))))
+    _backward(model, x, np.eye(2)[y], lam, grads)
+    return grads
+
+
+def _backward(model: MlpModel, x: np.ndarray, onehot: np.ndarray, lam: float,
+              grads: Grads) -> None:
+    """backward on inputs x and one-hot labels, writing into the arrays of grads.
+
+    The alpha terms reuse the forward's min(x, 0) and min(z, 0). Block 0's input
+    gradient is not formed, as nothing reads it. A plain block hands d_x on without
+    adding 0.0, which would only turn its -0.0 entries into +0.0. That can flip only
+    the sign of a zero gradient entry, and w - lr * g ignores the sign of a zero g
+    unless w is -0.0, which no update makes from a weight that is not. Each alpha
+    sum starts from 0.0, so a zero sum's sign does not reach alpha either."""
     logits, feats, caches = _forward(model, x)
     # d(mean cross-entropy)/d logits = (softmax - onehot) / n
     dlogits = _softmax(logits)
-    dlogits[np.arange(len(y)), y] -= 1.0
-    dlogits /= len(y)
-    g_wh = dlogits.T @ feats
-    g_bh = dlogits.sum(axis=0)
+    dlogits -= onehot
+    dlogits /= len(x)
+    np.matmul(dlogits.T, feats, out=grads.w_head)
+    np.add.reduce(dlogits, 0, out=grads.b_head)
     d_out = dlogits @ model.w_head
-    g_we: List[np.ndarray] = [None] * len(model.blocks)
-    g_wp: List[np.ndarray] = [None] * len(model.blocks)
-    g_a: List[float] = [0.0] * len(model.blocks)
     for i in range(len(model.blocks) - 1, -1, -1):
         blk = model.blocks[i]
-        x_in, h0, z, h1 = caches[i]
-        d_res = d_out if blk.residual else 0.0
-        g_wp[i] = d_out.T @ h1
+        x_in, neg_x, h0, z, neg_z, h1 = caches[i]
+        np.matmul(d_out.T, h1, out=grads.w_project[i])
         d_h1 = d_out @ blk.w_project
         # second PReLU site, slope alpha on the negative part
-        d_z = d_h1 * np.where(z > 0, 1.0, blk.alpha)
-        g_a[i] += float((d_h1 * np.minimum(z, 0.0)).sum())
-        g_we[i] = d_z.T @ h0
+        d_z = np.where(z > 0, d_h1, blk.alpha * d_h1)
+        g_a = 0.0
+        g_a += float(np.add.reduce(d_h1 * neg_z, None))
+        np.matmul(d_z.T, h0, out=grads.w_expand[i])
         d_h0 = d_z @ blk.w_expand
         # first PReLU site, slope (1 - alpha) on the negative part
-        d_x = d_h0 * np.where(x_in > 0, 1.0, 1.0 - blk.alpha)
-        g_a[i] -= float((d_h0 * np.minimum(x_in, 0.0)).sum())
-        g_a[i] += 2.0 * lam * (blk.alpha - 1.0)
-        d_out = d_x + d_res
-    return Grads(w_expand=g_we, w_project=g_wp, alpha=g_a, w_head=g_wh, b_head=g_bh)
+        g_a -= float(np.add.reduce(d_h0 * neg_x, None))
+        grads.alpha[i] = g_a + 2.0 * lam * (blk.alpha - 1.0)
+        if i:
+            d_x = np.where(x_in > 0, d_h0, (1.0 - blk.alpha) * d_h0)
+            d_out = d_x + d_out if blk.residual else d_x
 
 
 class SearchConfig(Record):
@@ -260,7 +300,13 @@ MAX_ACTIVATIONS = 2**23
 
 def train_search(model: MlpModel, dataset, cfg: SearchConfig) -> SearchTrace:
     """Plain minibatch SGD on the joint objective; mutates the model in place and
-    returns the per-epoch trace. Deterministic given cfg.seed."""
+    returns the per-epoch trace. Deterministic given cfg.seed.
+
+    The model's weight arrays are first copied into one flat buffer and rebound as
+    views of it, so one update of the buffer is each step's whole weight update; the
+    alphas stay Python floats. Each epoch's full-data forward_loss runs inside the
+    same np.errstate block and try as the steps, so a diverging run raises only its
+    SearchError."""
     x, y = dataset
     n = len(y)
     if n * cfg.epochs > MAX_SAMPLE_EPOCHS:
@@ -269,22 +315,28 @@ def train_search(model: MlpModel, dataset, cfg: SearchConfig) -> SearchTrace:
     if n * widest > MAX_ACTIVATIONS:
         raise SearchError(f"samples x widest expanded width = {n} x {widest} "
                           f"exceeds {MAX_ACTIVATIONS}")
+    weights = _weights(model)
+    params = np.concatenate([a.ravel() for a in weights])
+    views = _views(params, weights)
+    for blk, w_e, w_p in zip(model.blocks, views[0::2], views[1::2]):
+        blk.w_expand, blk.w_project = w_e, w_p
+    model.w_head, model.b_head = views[-2:]
+    grad_buf = np.empty_like(params)
+    grads = _grads_in(model, grad_buf)
+    eye = np.eye(2)
     gen = generator(cfg.seed, index=1)
     trace = SearchTrace()
     for epoch in range(cfg.epochs):
         perm = gen.permutation(n)
-        x_perm, y_perm = x[perm], y[perm]
+        x_perm, onehot = x[perm], eye[y[perm]]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, cfg.batch):
                     stop = start + cfg.batch
-                    grads = backward(model, (x_perm[start:stop], y_perm[start:stop]), cfg.lam)
-                    for i, blk in enumerate(model.blocks):
-                        blk.w_expand -= cfg.lr * grads.w_expand[i]
-                        blk.w_project -= cfg.lr * grads.w_project[i]
-                        blk.alpha -= cfg.lr * grads.alpha[i]
-                    model.w_head -= cfg.lr * grads.w_head
-                    model.b_head -= cfg.lr * grads.b_head
+                    _backward(model, x_perm[start:stop], onehot[start:stop], cfg.lam, grads)
+                    params -= cfg.lr * grad_buf
+                    for blk, g_a in zip(model.blocks, grads.alpha):
+                        blk.alpha -= cfg.lr * g_a
                 stats = forward_loss(model, (x, y), cfg.lam)
         except SearchError as exc:
             raise SearchError(f"training diverged at epoch {epoch}: {exc}") from exc

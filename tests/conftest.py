@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nnscale
+import nnscale.search as S
 import nnscale.tensor as T
 from nnscale.archspec import Record, asdict, fields, replace
 
@@ -43,6 +44,104 @@ def fold_bn(w, mean, var, gamma, beta, epsilon=1e-5):
     return T.ConvWeights(kernel=w.kernel * scale[:, None, None, None],
                          bias=(bias - mean) * scale + beta,
                          stride=w.stride, groups=w.groups)
+
+
+def _reference_forward(model, x):
+    """The model's forward pass -> (logits, last features, per-block (x, h0, z, h1))."""
+    def prelu(v, a):
+        return np.maximum(v, 0.0) + a * np.minimum(v, 0.0)
+    caches = []
+    h = x
+    for blk in model.blocks:
+        h0 = prelu(h, 1.0 - blk.alpha)
+        z = h0 @ blk.w_expand.T
+        h1 = prelu(z, blk.alpha)
+        out = h1 @ blk.w_project.T
+        caches.append((h, h0, z, h1))
+        h = out + h if blk.residual else out
+    return h @ model.w_head.T + model.b_head, h, caches
+
+
+def _reference_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expv = np.exp(shifted)
+    return expv / expv.sum(axis=1, keepdims=True)
+
+
+def reference_backward(model, batch, lam):
+    """Reverse-mode gradients of the search objective, one array per parameter, by
+    row reductions and a fancy-indexed label write: the reference train_search's
+    gradients are checked against."""
+    x, y = batch
+    logits, feats, caches = _reference_forward(model, x)
+    dlogits = _reference_softmax(logits)
+    dlogits[np.arange(len(y)), y] -= 1.0
+    dlogits /= len(y)
+    g_wh = dlogits.T @ feats
+    g_bh = dlogits.sum(axis=0)
+    d_out = dlogits @ model.w_head
+    g_we, g_wp, g_a = [None] * len(model.blocks), [None] * len(model.blocks), [0.0] * len(model.blocks)
+    for i in range(len(model.blocks) - 1, -1, -1):
+        blk = model.blocks[i]
+        x_in, h0, z, h1 = caches[i]
+        d_res = d_out if blk.residual else 0.0
+        g_wp[i] = d_out.T @ h1
+        d_h1 = d_out @ blk.w_project
+        d_z = d_h1 * np.where(z > 0, 1.0, blk.alpha)
+        g_a[i] += float((d_h1 * np.minimum(z, 0.0)).sum())
+        g_we[i] = d_z.T @ h0
+        d_h0 = d_z @ blk.w_expand
+        d_x = d_h0 * np.where(x_in > 0, 1.0, 1.0 - blk.alpha)
+        g_a[i] -= float((d_h0 * np.minimum(x_in, 0.0)).sum())
+        g_a[i] += 2.0 * lam * (blk.alpha - 1.0)
+        d_out = d_x + d_res
+    return S.Grads(w_expand=g_we, w_project=g_wp, alpha=g_a, w_head=g_wh, b_head=g_bh)
+
+
+def _reference_loss(model, x, y, lam):
+    logits, _, _ = _reference_forward(model, x)
+    if not np.all(np.isfinite(logits)):
+        raise S.SearchError("non-finite activations in forward pass")
+    probs = _reference_softmax(logits)
+    ce = -np.log(probs[np.arange(len(y)), y] + 1e-300).mean()
+    reg = float(sum((b.alpha - 1.0) ** 2 for b in model.blocks))
+    acc = float((np.argmax(probs, axis=1) == y).mean())
+    return float(ce + lam * reg), acc, reg
+
+
+def reference_train_search(model, dataset, cfg):
+    """Minibatch SGD as reference_backward and then one in-place update per array
+    and alpha: the loop search.train_search must match bit for bit. Mutates the
+    model and returns the trace as (loss, accuracy, regularizer, alphas) lists."""
+    x, y = dataset
+    n = len(y)
+    gen = T.generator(cfg.seed, index=1)
+    loss, accuracy, regularizer, alphas = [], [], [], []
+    for epoch in range(cfg.epochs):
+        perm = gen.permutation(n)
+        x_perm, y_perm = x[perm], y[perm]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, n, cfg.batch):
+                    stop = start + cfg.batch
+                    grads = reference_backward(
+                        model, (x_perm[start:stop], y_perm[start:stop]), cfg.lam)
+                    for i, blk in enumerate(model.blocks):
+                        blk.w_expand -= cfg.lr * grads.w_expand[i]
+                        blk.w_project -= cfg.lr * grads.w_project[i]
+                        blk.alpha -= cfg.lr * grads.alpha[i]
+                    model.w_head -= cfg.lr * grads.w_head
+                    model.b_head -= cfg.lr * grads.b_head
+                stats = _reference_loss(model, x, y, cfg.lam)
+        except S.SearchError as exc:
+            raise S.SearchError(f"training diverged at epoch {epoch}: {exc}") from exc
+        if not np.isfinite(stats[0]):
+            raise S.SearchError(f"training diverged at epoch {epoch}")
+        loss.append(stats[0])
+        accuracy.append(stats[1])
+        regularizer.append(cfg.lam * stats[2])
+        alphas.append(model.alphas)
+    return loss, accuracy, regularizer, alphas
 
 
 def _dataclass_twin(cls):

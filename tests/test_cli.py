@@ -595,6 +595,8 @@ def _stages(**top):
 
 STEM = {"kind": "stem", "kernel": 4, "stride": 4, "out_channels": 16}
 HEAD = {"kind": "head", "classes": 10}
+SPLIT = {"kind": "convnext_split_block", "expansion": 4.0, "dw_kernel": 7,
+         "nonlinear_fraction": 0.5}
 
 
 @pytest.mark.parametrize("descriptor,message", [
@@ -629,12 +631,31 @@ HEAD = {"kind": "head", "classes": 10}
     (_full([STEM, {"kind": "head"}]), "error: block 1 (head): missing field(s) classes\n"),
     (_full([STEM, {"kind": "ibn"}, HEAD]),
      "error: block 1 (ibn): missing field(s) expansion, dw_kernel, stride, out_channels\n"),
+    ([_stages()], "error: architecture file must be a JSON object\n"),
+    ({k: v for k, v in _full([STEM, HEAD]).items() if k != "name"},
+     "error: missing required field 'name'\n"),
+    (_full({"0": STEM}), "error: 'blocks' must be a list\n"),
+    (_stages(split=0.5), "error: split must be an object\n"),
+    (_stages(family="ran_e"),
+     "error: stage shorthand requires a stage-structured family, got 'ran_e'\n"),
+    (_stages(split={"fraction": 0.5, "branch_activation": "prelu"}),
+     "error: activation 'prelu' requires its parameter field\n"),
+    (_stages(stage_widths=16), "error: stage_widths must be a list of integers\n"),
+    (_stages(stage_widths=[], stage_depths=[]), "error: stage_widths must be non-empty\n"),
+    (_full([STEM, dict(SPLIT, branch_activation={"kind": "exp_kernel", "clamp": 0.0}),
+            HEAD]), "error: exp_kernel clamp must be > 0\n"),
+    (_stages(split={"fraction": 0.5,
+                    "branch_activation": {"kind": "exp_kernel", "clamp": -1.0}}),
+     "error: exp_kernel clamp must be > 0\n"),
 ], ids=["kernel_str", "out_channels_float", "stride_bool", "expansion_huge",
         "expansion_nan", "resolution_null", "stage_width_float", "stage_width_str",
         "hidden_channels_negative", "stem_kernel_zero", "downsample_kernel_zero",
         "head_dw_kernel_negative", "stage_depth_too_deep", "stage_lengths_differ",
         "stage_width_zero", "stage_depth_zero", "split_on_bottleneck", "one_field_missing",
-        "two_fields_missing", "bottleneck_kind_only", "head_kind_only", "ibn_kind_only"])
+        "two_fields_missing", "bottleneck_kind_only", "head_kind_only", "ibn_kind_only",
+        "top_level_list", "name_missing", "blocks_not_list", "split_not_object",
+        "stages_on_ran_e", "bare_prelu_string", "stage_widths_not_list", "stage_widths_empty",
+        "block_exp_kernel_clamp_zero", "split_exp_kernel_clamp_negative"])
 def test_ill_typed_descriptor_is_domain_error(tmp_path, capsys, descriptor, message):
     path = tmp_path / "arch.json"
     path.write_text(json.dumps(descriptor))
@@ -647,8 +668,6 @@ def test_ill_typed_descriptor_is_domain_error(tmp_path, capsys, descriptor, mess
 
 BOTTLENECK = {"kind": "resnet_bottleneck", "expansion": 0.25}
 CONVNEXT = {"kind": "convnext_block"}
-SPLIT = {"kind": "convnext_split_block", "expansion": 4.0, "dw_kernel": 7,
-         "nonlinear_fraction": 0.5}
 STEM_64 = dict(STEM, out_channels=64)
 
 
@@ -695,6 +714,18 @@ def test_report_rejects_non_positive_scan_row(tmp_path, capsys):
     code, out, err = run(capsys, "report", "--scan", str(scan), "--budget", "4.5e9:28e6")
     assert code == 1 and out == ""
     assert err == "error: line 2: w_m '-1.0' is not positive\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "error: unexpected CSV header None\n"),
+    (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,96|192,3|3,28000000\n",
+     f"error: line 2: expected {len(S.CSV_COLUMNS)} columns\n"),
+], ids=["empty_file", "short_row"])
+def test_report_rejects_malformed_scan_file(tmp_path, capsys, text, message):
+    scan = tmp_path / "scan.csv"
+    scan.write_text(text)
+    code, out, err = run(capsys, "report", "--scan", str(scan), "--budget", "4.5e9:28e6")
+    assert (code, out, err) == (1, "", message)
 
 
 SMALL_SCAN = ["--preset", "convnext-t", "--wmin", "0.005", "--wmax", "1.0", "--wsteps", "4",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nnscale.search as S
+from conftest import reference_backward, reference_train_search
 
 
 def best_linear_probe_accuracy(x, y):
@@ -237,8 +238,9 @@ def test_alpha_one_blocks_collapse_to_dense_layers():
 
 def test_prelu_limits():
     x = np.random.default_rng(8).standard_normal(100) * 2.0
-    assert np.array_equal(S._prelu(x, 1.0), x)
-    assert np.array_equal(S._prelu(x, 0.0), np.maximum(x, 0))
+    assert np.array_equal(S._prelu(x, 1.0)[0], x)
+    assert np.array_equal(S._prelu(x, 0.0)[0], np.maximum(x, 0))
+    assert np.array_equal(S._prelu(x, 0.5)[1], np.minimum(x, 0))
 
 
 def test_divergence_reports_epoch():
@@ -246,3 +248,51 @@ def test_divergence_reports_epoch():
     data = S.make_dataset("blobs", 64, 0.3, seed=1)
     with pytest.raises(S.SearchError, match="epoch"):
         S.train_search(model, data, S.SearchConfig(lr=50.0, epochs=20, seed=0))
+
+
+MIXES = ["a1,a1,a1", "a1,a2,a3", "a1,a2"]
+
+
+def weights_equal(a, b):
+    return all(np.array_equal(u, v) for u, v in zip(S._weights(a), S._weights(b)))
+
+
+@pytest.mark.parametrize("variants", MIXES)
+def test_backward_keeps_the_bits_of_the_reference(variants):
+    vs = variants.split(",")
+    model = S.make_model([2] + [6] * len(vs), vs, seed=21, alpha_init=0.3)
+    x, y = S.make_dataset("moons", 13, 0.3, seed=22)
+    got, want = S.backward(model, (x, y), 1e-3), reference_backward(model, (x, y), 1e-3)
+    assert got.alpha == want.alpha
+    for field in ("w_expand", "w_project"):
+        assert all(np.array_equal(g, w) for g, w in zip(getattr(got, field), getattr(want, field)))
+    assert np.array_equal(got.w_head, want.w_head)
+    assert np.array_equal(got.b_head, want.b_head)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+@pytest.mark.parametrize("variants", MIXES)
+@pytest.mark.parametrize("samples", [37, 256])
+def test_train_search_keeps_the_bits_of_the_reference_loop(samples, variants, lam):
+    """37 samples leave a last batch of 5; 256 at width 8 is the CLI's default model."""
+    vs = variants.split(",")
+    width, epochs = (6, 12) if samples == 37 else (8, 6)
+    models = [S.make_model([2] + [width] * len(vs), vs, seed=11) for _ in range(2)]
+    data = S.make_dataset("moons", samples, 0.3, seed=12)
+    cfg = S.SearchConfig(lam=lam, lr=0.1, epochs=epochs, batch=8, seed=13)
+    trace = S.train_search(models[0], data, cfg)
+    want = reference_train_search(models[1], data, cfg)
+    assert (trace.loss, trace.accuracy, trace.regularizer, trace.alphas) == want
+    assert weights_equal(*models)
+
+
+def test_diverging_train_search_raises_the_reference_message():
+    errors = []
+    for train in (S.train_search, reference_train_search):
+        model = S.make_model([2, 8, 8], ["a1", "a1"], seed=0)
+        data = S.make_dataset("blobs", 64, 0.3, seed=1)
+        with pytest.raises(S.SearchError) as info:
+            train(model, data, S.SearchConfig(lr=50.0, epochs=20, seed=0))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("training diverged at epoch ")
