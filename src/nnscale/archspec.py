@@ -18,9 +18,11 @@ import json
 import math
 import numbers
 from fractions import Fraction
-from typing import Optional, Union, get_args
+from typing import Optional
 
 ACTIVATION_KINDS = ("none", "relu", "relu6", "prelu", "gelu", "hswish", "exp_kernel")
+# The kinds that carry a parameter, and its Activation field; a file must give it.
+ACTIVATION_PARAMETER = {"prelu": "alpha", "exp_kernel": "clamp"}
 
 
 class NnscaleError(ValueError):
@@ -93,14 +95,11 @@ class Record:
         for base in reversed(cls.__mro__):
             cls._fields.update(vars(base).get("__annotations__", {}))
         cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
-        cls._tail = tuple(cls._defaults.values())
-        if tuple(cls._fields)[len(cls._fields) - len(cls._tail):] != tuple(cls._defaults):
+        if tuple(cls._fields)[len(cls._fields) - len(cls._defaults):] != tuple(cls._defaults):
             raise TypeError(f"{cls.__name__}: a field without a default follows a default")
 
     def __init__(self, *args, **kwargs):
         names = self._fields
-        if not kwargs and len(names) - len(self._tail) <= len(args) < len(names):
-            args += self._tail[len(args) - len(names):]  # the defaults fill the rest
         if len(args) != len(names) or kwargs:  # bind by keyword, checking every field
             given = dict(zip(names, args))
             if len(args) > len(names) or not kwargs.keys() <= names.keys() - given.keys():
@@ -164,8 +163,8 @@ class Activation(Record):
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
             raise ArchError(f"unknown activation kind {self.kind!r}")
-        _check_type(self.alpha, "float", "prelu alpha")
-        _check_type(self.clamp, "float", "exp_kernel clamp")
+        for kind, name in ACTIVATION_PARAMETER.items():
+            _check_type(getattr(self, name), "float", f"{kind} {name}")
         if self.kind == "exp_kernel" and not self.clamp > 0:
             raise ArchError("exp_kernel clamp must be > 0")
 
@@ -519,10 +518,9 @@ class Head(_Block):
         return macs + feat * self.classes, params + feat * self.classes + self.classes
 
 
-BlockSpec = Union[Stem, RegularConv, Ibn, ConvNextBlock, ConvNextSplitBlock,
-                  ResNetBottleneckBlock, Downsample, Head]
-
-_KIND_TO_CLS = {cls.kind: cls for cls in get_args(BlockSpec)}
+_KIND_TO_CLS = {cls.kind: cls for cls in (Stem, RegularConv, Ibn, ConvNextBlock,
+                                           ConvNextSplitBlock, ResNetBottleneckBlock,
+                                           Downsample, Head)}
 
 
 class StageFamily(Record):
@@ -774,27 +772,22 @@ def restage(arch: ArchDescriptor, **stage_changes) -> ArchDescriptor:
 # --- JSON file format ---------------------------------------------------------
 
 def _activation_to_json(act: Activation):
-    if act.kind == "prelu":
-        return {"kind": "prelu", "alpha": act.alpha}
-    if act.kind == "exp_kernel":
-        return {"kind": "exp_kernel", "clamp": act.clamp}
-    return act.kind
+    name = ACTIVATION_PARAMETER.get(act.kind)
+    return act.kind if name is None else {"kind": act.kind, name: getattr(act, name)}
 
 
 def _activation_from_json(obj) -> Activation:
     if isinstance(obj, str):
-        if obj in ("prelu", "exp_kernel"):
+        if obj in ACTIVATION_PARAMETER:
             raise ArchError(f"activation {obj!r} requires its parameter field")
         return Activation(obj)
     if isinstance(obj, dict):
         kind = obj.get("kind")
-        if kind == "prelu":
-            _require_keys(obj, {"kind", "alpha"}, "activation")
-            return Activation("prelu", alpha=_float(obj.get("alpha"), "prelu alpha"))
-        if kind == "exp_kernel":
-            _require_keys(obj, {"kind", "clamp"}, "activation")
-            return Activation("exp_kernel", clamp=_float(obj.get("clamp"), "exp_kernel clamp"))
-        raise ArchError(f"unknown activation object kind {kind!r}")
+        name = ACTIVATION_PARAMETER.get(kind) if isinstance(kind, str) else None
+        if name is None:
+            raise ArchError(f"unknown activation object kind {kind!r}")
+        _require_keys(obj, {"kind", name}, "activation")
+        return Activation(kind, **{name: _float(obj.get(name), f"{kind} {name}")})
     raise ArchError(f"bad activation value {obj!r}")
 
 
@@ -810,7 +803,7 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
         raise ArchError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
 
 
-def _block_to_json(block: BlockSpec) -> dict:
+def _block_to_json(block: _Block) -> dict:
     out = {"kind": block.kind}
     for name in fields(block):
         v = getattr(block, name)
@@ -821,7 +814,7 @@ def _block_to_json(block: BlockSpec) -> dict:
     return out
 
 
-def _block_from_json(obj: dict, index: int) -> BlockSpec:
+def _block_from_json(obj: dict, index: int) -> _Block:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ArchError(f"block {index}: expected an object with a 'kind' field")
     kind = obj["kind"]
@@ -851,6 +844,8 @@ def parse_arch(text: str) -> ArchDescriptor:
         raise ArchError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except RecursionError:
         raise ArchError("JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ArchError(f"number too long: {str(exc).partition(';')[0]}") from None
     if not isinstance(obj, dict):
         raise ArchError("architecture file must be a JSON object")
     for key in ("name", "family", "input_resolution", "input_channels"):

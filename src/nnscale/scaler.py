@@ -142,7 +142,7 @@ def _candidate(w_m: float, d_m: float, column, depths) -> ScaleCandidate:
         # sum has the same bits (the blocks that appear once add 0.0)
         for _ in range(d):
             mass += term
-    return ScaleCandidate(w_m, d_m, widths, depths, macs, params, mass, units)
+    return ScaleCandidate(w_m, d_m, widths, depths, macs, params, mass, units, True)
 
 
 def enumerate_candidates(base: ArchDescriptor,
@@ -248,13 +248,21 @@ def _count(text: str, name: str) -> int:
     return value
 
 
+def _rows(reader):
+    """The reader's rows; a CSV error is refused with its line number."""
+    try:
+        yield from reader
+    except csv.Error as exc:  # such as a field past the field size limit
+        raise ScaleError(f"line {reader.line_num}: {exc}") from None
+
+
 def candidates_from_csv(text: str) -> List[ScaleCandidate]:
     """Parse a scan CSV back into candidates (in_budget/selected flags dropped). A row
     with a non-finite mass, a multiplier that is not finite and positive, a stage
     width or depth that is not positive, a negative count, a valid flag other than
     0/1, or a valid row without one depth per stage width is refused with its line
-    number."""
-    reader = csv.reader(io.StringIO(text))
+    number; blank lines are skipped."""
+    reader = _rows(csv.reader(io.StringIO(text)))
     header = next(reader, None)
     if header != CSV_COLUMNS:
         raise ScaleError(f"unexpected CSV header {header!r}")

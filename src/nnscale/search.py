@@ -18,8 +18,8 @@ from .archspec import NnscaleError, Record, round_half_up
 from .restructure import afrb_decide
 from .tensor import generator
 
-VARIANTS = ("a1", "a2", "a3")
-RESIDUAL_VARIANTS = ("a2", "a3")
+# AFRB variant -> (expansion, residual add): a1 plain, a2 residual, a3 half-width residual
+VARIANTS = {"a1": (4.0, False), "a2": (4.0, True), "a3": (0.5, True)}
 
 
 class SearchError(NnscaleError):
@@ -28,7 +28,7 @@ class SearchError(NnscaleError):
 
 class AfrbMlpBlock:
     """x -> prelu(x; 1-alpha) -> expand -> prelu(.; alpha) -> project (+x for the
-    residual variants). a1 is plain, a2 residual, a3 half-width residual."""
+    residual variants). make_model checks the variant, alpha and widths."""
 
     def __init__(self, alpha: float, w_expand: np.ndarray, w_project: np.ndarray,
                  variant: str = "a1"):
@@ -36,18 +36,7 @@ class AfrbMlpBlock:
         self.w_expand = w_expand    # [m, d_in]
         self.w_project = w_project  # [d_out, m]
         self.variant = variant
-        if self.variant not in VARIANTS:
-            raise SearchError(f"unknown variant {self.variant!r}")
-        if not math.isfinite(self.alpha):
-            raise SearchError("alpha must be finite")
-        if self.residual and self.w_project.shape[0] != self.w_expand.shape[1]:
-            raise SearchError("residual variants require matching in/out width")
-        if self.w_project.shape[1] != self.w_expand.shape[0]:
-            raise SearchError("expand/project widths disagree")
-
-    @property
-    def residual(self) -> bool:
-        return self.variant in RESIDUAL_VARIANTS
+        self.residual = VARIANTS[variant][1]
 
     @property
     def expanded_width(self) -> int:
@@ -76,18 +65,23 @@ def make_model(
     seed: int = 0,
     alpha_init: float = 0.5,
 ) -> MlpModel:
-    """Seeded two-class model with He-scaled weights; a1/a2 blocks expand 4x, a3
-    blocks shrink to half width."""
+    """Seeded two-class model with He-scaled weights, each block expanded and added
+    as its VARIANTS entry says. An unknown variant, a non-finite alpha_init or a
+    residual block that changes width is refused before any weight is drawn."""
     if len(layer_dims) != len(variants) + 1:
         raise SearchError("need len(layer_dims) == len(variants) + 1")
+    if not math.isfinite(alpha_init):
+        raise SearchError("alpha must be finite")
     shapes = []  # (d_in, m, d_out) per block
     for i, (d_in, d_out, variant) in enumerate(zip(layer_dims, layer_dims[1:], variants)):
-        if variant in RESIDUAL_VARIANTS and d_in != d_out:
+        if variant not in VARIANTS:
+            raise SearchError(f"unknown variant {variant!r}")
+        expansion, residual = VARIANTS[variant]
+        if residual and d_in != d_out:
             raise SearchError(
                 f"block {i} ({variant}) is residual but maps width {d_in} to {d_out}; "
                 f"the variant list must start with a1 unless --width {d_in}")
-        e = 0.5 if variant == "a3" else 4.0
-        shapes.append((d_in, max(1, round_half_up(e * d_in)), d_out))
+        shapes.append((d_in, max(1, round_half_up(expansion * d_in)), d_out))
     entries = sum(m * (d_in + d_out) for d_in, m, d_out in shapes) + 2 * layer_dims[-1]
     if entries > MAX_WEIGHT_ENTRIES:
         raise SearchError(f"{entries} weight entries exceeds {MAX_WEIGHT_ENTRIES}")

@@ -358,6 +358,19 @@ def test_malformed_number_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["afrb-search", "--lam", "1"], "lam must lie in [0, 1)"),
+    (["afrb-search", "--lr", "0"], "bad optimizer settings"),
+    (["afrb-search", "--batch", "0"], "bad optimizer settings"),
+    (["afrb-search", "--epochs", "-1"], "bad optimizer settings"),
+    (["ldi", "--skips", "-1"], "skip_channels must be >= 0"),
+    (["scale", "--preset", "convnext-t", "--wsteps", "0"], "steps must be >= 1"),
+], ids=["afrb_lam", "afrb_lr", "afrb_batch", "afrb_epochs", "ldi_skips", "scale_wsteps"])
+def test_bad_setting_is_domain_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flag", ["--budget-macs", "--budget-params"])
 @pytest.mark.parametrize("value", ["-5", "0"])
 def test_non_positive_budget_is_domain_error(capsys, flag, value):
@@ -647,6 +660,21 @@ SPLIT = {"kind": "convnext_split_block", "expansion": 4.0, "dw_kernel": 7,
     (_stages(split={"fraction": 0.5,
                     "branch_activation": {"kind": "exp_kernel", "clamp": -1.0}}),
      "error: exp_kernel clamp must be > 0\n"),
+    (_stages(split={"fraction": 0.5, "branch_activation": {"kind": "prelu"}}),
+     "error: prelu alpha must be a finite number in [-2**31, 2**31], got None\n"),
+    (_full([STEM, dict(SPLIT, branch_activation={"kind": "prelu", "alpha": 0.1, "clamp": 1}),
+            HEAD]), "error: unknown field(s) in activation: clamp\n"),
+    (_stages(split={"fraction": 0.5, "branch_activation": {"kind": "swish"}}),
+     "error: unknown activation object kind 'swish'\n"),
+    (_full([STEM, dict(SPLIT, branch_activation={"kind": []}), HEAD]),
+     "error: unknown activation object kind []\n"),
+    (_stages(split={"fraction": 0.5, "branch_activation": 5}),
+     "error: bad activation value 5\n"),
+    (_full([STEM, dict(SPLIT, branch_activation="exp_kernel"), HEAD]),
+     "error: activation 'exp_kernel' requires its parameter field\n"),
+    ('{"input_resolution": ' + "1" * 5000 + "}",
+     "error: number too long: Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 5000 digits\n"),
 ], ids=["kernel_str", "out_channels_float", "stride_bool", "expansion_huge",
         "expansion_nan", "resolution_null", "stage_width_float", "stage_width_str",
         "hidden_channels_negative", "stem_kernel_zero", "downsample_kernel_zero",
@@ -655,10 +683,14 @@ SPLIT = {"kind": "convnext_split_block", "expansion": 4.0, "dw_kernel": 7,
         "two_fields_missing", "bottleneck_kind_only", "head_kind_only", "ibn_kind_only",
         "top_level_list", "name_missing", "blocks_not_list", "split_not_object",
         "stages_on_ran_e", "bare_prelu_string", "stage_widths_not_list", "stage_widths_empty",
-        "block_exp_kernel_clamp_zero", "split_exp_kernel_clamp_negative"])
+        "block_exp_kernel_clamp_zero", "split_exp_kernel_clamp_negative", "prelu_without_alpha",
+        "prelu_with_clamp", "unknown_activation_object", "activation_kind_not_string",
+        "activation_number", "bare_exp_kernel_string", "integer_literal_too_long"])
 def test_ill_typed_descriptor_is_domain_error(tmp_path, capsys, descriptor, message):
+    """A descriptor given as a string is written as it is (json.dumps cannot write an
+    integer past Python's digit limit)."""
     path = tmp_path / "arch.json"
-    path.write_text(json.dumps(descriptor))
+    path.write_text(descriptor if isinstance(descriptor, str) else json.dumps(descriptor))
     code, out, err = run(capsys, "cost", "--arch", str(path))
     assert code == 1
     assert out == ""
@@ -720,12 +752,25 @@ def test_report_rejects_non_positive_scan_row(tmp_path, capsys):
     ("", "error: unexpected CSV header None\n"),
     (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,96|192,3|3,28000000\n",
      f"error: line 2: expected {len(S.CSV_COLUMNS)} columns\n"),
-], ids=["empty_file", "short_row"])
+    (",".join(S.CSV_COLUMNS) + "\n1.0,1.0," + "|".join(["8"] * 70_000)
+     + ",3,5,2,3.0,4,1,0,0\n",
+     "error: line 2: field larger than field limit (131072)\n"),
+    ("x" * 140_000 + "\n", "error: line 1: field larger than field limit (131072)\n"),
+], ids=["empty_file", "short_row", "oversized_field", "oversized_header"])
 def test_report_rejects_malformed_scan_file(tmp_path, capsys, text, message):
     scan = tmp_path / "scan.csv"
     scan.write_text(text)
     code, out, err = run(capsys, "report", "--scan", str(scan), "--budget", "4.5e9:28e6")
     assert (code, out, err) == (1, "", message)
+
+
+def test_report_skips_blank_lines(tmp_path, capsys):
+    row = "1.0,1.0,96|192,3|3,28000000,4500000000,5.0,4,1,0,0\n"
+    scan = tmp_path / "scan.csv"
+    scan.write_text(",".join(S.CSV_COLUMNS) + "\n" + row + "\n" + row)
+    code, out, err = run(capsys, "report", "--scan", str(scan))
+    assert (code, err) == (0, "")
+    assert out == f"scan: {scan} candidates=2 valid=2\n"
 
 
 SMALL_SCAN = ["--preset", "convnext-t", "--wmin", "0.005", "--wmax", "1.0", "--wsteps", "4",

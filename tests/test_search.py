@@ -250,6 +250,16 @@ def test_divergence_reports_epoch():
         S.train_search(model, data, S.SearchConfig(lr=50.0, epochs=20, seed=0))
 
 
+def test_unknown_variant_is_refused_before_the_weight_bound():
+    with pytest.raises(S.SearchError, match="^unknown variant 'zz'$"):
+        S.make_model([2, 2000, 2000], ["a1", "zz"])
+
+
+def test_non_finite_alpha_init_is_refused():
+    with pytest.raises(S.SearchError, match="^alpha must be finite$"):
+        S.make_model([2, 8], ["a1"], alpha_init=float("nan"))
+
+
 MIXES = ["a1,a1,a1", "a1,a2,a3", "a1,a2"]
 
 
