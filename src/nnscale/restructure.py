@@ -26,7 +26,7 @@ COLLAPSE_BAND = (0.8, 1.3)
 
 # collapse_trial's conv patches grow with size^2; at 64 a run peaks near 52 MB RSS.
 MAX_TRIAL_SIZE = 64
-# trials x size^2 bounds a run's time: at the bound about 30 s at size 12, 5 s at 64.
+# trials x size^2 bounds a run's time: at the bound about 15 s at size 12, 4 s at 64.
 MAX_TRIAL_WORK = 2**22
 
 
@@ -70,30 +70,45 @@ class LinearSequence(Record):
         return 1
 
 
+def _multiplier(w: ConvWeights) -> int:
+    """The channel multiplier of a depthwise layer."""
+    if w.groups != w.in_channels:
+        raise RestructureError("grouped convs other than depthwise unsupported")
+    return w.out_channels // w.in_channels
+
+
 def _dense(w: ConvWeights) -> np.ndarray:
     """The layer's kernel as a dense [C_out, C_in, k, k] array; a depthwise kernel
     (any channel multiplier) becomes block-diagonal."""
     if w.groups == 1:
         return w.kernel
-    if w.groups != w.in_channels:
-        raise RestructureError("grouped convs other than depthwise unsupported")
-    per = w.out_channels // w.in_channels  # channel multiplier
-    return w.kernel * np.repeat(np.eye(w.in_channels), per, axis=0)[:, :, None, None]
+    return w.kernel * np.repeat(np.eye(w.in_channels), _multiplier(w), axis=0)[:, :, None, None]
 
 
 def collapse(seq: LinearSequence) -> ConvWeights:
-    """Merge the sequence into one regular convolution: starting from the identity,
-    each layer W with bias c maps the running kernel K and bias b to K' = W K and
-    b' = (sum_uv W) b + c. At most one layer is spatial, so W or K is always 1x1."""
-    kernel = np.eye(seq.in_channels)[:, :, None, None]
-    bias = np.zeros(seq.in_channels)
-    for w in seq.layers:
-        k = _dense(w)
-        if w.kernel_size == 1:
-            kernel = np.einsum("oc,ciuv->oiuv", k[:, :, 0, 0], kernel)
+    """Merge the sequence into one regular convolution: starting from the first layer,
+    each later layer W with bias c maps the running kernel K and bias b to K' = W K and
+    b' = (sum_uv W) b + c. At most one layer is spatial, so W or K is always 1x1.
+
+    A depthwise W reads one row of K per output channel, so W K is W's kernel times
+    K with each row repeated per channel multiplier, and (sum_uv W) b scales the
+    repeated b the same way; only a depthwise first layer is made dense."""
+    first, *rest = seq.layers
+    kernel = _dense(first)
+    bias = first.bias if first.bias is not None else np.zeros(first.out_channels)
+    for w in rest:
+        if w.groups > 1:
+            per = _multiplier(w)
+            kernel = w.kernel * np.repeat(kernel, per, axis=0)
+            bias = w.kernel.sum((2, 3))[:, 0] * np.repeat(bias, per)
         else:
-            kernel = np.einsum("ocuv,ci->oiuv", k, kernel[:, :, 0, 0])
-        bias = k.sum((2, 3)) @ bias + (w.bias if w.bias is not None else 0.0)
+            if w.kernel_size == 1:
+                kernel = np.einsum("oc,ciuv->oiuv", w.kernel[:, :, 0, 0], kernel)
+            else:
+                kernel = np.einsum("ocuv,ci->oiuv", w.kernel, kernel[:, :, 0, 0])
+            bias = w.kernel.sum((2, 3)) @ bias
+        if w.bias is not None:
+            bias = bias + w.bias
     any_bias = any(w.bias is not None for w in seq.layers)
     return ConvWeights(kernel=kernel, bias=bias if any_bias else None, stride=seq.stride)
 

@@ -234,10 +234,19 @@ def _finite(text: str, name: str, positive: bool = False) -> float:
     return value
 
 
+def _digits(text: str) -> bool:
+    """Whether text is ASCII digits only: int() also takes signs, spaces, underscores
+    and non-ASCII digits, which no scan writes."""
+    return text.isascii() and text.isdigit()
+
+
 def _sizes(text: str, name: str) -> tuple:
-    values = tuple(int(v) for v in text.split("|") if v)
+    entries = [v for v in text.split("|") if v]
+    values = tuple(int(v) for v in entries)
     if any(v <= 0 for v in values):
         raise ValueError(f"{name} {text!r} has an entry that is not positive")
+    if not all(map(_digits, entries)):
+        raise ValueError(f"{name} {text!r} has an entry that is not ASCII digits")
     return values
 
 
@@ -245,6 +254,8 @@ def _count(text: str, name: str) -> int:
     value = int(text)
     if value < 0:
         raise ValueError(f"{name} {text!r} is negative")
+    if not _digits(text):
+        raise ValueError(f"{name} {text!r} is not ASCII digits")
     return value
 
 
@@ -259,15 +270,18 @@ def _rows(reader):
 def candidates_from_csv(text: str) -> List[ScaleCandidate]:
     """Parse a scan CSV back into candidates (in_budget/selected flags dropped). A row
     with a non-finite mass, a multiplier that is not finite and positive, a stage
-    width or depth that is not positive, a negative count, a valid flag other than
-    0/1, or a valid row without one depth per stage width is refused with its line
-    number; blank lines are skipped."""
-    reader = _rows(csv.reader(io.StringIO(text)))
-    header = next(reader, None)
+    width or depth that is not positive, a negative count, a width, depth or count
+    that is not ASCII digits, a valid flag other than 0/1, or a valid row without one
+    depth per stage width is refused with the number of the line it ends on; blank
+    lines are skipped."""
+    reader = csv.reader(io.StringIO(text))
+    rows = _rows(reader)
+    header = next(rows, None)
     if header != CSV_COLUMNS:
         raise ScaleError(f"unexpected CSV header {header!r}")
     out = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in rows:
+        lineno = reader.line_num
         if not row:
             continue
         if len(row) != len(CSV_COLUMNS):

@@ -98,7 +98,8 @@ def make_model(
     return MlpModel(blocks=blocks, w_head=w_head, b_head=b_head)
 
 
-# Training time grows with samples x epochs; 2**21 is about 90 s at batch 8.
+# Training time grows with samples x epochs; 2**21 is about 32 s at batch 8 for the
+# default three-block width-8 model on two cores.
 MAX_SAMPLE_EPOCHS = 2**21
 
 
@@ -135,11 +136,16 @@ def make_dataset(kind: str, n: int, noise: float, seed: int):
     return x[perm], y[perm]
 
 
+# A 0-d zero as the other operand of np.minimum, np.maximum and the > 0 masks: a
+# Python 0.0 would be converted to an array on every call.
+_ZERO = np.zeros(())
+
+
 def _prelu(x: np.ndarray, a: float):
     """-> (prelu(x; a), min(x, 0)); backward reuses the second term for the slope
     gradient."""
-    neg = np.minimum(x, 0.0)
-    return np.maximum(x, 0.0) + a * neg, neg
+    neg = np.minimum(x, _ZERO)
+    return np.maximum(x, _ZERO) + a * neg, neg
 
 
 def _forward(model: MlpModel, x: np.ndarray):
@@ -229,12 +235,15 @@ def _backward(model: MlpModel, x: np.ndarray, onehot: np.ndarray, lam: float,
               grads: Grads) -> None:
     """backward on inputs x and one-hot labels, writing into the arrays of grads.
 
-    The alpha terms reuse the forward's min(x, 0) and min(z, 0). Block 0's input
-    gradient is not formed, as nothing reads it. A plain block hands d_x on without
-    adding 0.0, which would only turn its -0.0 entries into +0.0. That can flip only
-    the sign of a zero gradient entry, and w - lr * g ignores the sign of a zero g
-    unless w is -0.0, which no update makes from a weight that is not. Each alpha
-    sum starts from 0.0, so a zero sum's sign does not reach alpha either."""
+    A PReLU site's input gradient is the slope times its output gradient, into which
+    np.copyto puts the output gradient back where the site's input is positive: the
+    selection np.where makes, without its dispatch. The alpha terms reuse the
+    forward's min(x, 0) and min(z, 0). Block 0's input gradient is not formed, as
+    nothing reads it. A plain block hands d_x on without adding 0.0, which would only
+    turn its -0.0 entries into +0.0. That can flip only the sign of a zero gradient
+    entry, and w - lr * g ignores the sign of a zero g unless w is -0.0, which no
+    update makes from a weight that is not. Each alpha sum starts from 0.0, so a zero
+    sum's sign does not reach alpha either."""
     logits, feats, caches = _forward(model, x)
     # d(mean cross-entropy)/d logits = (softmax - onehot) / n
     dlogits = _softmax(logits)
@@ -245,20 +254,23 @@ def _backward(model: MlpModel, x: np.ndarray, onehot: np.ndarray, lam: float,
     d_out = dlogits @ model.w_head
     for i in range(len(model.blocks) - 1, -1, -1):
         blk = model.blocks[i]
+        a = blk.alpha
         x_in, neg_x, h0, z, neg_z, h1 = caches[i]
         np.matmul(d_out.T, h1, out=grads.w_project[i])
         d_h1 = d_out @ blk.w_project
         # second PReLU site, slope alpha on the negative part
-        d_z = np.where(z > 0, d_h1, blk.alpha * d_h1)
+        d_z = a * d_h1
+        np.copyto(d_z, d_h1, where=z > _ZERO)
         g_a = 0.0
         g_a += float(np.add.reduce(d_h1 * neg_z, None))
         np.matmul(d_z.T, h0, out=grads.w_expand[i])
         d_h0 = d_z @ blk.w_expand
         # first PReLU site, slope (1 - alpha) on the negative part
         g_a -= float(np.add.reduce(d_h0 * neg_x, None))
-        grads.alpha[i] = g_a + 2.0 * lam * (blk.alpha - 1.0)
+        grads.alpha[i] = g_a + 2.0 * lam * (a - 1.0)
         if i:
-            d_x = np.where(x_in > 0, d_h0, (1.0 - blk.alpha) * d_h0)
+            d_x = (1.0 - a) * d_h0
+            np.copyto(d_x, d_h0, where=x_in > _ZERO)
             d_out = d_x + d_out if blk.residual else d_x
 
 
@@ -320,18 +332,19 @@ def train_search(model: MlpModel, dataset, cfg: SearchConfig) -> SearchTrace:
     eye = np.eye(2)
     gen = generator(cfg.seed, index=1)
     trace = SearchTrace()
+    blocks, lam, lr, batch = model.blocks, cfg.lam, cfg.lr, cfg.batch
     for epoch in range(cfg.epochs):
         perm = gen.permutation(n)
         x_perm, onehot = x[perm], eye[y[perm]]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                for start in range(0, n, cfg.batch):
-                    stop = start + cfg.batch
-                    _backward(model, x_perm[start:stop], onehot[start:stop], cfg.lam, grads)
-                    params -= cfg.lr * grad_buf
-                    for blk, g_a in zip(model.blocks, grads.alpha):
-                        blk.alpha -= cfg.lr * g_a
-                stats = forward_loss(model, (x, y), cfg.lam)
+                for start in range(0, n, batch):
+                    stop = start + batch
+                    _backward(model, x_perm[start:stop], onehot[start:stop], lam, grads)
+                    params -= lr * grad_buf
+                    for blk, g_a in zip(blocks, grads.alpha):
+                        blk.alpha -= lr * g_a
+                stats = forward_loss(model, (x, y), lam)
         except SearchError as exc:
             raise SearchError(f"training diverged at epoch {epoch}: {exc}") from exc
         if not math.isfinite(stats["loss"]):

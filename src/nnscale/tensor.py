@@ -6,6 +6,12 @@ matmul per block of groups over that block's patch matrices, so its temporaries 
 bounded by PATCH_ENTRIES or by one group's patches, whichever is larger. Everything
 here is pure and deterministic; the random generator is counter-based (Philox, 64-bit
 keyed) so draws are reproducible and independently seedable by index.
+
+rand_normal draws from one private Philox whose state it resets on each call to
+counter 0, key [seed, index] and an empty buffer: the draw a new Philox with that key
+would give, without building one (about 20 us: a SeedSequence from OS entropy, which
+the key then discards, and the Philox itself). Resetting costs a few microseconds, but
+it makes rand_normal unsafe to call from two threads at once.
 """
 
 from __future__ import annotations
@@ -135,8 +141,18 @@ def generator(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
+_DRAWS = np.random.Generator(np.random.Philox(0))
+
+
 def rand_normal(shape, var: float, seed: int, index: int = 0) -> np.ndarray:
-    """Seeded zero-mean normal tensor of variance var."""
+    """Seeded zero-mean normal tensor of variance var: the draw of
+    generator(seed, index), taken from the reset private Philox."""
     if var < 0:
         raise TensorError("variance must be >= 0")
-    return math.sqrt(var) * generator(seed, index).standard_normal(shape)
+    # The key conversion is Philox's own: a negative seed wraps modulo 2**64.
+    _DRAWS.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": np.asarray([seed, index]).astype(np.uint64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return math.sqrt(var) * _DRAWS.standard_normal(shape)

@@ -46,6 +46,27 @@ def fold_bn(w, mean, var, gamma, beta, epsilon=1e-5):
                          stride=w.stride, groups=w.groups)
 
 
+def reference_collapse(seq):
+    """Collapse as an identity-seeded fold: each layer becomes a dense kernel (a
+    depthwise one block-diagonal) and is composed onto the running kernel by einsum,
+    with b' = (sum_uv W) b + c from a zero bias. The merged kernel and bias of
+    restructure.collapse must equal it bit for bit."""
+    kernel = np.eye(seq.in_channels)[:, :, None, None]
+    bias = np.zeros(seq.in_channels)
+    for w in seq.layers:
+        k = w.kernel
+        if w.groups > 1:
+            per = w.out_channels // w.in_channels
+            k = k * np.repeat(np.eye(w.in_channels), per, axis=0)[:, :, None, None]
+        if w.kernel_size == 1:
+            kernel = np.einsum("oc,ciuv->oiuv", k[:, :, 0, 0], kernel)
+        else:
+            kernel = np.einsum("ocuv,ci->oiuv", k, kernel[:, :, 0, 0])
+        bias = k.sum((2, 3)) @ bias + (w.bias if w.bias is not None else 0.0)
+    any_bias = any(w.bias is not None for w in seq.layers)
+    return kernel, bias if any_bias else None
+
+
 def _reference_forward(model, x):
     """The model's forward pass -> (logits, last features, per-block (x, h0, z, h1))."""
     def prelu(v, a):

@@ -756,10 +756,31 @@ def test_report_rejects_non_positive_scan_row(tmp_path, capsys):
      + ",3,5,2,3.0,4,1,0,0\n",
      "error: line 2: field larger than field limit (131072)\n"),
     ("x" * 140_000 + "\n", "error: line 1: field larger than field limit (131072)\n"),
-], ids=["empty_file", "short_row", "oversized_field", "oversized_header"])
+    # a quoted in_budget field spans lines 2-3, so the next row ends on line 4
+    (",".join(S.CSV_COLUMNS) + '\n1.0,1.0,8,1,5,2,5.0,4,1,"0\n",0\n'
+     "1.0,1.0,8,1,-5,2,3.0,4,1,0,0\n",
+     "error: line 4: params '-5' is negative\n"),
+    (",".join(S.CSV_COLUMNS) + '\n1.0,1.0,"8\n",1,5,2,5.0,4,1,0,0\n',
+     "error: line 3: widths '8\\n' has an entry that is not ASCII digits\n"),
+    (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8_0,1,5,2,5.0,4,1,0,0\n",
+     "error: line 2: widths '8_0' has an entry that is not ASCII digits\n"),
+    (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8,1,1_000,2,5.0,4,1,0,0\n",
+     "error: line 2: params '1_000' is not ASCII digits\n"),
+    (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8,+8,5,2,5.0,4,1,0,0\n",
+     "error: line 2: depths '+8' has an entry that is not ASCII digits\n"),
+    (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8|16,1| 8,5,2,5.0,4,1,0,0\n",
+     "error: line 2: depths '1| 8' has an entry that is not ASCII digits\n"),
+    (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8,1,5,2,5.0,\u0668,1,0,0\n",
+     "error: line 2: nonlinear_units '\u0668' is not ASCII digits\n"),
+    (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8,1,5,-0,5.0,4,1,0,0\n",
+     "error: line 2: macs '-0' is not ASCII digits\n"),
+], ids=["empty_file", "short_row", "oversized_field", "oversized_header",
+        "row_after_multi_line_field", "newline_in_width", "underscore_in_width",
+        "underscore_in_params", "plus_sign_in_depth", "space_in_depth",
+        "arabic_indic_digit", "negative_zero_macs"])
 def test_report_rejects_malformed_scan_file(tmp_path, capsys, text, message):
     scan = tmp_path / "scan.csv"
-    scan.write_text(text)
+    scan.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "report", "--scan", str(scan), "--budget", "4.5e9:28e6")
     assert (code, out, err) == (1, "", message)
 

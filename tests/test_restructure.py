@@ -4,7 +4,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from conftest import batch_norm, fold_bn
+from conftest import batch_norm, fold_bn, reference_collapse
 
 import nnscale.archspec as A
 import nnscale.cli as cli
@@ -111,7 +111,24 @@ FOLD_SEQUENCES = {
                                         _dense(g, 3, 8)],
     "pw_dw3x3_dw1x1_pw": lambda g: [_dense(g, 6, 3), _dw(g, 6, 3, stride=2), _dw(g, 6, 1),
                                     _dense(g, 3, 6)],
+    "pw_dw_multiplier_2_stride_2_pw": lambda g: [_dense(g, 4, 3),
+                                                 _dw(g, 4, 5, multiplier=2, stride=2),
+                                                 _dense(g, 3, 8)],
+    "pw_dw3x3_dw1x1_multiplier_2_pw": lambda g: [_dense(g, 4, 3), _dw(g, 4, 3),
+                                                 _dw(g, 4, 1, multiplier=2), _dense(g, 3, 8)],
+    "dw1x1_multiplier_2_first_dense_3x3": lambda g: [_dw(g, 3, 1, multiplier=2),
+                                                     _dense(g, 4, 6, k=3, stride=2)],
+    "dw_first_stride_2": lambda g: [_dw(g, 3, 5, stride=2), _dense(g, 4, 3)],
 }
+
+
+def assert_collapse_keeps_the_reference_bits(seq):
+    merged = R.collapse(seq)
+    kernel, bias = reference_collapse(seq)
+    assert np.array_equal(merged.kernel, kernel)
+    assert (merged.bias is None) == (bias is None)
+    assert bias is None or np.array_equal(merged.bias, bias)
+    return merged
 
 
 @pytest.mark.parametrize("biased", [False, True])
@@ -124,7 +141,7 @@ def test_collapse_two_path_on_any_layer_order(name, biased):
         layers.append(T.ConvWeights(w.kernel, bias, w.stride, w.groups))
     seq = R.LinearSequence(layers=tuple(layers))
     x = gen.standard_normal((3, 9, 9))
-    merged = R.collapse(seq)
+    merged = assert_collapse_keeps_the_reference_bits(seq)
     diff = np.abs(seq_forward(seq, x) - T.conv2d(x, merged))
     if biased:  # biases ahead of the spatial layer differ on the border only
         k = max(w.kernel_size for w in seq.layers)
@@ -133,6 +150,15 @@ def test_collapse_two_path_on_any_layer_order(name, biased):
     assert merged.groups == 1 and merged.stride == seq.stride
     assert (merged.bias is not None) == biased
     assert diff.max() <= 1e-10
+
+
+@pytest.mark.parametrize("biased", [False, True])
+def test_collapse_keeps_the_reference_bits_on_the_trial_grid(biased):
+    """Every width, expansion, kernel and stride collapse-verify draws from."""
+    grid = itertools.product((2, 4, 8), (2, 4, 6), (3, 5, 7), (1, 2))
+    for seed, (c_in, e, k, stride) in enumerate(grid):
+        assert_collapse_keeps_the_reference_bits(
+            R.random_ibn_sequence(seed, c_in, e, k, stride, biased))
 
 
 @pytest.mark.parametrize("position", [0, 1])

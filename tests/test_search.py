@@ -280,16 +280,22 @@ def test_backward_keeps_the_bits_of_the_reference(variants):
     assert np.array_equal(got.b_head, want.b_head)
 
 
-@pytest.mark.parametrize("lam", [0.0, 1e-3])
-@pytest.mark.parametrize("variants", MIXES)
-@pytest.mark.parametrize("samples", [37, 256])
-def test_train_search_keeps_the_bits_of_the_reference_loop(samples, variants, lam):
-    """37 samples leave a last batch of 5; 256 at width 8 is the CLI's default model."""
+# 37 samples leave a last batch of 5; 256 at width 8 is the CLI's default model, and
+# with moons or xor at lr 0.05 the benchmark's afrb-search.
+REFERENCE_LOOP_CASES = [
+    pytest.param(samples, variants, lam, "moons", 0.1, id=f"{samples}-{variants}-{lam}")
+    for samples in (37, 256) for variants in MIXES for lam in (0.0, 1e-3)
+] + [pytest.param(256, "a1,a1,a1", 1e-3, dataset, 0.05, id=f"bench-{dataset}")
+     for dataset in ("moons", "xor")]
+
+
+@pytest.mark.parametrize("samples,variants,lam,dataset,lr", REFERENCE_LOOP_CASES)
+def test_train_search_keeps_the_bits_of_the_reference_loop(samples, variants, lam, dataset, lr):
     vs = variants.split(",")
     width, epochs = (6, 12) if samples == 37 else (8, 6)
     models = [S.make_model([2] + [width] * len(vs), vs, seed=11) for _ in range(2)]
-    data = S.make_dataset("moons", samples, 0.3, seed=12)
-    cfg = S.SearchConfig(lam=lam, lr=0.1, epochs=epochs, batch=8, seed=13)
+    data = S.make_dataset(dataset, samples, 0.3, seed=12)
+    cfg = S.SearchConfig(lam=lam, lr=lr, epochs=epochs, batch=8, seed=13)
     trace = S.train_search(models[0], data, cfg)
     want = reference_train_search(models[1], data, cfg)
     assert (trace.loss, trace.accuracy, trace.regularizer, trace.alphas) == want
@@ -306,3 +312,4 @@ def test_diverging_train_search_raises_the_reference_message():
         errors.append(str(info.value))
     assert errors[0] == errors[1]
     assert errors[0].startswith("training diverged at epoch ")
+

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -214,6 +215,31 @@ def test_rand_tensor_deterministic():
     assert np.array_equal(a, b)
     c = T.rand_normal((5, 5), 2.0, seed=43)
     assert not np.array_equal(a, c)
+
+
+def fresh_philox_normal(shape, var, seed, index=0):
+    return math.sqrt(var) * np.random.Generator(
+        np.random.Philox(key=[seed, index])).standard_normal(shape)
+
+
+def test_rand_normal_is_a_fresh_philox_draw():
+    """Each draw equals one from a new Philox at counter 0: also after an odd-length
+    draw has left the buffer half used, for negative seeds, which Philox's key takes
+    modulo 2**64, and while a generator() drawing the same key is mid-stream, which
+    the draws leave alone."""
+    live, twin = T.generator(5, 2), T.generator(5, 2)
+    assert np.array_equal(live.standard_normal(3), twin.standard_normal(3))
+    for shape, var, seed, index in [
+        ((7,), 1.0, 3, 0),
+        ((5,), 1.0, 3, 0),
+        ((2, 3, 3), 0.25, 5, 2),
+        ((4, 1, 5, 5), 2.0, -1, 0),
+        ((3,), 0.5, -2**31 + 1, 7),
+        ((9,), 1.0, 2**31 - 1, 2**31),
+    ]:
+        assert np.array_equal(T.rand_normal(shape, var, seed, index),
+                              fresh_philox_normal(shape, var, seed, index))
+    assert np.array_equal(live.standard_normal(6), twin.standard_normal(6))
 
 
 def test_rand_tensor_zero_variance():
