@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -333,6 +334,7 @@ def _cmd_report(args) -> int:
 RESOLUTION_HELP = "input resolution to cost at (default: the descriptor's input_resolution)"
 
 
+@functools.lru_cache(maxsize=None)  # parse_args leaves a parser as it was, so main reuses one
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nnscale", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

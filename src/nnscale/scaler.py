@@ -145,6 +145,10 @@ def _candidate(w_m: float, d_m: float, column, depths) -> ScaleCandidate:
     return ScaleCandidate(w_m, d_m, widths, depths, macs, params, mass, units, True)
 
 
+def _invalid(w_m: float, d_m: float) -> ScaleCandidate:
+    return ScaleCandidate(w_m, d_m, (), (), 0, 0, 0.0, 0, valid=False)
+
+
 def enumerate_candidates(base: ArchDescriptor,
                          grid: MultiplierGrid = DEFAULT_GRID) -> List[ScaleCandidate]:
     """All grid samples in (w_m, d_m) ascending order; deterministic. A degenerate or
@@ -163,7 +167,7 @@ def enumerate_candidates(base: ArchDescriptor,
         column = _column(base, w_m)
         for d_m, depths in rows:
             if column is None or depths is None:
-                out.append(ScaleCandidate(w_m, d_m, (), (), 0, 0, 0.0, 0, valid=False))
+                out.append(_invalid(w_m, d_m))
             else:
                 out.append(_candidate(w_m, d_m, column, depths))
     return out
@@ -203,8 +207,11 @@ CSV_COLUMNS = [
 ]
 
 
-def _fmt_ints(values) -> str:
-    return "|".join(str(v) for v in values)
+def _fields(c: ScaleCandidate) -> List[str]:
+    """The text of a candidate's columns w_m to valid, as a scan writes them."""
+    return [repr(c.w_m), repr(c.d_m), "|".join(map(str, c.widths)),
+            "|".join(map(str, c.depths)), str(c.params), str(c.macs), repr(c.mass),
+            str(c.nonlinear_units), str(int(c.valid))]
 
 
 def candidates_to_csv(
@@ -217,11 +224,7 @@ def candidates_to_csv(
     w = csv.writer(buf)
     w.writerow(CSV_COLUMNS)
     for c in cands:
-        w.writerow([
-            repr(c.w_m), repr(c.d_m), _fmt_ints(c.widths), _fmt_ints(c.depths),
-            c.params, c.macs, repr(c.mass), c.nonlinear_units,
-            int(c.valid), int(id(c) in budget_set), int(c is selected),
-        ])
+        w.writerow(_fields(c) + [int(id(c) in budget_set), int(c is selected)])
     return buf.getvalue()
 
 
@@ -234,19 +237,10 @@ def _finite(text: str, name: str, positive: bool = False) -> float:
     return value
 
 
-def _digits(text: str) -> bool:
-    """Whether text is ASCII digits only: int() also takes signs, spaces, underscores
-    and non-ASCII digits, which no scan writes."""
-    return text.isascii() and text.isdigit()
-
-
 def _sizes(text: str, name: str) -> tuple:
-    entries = [v for v in text.split("|") if v]
-    values = tuple(int(v) for v in entries)
+    values = tuple(int(v) for v in text.split("|")) if text else ()
     if any(v <= 0 for v in values):
         raise ValueError(f"{name} {text!r} has an entry that is not positive")
-    if not all(map(_digits, entries)):
-        raise ValueError(f"{name} {text!r} has an entry that is not ASCII digits")
     return values
 
 
@@ -254,8 +248,6 @@ def _count(text: str, name: str) -> int:
     value = int(text)
     if value < 0:
         raise ValueError(f"{name} {text!r} is negative")
-    if not _digits(text):
-        raise ValueError(f"{name} {text!r} is not ASCII digits")
     return value
 
 
@@ -269,11 +261,11 @@ def _rows(reader):
 
 def candidates_from_csv(text: str) -> List[ScaleCandidate]:
     """Parse a scan CSV back into candidates (in_budget/selected flags dropped). A row
-    with a non-finite mass, a multiplier that is not finite and positive, a stage
-    width or depth that is not positive, a negative count, a width, depth or count
-    that is not ASCII digits, a valid flag other than 0/1, or a valid row without one
-    depth per stage width is refused with the number of the line it ends on; blank
-    lines are skipped."""
+    is refused, with the number of the line it ends on, when a flag is not 0 or 1, a
+    value fails its check (a non-finite mass, a multiplier that is not finite and
+    positive, a width or depth entry that is not positive, a negative count, a valid
+    row without one depth per stage width), or its fields w_m to valid are not as the
+    writer renders the row (an invalid one as _invalid); blank lines are skipped."""
     reader = csv.reader(io.StringIO(text))
     rows = _rows(reader)
     header = next(rows, None)
@@ -287,8 +279,9 @@ def candidates_from_csv(text: str) -> List[ScaleCandidate]:
         if len(row) != len(CSV_COLUMNS):
             raise ScaleError(f"line {lineno}: expected {len(CSV_COLUMNS)} columns")
         try:
-            if row[8] not in ("0", "1"):
-                raise ValueError(f"valid {row[8]!r} is not 0 or 1")
+            for name, flag in zip(CSV_COLUMNS[8:], row[8:]):
+                if flag not in ("0", "1"):
+                    raise ValueError(f"{name} {flag!r} is not 0 or 1")
             c = ScaleCandidate(
                 w_m=_finite(row[0], "w_m", positive=True),
                 d_m=_finite(row[1], "d_m", positive=True),
@@ -303,6 +296,10 @@ def candidates_from_csv(text: str) -> List[ScaleCandidate]:
             if c.valid and not len(c.widths) == len(c.depths) > 0:
                 raise ValueError(f"valid row needs one depth per stage width, got widths "
                                  f"{row[2]!r} and depths {row[3]!r}")
+            want = _fields(c if c.valid else _invalid(c.w_m, c.d_m))
+            if row[:9] != want:
+                i = next(i for i in range(9) if row[i] != want[i])
+                raise ValueError(f"{CSV_COLUMNS[i]} {row[i]!r} should be written {want[i]!r}")
             out.append(c)
         except ValueError as exc:
             raise ScaleError(f"line {lineno}: {exc}") from exc

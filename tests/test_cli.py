@@ -756,24 +756,24 @@ def test_report_rejects_non_positive_scan_row(tmp_path, capsys):
      + ",3,5,2,3.0,4,1,0,0\n",
      "error: line 2: field larger than field limit (131072)\n"),
     ("x" * 140_000 + "\n", "error: line 1: field larger than field limit (131072)\n"),
-    # a quoted in_budget field spans lines 2-3, so the next row ends on line 4
+    # a quoted in_budget field spans lines 2-3, and its row is refused on line 3
     (",".join(S.CSV_COLUMNS) + '\n1.0,1.0,8,1,5,2,5.0,4,1,"0\n",0\n'
      "1.0,1.0,8,1,-5,2,3.0,4,1,0,0\n",
-     "error: line 4: params '-5' is negative\n"),
+     "error: line 3: in_budget '0\\n' is not 0 or 1\n"),
     (",".join(S.CSV_COLUMNS) + '\n1.0,1.0,"8\n",1,5,2,5.0,4,1,0,0\n',
-     "error: line 3: widths '8\\n' has an entry that is not ASCII digits\n"),
+     "error: line 3: widths '8\\n' should be written '8'\n"),
     (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8_0,1,5,2,5.0,4,1,0,0\n",
-     "error: line 2: widths '8_0' has an entry that is not ASCII digits\n"),
+     "error: line 2: widths '8_0' should be written '80'\n"),
     (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8,1,1_000,2,5.0,4,1,0,0\n",
-     "error: line 2: params '1_000' is not ASCII digits\n"),
+     "error: line 2: params '1_000' should be written '1000'\n"),
     (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8,+8,5,2,5.0,4,1,0,0\n",
-     "error: line 2: depths '+8' has an entry that is not ASCII digits\n"),
+     "error: line 2: depths '+8' should be written '8'\n"),
     (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8|16,1| 8,5,2,5.0,4,1,0,0\n",
-     "error: line 2: depths '1| 8' has an entry that is not ASCII digits\n"),
+     "error: line 2: depths '1| 8' should be written '1|8'\n"),
     (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8,1,5,2,5.0,\u0668,1,0,0\n",
-     "error: line 2: nonlinear_units '\u0668' is not ASCII digits\n"),
+     "error: line 2: nonlinear_units '\u0668' should be written '8'\n"),
     (",".join(S.CSV_COLUMNS) + "\n1.0,1.0,8,1,5,-0,5.0,4,1,0,0\n",
-     "error: line 2: macs '-0' is not ASCII digits\n"),
+     "error: line 2: macs '-0' should be written '0'\n"),
 ], ids=["empty_file", "short_row", "oversized_field", "oversized_header",
         "row_after_multi_line_field", "newline_in_width", "underscore_in_width",
         "underscore_in_params", "plus_sign_in_depth", "space_in_depth",

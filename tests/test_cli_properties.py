@@ -1,20 +1,24 @@
 """Property tests of the CLI. The exit-code contract: every command, given flags
 drawn from a small vocabulary of good, malformed and non-finite values, exits 0, 1
-with `error: ...`, or 2 with a usage message, and never raises. Cross-command
-consistency: a file one command writes or reports gives the same numbers under the
-commands that read it."""
+with `error: ...`, or 2 with a usage message, and never raises. Input boundaries:
+`report` accepts a scan only in the text `scale` writes, and no command accepts a
+descriptor that `arch-validate` refuses. Cross-command consistency: a file one
+command writes or reports gives the same numbers under the commands that read it."""
 
 import contextlib
+import csv
 import io
 import json
+import re
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import nnscale.scaler as S
 from nnscale.cli import main
 
 from conftest import PROFILE
-from test_descriptors import stage_descriptors
+from test_descriptors import full_descriptors, stage_descriptors
 
 VALUES = ["0", "-1", "1", "2", "3", "0.5", "1e9", "nan", "inf", "1e400", "x", "2,x"]
 BUDGETS = ["4e9:28e6", "1:1", "-1:5", "0:0", "nan:1", "1e400:1", "a:b", "1:2:3", "x"]
@@ -51,6 +55,18 @@ def scan_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def mutated_scan_csv(scan_csv):
+    """The scan with its first w_m, 0.25, written as 00.25."""
+    with open(scan_csv, newline="") as fh:
+        text = fh.read().replace("\n0.25,", "\n00.25,", 1)
+    assert "\n00.25," in text
+    path = scan_csv.replace("scan.csv", "mutated.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
@@ -67,10 +83,12 @@ def argvs(draw):
 
 
 @settings(**PROFILE)
-@given(argvs())
-def test_every_command_keeps_the_exit_code_contract(scan_csv, argv):
+@given(argvs(), st.booleans())
+@example(argv=["report"], mutated=True)
+def test_every_command_keeps_the_exit_code_contract(scan_csv, mutated_scan_csv, argv,
+                                                     mutated):
     if argv[0] == "report":
-        argv = argv + ["--scan", scan_csv]
+        argv = argv + ["--scan", mutated_scan_csv if mutated else scan_csv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -86,16 +104,85 @@ def test_every_command_keeps_the_exit_code_contract(scan_csv, argv):
         assert "usage: nnscale" in text
 
 
-# Each example below runs up to 20 commands; 100 examples keep tier-1 near 30 s.
-CHAIN_PROFILE = dict(PROFILE, max_examples=100)
-
-
 def _run(*argv):
     """Exit code and stdout of one in-process run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv))
     return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def edit_scan(tmp_path_factory):
+    """The text of a scan that scale writes (with its \\r\\n line ends) on a 3 x 2 grid
+    whose first w_m column is degenerate, so it holds invalid rows and valid ones."""
+    path = tmp_path_factory.mktemp("edit") / "scan.csv"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["scale", "--preset", "convnext-t", "--wmin", "0.005", "--wmax", "1",
+                     "--wsteps", "3", "--dsteps", "2", "--out", str(path)]) == 0
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+@st.composite
+def one_edit(draw, text):
+    """text with one character inserted, deleted or replaced after the header line."""
+    start = text.index("\n") + 1
+    op = draw(st.sampled_from(["insert", "delete", "replace"]))
+    at = draw(st.integers(start, len(text) - (op != "insert")))
+    char = "" if op == "delete" else draw(st.sampled_from("0123456789_+-.|\"e \n\u0668"))
+    return text[:at] + char + text[at + (op != "insert"):]
+
+
+@settings(**PROFILE)
+@given(st.data())
+def test_report_accepts_only_the_text_scale_writes(tmp_path_factory, edit_scan, data):
+    """A scan with one edited character is refused with one `error: line N:` line for a
+    line N of the file, or it is read back into candidates that the writer renders as
+    the edited columns w_m to valid, with 0/1 flags."""
+    path = tmp_path_factory.getbasetemp() / "edited-scan.csv"
+    path.write_text(data.draw(one_edit(edit_scan)), encoding="utf-8", newline="")
+    text = path.read_text(encoding="utf-8")  # with the newlines report reads
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", "--scan", str(path)])
+    if code == 1:
+        assert out.getvalue() == ""
+        match = re.fullmatch(r"error: line (\d+): [^\n]*\n", err.getvalue())
+        assert match, err.getvalue()
+        assert 1 <= int(match[1]) <= text.count("\n") + (not text.endswith("\n"))
+        return
+    assert code == 0
+    edited = [row for row in csv.reader(io.StringIO(text)) if row][1:]
+    written = S.candidates_to_csv(S.candidates_from_csv(text))
+    assert [row[:9] for row in edited] == [row[:9] for row in
+                                           list(csv.reader(io.StringIO(written)))[1:]]
+    assert all(row[9] in ("0", "1") and row[10] in ("0", "1") for row in edited)
+
+
+# The commands that read a descriptor file; scale and pareto on the 1 x 1 grid at 1.
+ONE_BY_ONE = ["--wmin", "1", "--wmax", "1", "--wsteps", "1",
+              "--dmin", "1", "--dmax", "1", "--dsteps", "1"]
+DESCRIPTOR_COMMANDS = [["cost"], ["restructure"], ["scale", *ONE_BY_ONE],
+                       ["pareto", *ONE_BY_ONE]]
+
+
+@settings(**PROFILE)
+@given(st.one_of(full_descriptors(), stage_descriptors()))
+def test_no_command_accepts_a_descriptor_arch_validate_refuses(tmp_path_factory,
+                                                               descriptor):
+    """The converse need not hold: mass and restructure refuse some files that
+    arch-validate accepts, by design."""
+    path = tmp_path_factory.getbasetemp() / "boundary-arch.json"
+    path.write_text(json.dumps(descriptor))
+    if _run("arch-validate", "--arch", str(path))[0] == 0:
+        return
+    for command, *flags in DESCRIPTOR_COMMANDS:
+        assert _run(command, "--arch", str(path), *flags)[0] == 1, command
+
+
+# Each example below runs up to 20 commands; 100 examples keep tier-1 near 30 s.
+CHAIN_PROFILE = dict(PROFILE, max_examples=100)
 
 
 @settings(**CHAIN_PROFILE)
