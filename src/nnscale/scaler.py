@@ -238,14 +238,20 @@ def _finite(text: str, name: str, positive: bool = False) -> float:
 
 
 def _sizes(text: str, name: str) -> tuple:
-    values = tuple(int(v) for v in text.split("|")) if text else ()
+    try:
+        values = tuple(int(v) for v in text.split("|")) if text else ()
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not a '|'-separated list of integers") from None
     if any(v <= 0 for v in values):
         raise ValueError(f"{name} {text!r} has an entry that is not positive")
     return values
 
 
 def _count(text: str, name: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not an integer") from None
     if value < 0:
         raise ValueError(f"{name} {text!r} is negative")
     return value
@@ -264,14 +270,17 @@ def candidates_from_csv(text: str) -> List[ScaleCandidate]:
     is refused, with the number of the line it ends on, when a flag is not 0 or 1, a
     value fails its check (a non-finite mass, a multiplier that is not finite and
     positive, a width or depth entry that is not positive, a negative count, a valid
-    row without one depth per stage width), or its fields w_m to valid are not as the
-    writer renders the row (an invalid one as _invalid); blank lines are skipped."""
+    row without one depth per stage width), its fields w_m to valid are not as the
+    writer renders the row (an invalid one as _invalid), or its flags are not ones
+    a scan writes (in_budget or selected on an invalid row, selected on a row not in
+    the budget, a second selected row); blank lines are skipped."""
     reader = csv.reader(io.StringIO(text))
     rows = _rows(reader)
     header = next(rows, None)
     if header != CSV_COLUMNS:
         raise ScaleError(f"unexpected CSV header {header!r}")
     out = []
+    selected_on = None  # the line the selected row ends on
     for row in rows:
         lineno = reader.line_num
         if not row:
@@ -300,6 +309,15 @@ def candidates_from_csv(text: str) -> List[ScaleCandidate]:
             if row[:9] != want:
                 i = next(i for i in range(9) if row[i] != want[i])
                 raise ValueError(f"{CSV_COLUMNS[i]} {row[i]!r} should be written {want[i]!r}")
+            in_budget, selected = row[9] == "1", row[10] == "1"
+            if (in_budget or selected) and not c.valid:
+                raise ValueError(f"{'in_budget' if in_budget else 'selected'} '1' needs valid '1'")
+            if selected and not in_budget:
+                raise ValueError("selected '1' needs in_budget '1'")
+            if selected and selected_on is not None:
+                raise ValueError(f"a second selected row; the first ends on line {selected_on}")
+            if selected:
+                selected_on = lineno
             out.append(c)
         except ValueError as exc:
             raise ScaleError(f"line {lineno}: {exc}") from exc

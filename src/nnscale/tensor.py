@@ -12,12 +12,18 @@ counter 0, key [seed, index] and an empty buffer: the draw a new Philox with tha
 would give, without building one (about 20 us: a SeedSequence from OS entropy, which
 the key then discards, and the Philox itself). Resetting costs a few microseconds, but
 it makes rand_normal unsafe to call from two threads at once.
+
+map_trials runs independent seeded trials on every CPU the process may use, in
+forked worker processes; the results are those of the plain loop, in order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+import os
+import pickle
+import signal
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -156,3 +162,78 @@ def rand_normal(shape, var: float, seed: int, index: int = 0) -> np.ndarray:
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return math.sqrt(var) * _DRAWS.standard_normal(shape)
+
+
+def map_trials(fn: Callable, items: Sequence) -> List:
+    """[fn(x) for x in items], in order and by value, over one contiguous chunk of
+    items per CPU the process may use (os.sched_getaffinity; 1 where that is
+    missing), never more chunks than items. Chunk 0 runs here; each other chunk
+    runs in a forked child, which pickles ("ok", results) or ("err", exception)
+    into its own pipe and leaves by os._exit, so it runs no atexit handler and
+    flushes no stdio. A child's exception is raised again here; a child that leaves
+    no result (killed, out of memory) is an NnscaleError naming how it ended. Every
+    child is killed and reaped before this returns or raises, also on an interrupt.
+    With one CPU there is no child, and this loop is the serial run.
+
+    numpy's batched SVD holds the GIL, so threads would not help; a child shares
+    the parent's memory copy-on-write and needs no pickling of fn or items."""
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(cpus, len(items)))
+    bounds = [len(items) * i // workers for i in range(workers + 1)]
+    children = []  # (pid, read end of its pipe), until reaped
+    try:
+        for i in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _run_chunk(fn, items[bounds[i]:bounds[i + 1]], read_end, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [fn(x) for x in items[:bounds[1]]]
+        while children:
+            pid, read_end = children[0]
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(read_end)
+            del children[0]
+            if status or not data:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise NnscaleError(f"a trial worker ended without a result ({how})")
+            kind, value = pickle.loads(data)
+            if kind == "err":
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, read_end in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+            os.close(read_end)
+
+
+def _run_chunk(fn: Callable, chunk: list, read_end: int, write_end: int) -> None:
+    """A forked child's whole life: run the chunk, write the pickled reply, and leave
+    by os._exit, with code 0 only once the reply is written."""
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            reply = ("ok", [fn(x) for x in chunk])
+        except BaseException as exc:
+            reply = ("err", exc)
+        with open(write_end, "wb") as pipe:
+            pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)

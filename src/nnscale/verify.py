@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .archspec import NUMBER_BOUND, NnscaleError, Record, replace
-from .tensor import generator, singular_values_batch
+from .tensor import generator, map_trials, singular_values_batch
 from .topology import IsometryBounds, ldi_bounds, log2_montufar_bound
 
 
@@ -81,14 +81,27 @@ class LdiReport(Record):
 
 
 # A run draws trials x depth x width x (width + skips) float64 weight entries but
-# holds one trial's network at a time; 2**24 entries bound the work, not memory.
+# each worker process holds one trial's network at a time; 2**24 entries bound the
+# work, not memory.
 MAX_LDI_ENTRIES = 2**24
+
+
+def _mean_singular_values(cfg: LinearDensenetConfig) -> np.ndarray:
+    """One trial: the mean singular value of each layer of cfg's network, [depth]."""
+    weights = build_linear_densenet(cfg).weights
+    row = np.empty(cfg.depth)
+    # layers 0-1 are square and the rest carry skips: one batched SVD each
+    row[:2] = singular_values_batch(np.stack(weights[:2])).mean(axis=1)
+    row[2:] = singular_values_batch(np.stack(weights[2:])).mean(axis=1)
+    return row
 
 
 def ldi_report(cfg: LinearDensenetConfig, trials: int) -> LdiReport:
     """Monte-Carlo check of the singular-value bounds. The layerwise Jacobian of a
     linear layer is its weight matrix; each (layer, trial) pair contributes its mean
-    singular value, and fraction_within counts how many fall inside the bounds."""
+    singular value, and fraction_within counts how many fall inside the bounds.
+    Trial t is the network at seed cfg.seed + t; the trials run through map_trials,
+    one [depth] row each, so the report is the same on any number of CPUs."""
     if trials < 50:
         raise VerifyError("need at least 50 trials")
     entries = trials * cfg.depth * cfg.width * (cfg.width + cfg.skip_channels)
@@ -96,12 +109,8 @@ def ldi_report(cfg: LinearDensenetConfig, trials: int) -> LdiReport:
         raise VerifyError(f"trials x depth x width x (width + skips) = {entries} "
                           f"weight entries exceeds {MAX_LDI_ENTRIES}")
     bounds = ldi_bounds(cfg.q, cfg.width, cfg.k_hat)
-    mean_sv = np.empty((trials, cfg.depth))
-    for t in range(trials):
-        weights = build_linear_densenet(replace(cfg, seed=cfg.seed + t)).weights
-        # layers 0-1 are square and the rest carry skips: one batched SVD each
-        mean_sv[t, :2] = singular_values_batch(np.stack(weights[:2])).mean(axis=1)
-        mean_sv[t, 2:] = singular_values_batch(np.stack(weights[2:])).mean(axis=1)
+    mean_sv = np.array(map_trials(
+        _mean_singular_values, [replace(cfg, seed=cfg.seed + t) for t in range(trials)]))
     within = (mean_sv >= bounds.lower) & (mean_sv <= bounds.upper)
     return LdiReport(
         per_layer_mean_sv=tuple(mean_sv.mean(axis=0).tolist()), k_hat=cfg.k_hat,
@@ -145,7 +154,8 @@ class RegionCount(Record):
 
 # A trend evaluates trials x depths x grid^n0 lattice points; the default run 9.8M.
 # This bounds work, not memory: a count holds one net's lattice as one int64 code
-# per point (and a 1-byte mask while counting), plus one chunk's activations.
+# per point (and a 1-byte mask while counting), plus one chunk's activations, and
+# each worker process of montufar_trend holds one count at a time.
 MAX_LATTICE_POINTS = 2**26
 LATTICE_CHUNK = 2**13
 
@@ -191,23 +201,7 @@ def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCo
     return RegionCount(distinct, grid, x_units)
 
 
-def montufar_consistency(
-    n: int,
-    n0: int,
-    layers: int,
-    trials: int,
-    grid: int = 256,
-    box_radius: float = 2.0,
-    seed: int = 0,
-) -> dict:
-    """Observed pattern counts of random (n0 -> n x layers -> 1) rectifier nets next
-    to the 2^X ceiling and the constructive depth bound. The ceiling is asserted on
-    every trial; depth trends are reported, not asserted."""
-    counts = []
-    for t in range(trials):
-        net = random_relu_net(n0, n, layers, seed=seed * 100003 + t)
-        rc = count_linear_regions(net, box_radius, grid)
-        counts.append(rc.distinct_patterns)
+def _consistency(n: int, n0: int, layers: int, trials: int, grid: int, counts: list) -> dict:
     x_units = n * layers
     return {
         "n": n,
@@ -223,6 +217,22 @@ def montufar_consistency(
     }
 
 
+def montufar_consistency(
+    n: int,
+    n0: int,
+    layers: int,
+    trials: int,
+    grid: int = 256,
+    box_radius: float = 2.0,
+    seed: int = 0,
+) -> dict:
+    """Observed pattern counts of random (n0 -> n x layers -> 1) rectifier nets next
+    to the 2^X ceiling and the constructive depth bound. The ceiling is asserted on
+    every trial; depth trends are reported, not asserted. This is montufar_trend's
+    report at the one depth."""
+    return montufar_trend(n, n0, [layers], trials, grid, box_radius, seed)["reports"][0]
+
+
 def montufar_trend(
     n: int,
     n0: int,
@@ -233,13 +243,20 @@ def montufar_trend(
     seed: int = 0,
 ) -> dict:
     """Reports per-depth consistency plus whether mean observed patterns were
-    non-decreasing in depth. Every input is checked before any network is built."""
+    non-decreasing in depth. Every input is checked before any network is built.
+    Trial t's net has seed seed * 100003 + t at every depth, and all (depth, trial)
+    nets are counted in one map_trials call, so the report is the same on any
+    number of CPUs."""
     log2_montufar_bound(n, n0, min(layer_counts))  # refuses unless n >= n0 >= 1, layers >= 1
     _check_lattice(n0, n * max(layer_counts), grid, box_radius, trials * len(layer_counts))
-    reports = [
-        montufar_consistency(n, n0, layers, trials, grid, box_radius, seed)
-        for layers in layer_counts
-    ]
+
+    def count(job) -> int:
+        layers, t = job
+        net = random_relu_net(n0, n, layers, seed=seed * 100003 + t)
+        return count_linear_regions(net, box_radius, grid).distinct_patterns
+    counts = map_trials(count, [(layers, t) for layers in layer_counts for t in range(trials)])
+    reports = [_consistency(n, n0, layers, trials, grid, counts[i * trials:(i + 1) * trials])
+               for i, layers in enumerate(layer_counts)]
     means = [r["mean_patterns"] for r in reports]
     return {
         "reports": reports,

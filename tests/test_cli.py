@@ -565,7 +565,8 @@ def test_cli_import_does_not_load_scipy():
 
 def test_descriptor_commands_do_not_load_numpy(tmp_path):
     """Each descriptor command, alone in a fresh interpreter, ends without numpy,
-    dataclasses or inspect loaded (report reads the scan that scale wrote)."""
+    dataclasses, inspect or nnscale.tensor (with map_trials) loaded (report reads
+    the scan that scale wrote)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for argv in (["arch-validate", "--preset", "convnext-t"],
                  ["cost", "--preset", "convnext-t"],
@@ -577,10 +578,40 @@ def test_descriptor_commands_do_not_load_numpy(tmp_path):
         probe = ("import sys\n"
                  "from nnscale.cli import main\n"
                  f"assert main({argv!r}) == 0\n"
-                 "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
+                 "print(sorted({'numpy', 'dataclasses', 'inspect', 'nnscale.tensor'}"
+                 " & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
                              capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == "[]", argv
+
+
+TRIAL_RUNS = [
+    ["ldi", "--width", "8", "--depth", "6", "--skips", "4", "--trials", "50", "--seed", "3"],
+    ["regions", "--layers", "2,3", "--trials", "3", "--grid", "64", "--seed", "2"],
+    ["collapse-verify", "--trials", "9", "--size", "8", "--seed", "4"],
+    ["collapse-verify", "--trials", "9", "--size", "8", "--seed", "4", "--biased"],
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and two CPUs")
+def test_trial_commands_write_the_same_bytes_on_one_cpu(tmp_path):
+    """ldi, regions and collapse-verify in fresh interpreters: pinned to one CPU
+    (no trial worker) and unpinned (one per CPU), every output byte is the same."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    cpu = min(os.sched_getaffinity(0))
+    def outputs(argv, pinned):
+        directory = tmp_path / f"{argv[0]}-{len(argv)}-{pinned}"
+        directory.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "nnscale.cli", *argv, "--out", "out.json"], env=env,
+            cwd=directory, capture_output=True,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pinned else None)
+        return proc.returncode, proc.stdout, proc.stderr, (directory / "out.json").read_bytes()
+    for argv in TRIAL_RUNS:
+        pinned = outputs(argv, True)
+        assert pinned[:3] == (0, b"", b"") and pinned[3].startswith(b"{"), argv
+        assert outputs(argv, False) == pinned, argv
 
 
 def test_every_module_error_shares_one_base():

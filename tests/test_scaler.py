@@ -218,6 +218,12 @@ def test_csv_roundtrip(grid_800):
     text = S.candidates_to_csv(grid_800[:10])
     back = S.candidates_from_csv(text)
     assert back == grid_800[:10]
+    # with the flags scale and pareto write
+    budget = S.Budget(target_macs=int(4.5e9), target_params=int(28e6), tolerance=0.25)
+    matches = S.filter_budget(grid_800, budget)
+    chosen = S.select_max_mass(matches)
+    for cands in (grid_800, S.pareto_frontier(grid_800, "macs")):
+        assert S.candidates_from_csv(S.candidates_to_csv(cands, matches, chosen)) == cands
 
 
 def test_csv_reports_budget_and_selection(grid_800):
@@ -235,7 +241,10 @@ def test_csv_reports_budget_and_selection(grid_800):
 def test_csv_rejects_malformed_row():
     good = "1.0,1.0,8,1,5,2,5.0,4,1,0,0\n"
     for row, message in [
-        ("1.0,1.0,8,1,abc,2,3.0,4,1,0,0", "invalid literal"),
+        ("1.0,1.0,8,1,abc,2,3.0,4,1,0,0", "params 'abc' is not an integer"),
+        ("1.0,1.0,24||48,1|1,5,2,3.0,4,1,0,0",
+         "widths '24||48' is not a '|'-separated list of integers"),
+        ("1.0,1.0,8,1,5,2,3.0,x4,1,0,0", "nonlinear_units 'x4' is not an integer"),
         ("nan,1.0,8,1,5,2,3.0,4,1,0,0", "w_m 'nan' is not finite"),
         ("1.0,inf,8,1,5,2,3.0,4,1,0,0", "d_m 'inf' is not finite"),
         ("1.0,1.0,8,1,5,2,nan,4,1,0,0", "mass 'nan' is not finite"),
@@ -258,6 +267,26 @@ def test_csv_rejects_malformed_row():
         text = ",".join(S.CSV_COLUMNS) + "\n" + good + row + "\n"
         with pytest.raises(S.ScaleError, match=re.escape(f"line 3: {message}")):
             S.candidates_from_csv(text)
+
+
+INVALID_ROW = "0.005,1.0,,,0,0,0.0,0,0"
+VALID_ROW = "1.0,1.0,8,1,5,2,5.0,4,1"
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([INVALID_ROW + ",1,0"], "line 2: in_budget '1' needs valid '1'"),
+    ([INVALID_ROW + ",0,1"], "line 2: selected '1' needs valid '1'"),
+    ([VALID_ROW + ",0,0", VALID_ROW + ",0,1"], "line 3: selected '1' needs in_budget '1'"),
+    ([VALID_ROW + ",1,1", VALID_ROW + ",1,0", VALID_ROW + ",1,1"],
+     "line 4: a second selected row; the first ends on line 2"),
+    ([VALID_ROW + ",1,1", "", VALID_ROW + ",1,1"],
+     "line 4: a second selected row; the first ends on line 2"),
+], ids=["in_budget_on_invalid", "selected_on_invalid", "selected_outside_budget",
+        "second_selected", "second_selected_after_blank_line"])
+def test_csv_rejects_flags_no_scan_writes(rows, message):
+    text = ",".join(S.CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n"
+    with pytest.raises(S.ScaleError, match=re.escape(message)):
+        S.candidates_from_csv(text)
 
 
 def assert_same_candidates(got, want):

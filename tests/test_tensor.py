@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from scipy.signal import correlate2d
 
 import nnscale.restructure as R
 import nnscale.tensor as T
+from nnscale.archspec import NnscaleError
+from nnscale.cli import main
 
 
 def ref_conv_same(x, kernel, bias=None, stride=1):
@@ -250,3 +255,97 @@ def test_rand_tensor_zero_variance():
 def test_rand_tensor_sample_variance():
     a = T.rand_normal((1_000_000,), 0.25, seed=9)
     assert abs(a.var() - 0.25) / 0.25 <= 0.01
+
+
+@pytest.fixture(params=[1, 2, 3, 4], ids=lambda n: f"{n}cpu")
+def cpus(request, monkeypatch):
+    """map_trials sees this many CPUs; no child may outlive the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    yield request.param
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_child(parent_pid: int) -> bool:
+    return os.getpid() != parent_pid
+
+
+@pytest.mark.parametrize("n_items", [0, 1, 2, 3, 7])
+def test_map_trials_is_the_list_comprehension(cpus, n_items):
+    parent = os.getpid()
+    def fn(x):
+        return x, x / 3, np.arange(x, dtype=np.float64) ** 0.5
+    got = T.map_trials(fn, range(n_items))
+    want = [fn(x) for x in range(n_items)]
+    assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
+    assert all(np.array_equal(g[2], w[2]) for g, w in zip(got, want))
+    # one process per chunk, and chunk 0 runs in the caller
+    pids = T.map_trials(lambda x: os.getpid(), range(n_items))
+    assert (len(set(pids)) == min(cpus, n_items)) and (not pids or pids[0] == parent)
+
+
+@pytest.mark.parametrize("n_items", [1, 2, 3, 7])
+def test_map_trials_raises_a_child_exception(cpus, n_items):
+    def fn(x):
+        if x == n_items - 1:
+            raise R.RestructureError(f"trial {x} failed")
+        return x
+    with pytest.raises(R.RestructureError, match=f"^trial {n_items - 1} failed$"):
+        T.map_trials(fn, range(n_items))
+
+
+def test_map_trials_raises_the_first_failing_item(cpus):
+    def fn(x):
+        if x >= 4:
+            raise ValueError(f"item {x}")
+        return x
+    with pytest.raises(ValueError, match="^item 4$"):
+        T.map_trials(fn, range(7))
+
+
+@pytest.mark.parametrize("how,message", [
+    (lambda: os._exit(3), "exit code 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+], ids=["exit_3", "sigkill"])
+@pytest.mark.parametrize("n_items", [2, 3, 7])
+def test_map_trials_child_without_a_result_is_a_domain_error(cpus, n_items, how, message):
+    parent = os.getpid()
+    def fn(x):
+        if in_child(parent):
+            how()
+        return x
+    if cpus == 1:  # no child: the serial run
+        assert T.map_trials(fn, range(n_items)) == list(range(n_items))
+        return
+    with pytest.raises(NnscaleError, match=rf"^a trial worker ended without a result "
+                                           rf"\({message}\)$"):
+        T.map_trials(fn, range(n_items))
+
+
+def test_map_trials_interrupt_kills_every_child(cpus):
+    parent = os.getpid()
+    def fn(x):
+        if in_child(parent):
+            time.sleep(60)
+        raise KeyboardInterrupt
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        T.map_trials(fn, range(7))
+    assert time.perf_counter() - start < 10
+
+
+def test_cli_maps_a_lost_trial_worker_to_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+    trial = R.collapse_trial
+    def exit_in_child(*args, **kwargs):
+        if in_child(parent):
+            os._exit(3)
+        return trial(*args, **kwargs)
+    monkeypatch.setattr(R, "collapse_trial", exit_in_child)
+    code = main(["collapse-verify", "--trials", "4", "--size", "6"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", "error: a trial worker ended without a result (exit code 3)\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
