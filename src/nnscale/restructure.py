@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from .archspec import Ibn, NnscaleError, Record
-from .tensor import ConvWeights, conv2d, generator, map_trials, rand_normal
+from .tensor import ConvWeights, conv2d, generator, rand_normal
 
 # A searched block whose alpha lands in this band (inclusive) is collapsed.
 COLLAPSE_BAND = (0.8, 1.3)
@@ -200,20 +200,18 @@ def collapse_trial(
 def collapse_verify(trials: int, seed: int, size: int, biased: bool) -> dict:
     """collapse_trial on `trials` sequences whose widths, expansions, kernels, strides
     and seeds are drawn from one generator at `seed`; reports every trial and the
-    maxima over them. Every trial is drawn first, then the trials run through
-    map_trials, so the report is the same on any number of CPUs."""
+    maxima over them."""
     if (work := trials * size ** 2) > MAX_TRIAL_WORK:
         raise RestructureError(f"trials x size^2 = {work} exceeds {MAX_TRIAL_WORK}")
     gen = generator(seed)
-    draws = []
+    reports = []
     for _ in range(trials):
         c_in = int(gen.choice([2, 4, 8]))
         e = float(gen.choice([2, 4, 6]))
         k = int(gen.choice([3, 5, 7]))
         stride = int(gen.choice([1, 2]))
-        draws.append((int(gen.integers(0, 2**31)), c_in, e, k, stride))
-    reports = map_trials(
-        lambda draw: collapse_trial(*draw, size=size, biased=biased), draws)
+        trial_seed = int(gen.integers(0, 2**31))
+        reports.append(collapse_trial(trial_seed, c_in, e, k, stride, size=size, biased=biased))
     interior = [r["max_abs_diff_interior"] for r in reports
                 if r["max_abs_diff_interior"] is not None]
     return {

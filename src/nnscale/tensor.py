@@ -12,9 +12,6 @@ counter 0, key [seed, index] and an empty buffer: the draw a new Philox with tha
 would give, without building one (about 20 us: a SeedSequence from OS entropy, which
 the key then discards, and the Philox itself). Resetting costs a few microseconds, but
 it makes rand_normal unsafe to call from two threads at once.
-
-map_trials runs independent seeded trials on every CPU the process may use, in
-forked worker processes; the results are those of the plain loop, in order.
 """
 
 from __future__ import annotations
@@ -164,24 +161,30 @@ def rand_normal(shape, var: float, seed: int, index: int = 0) -> np.ndarray:
     return math.sqrt(var) * _DRAWS.standard_normal(shape)
 
 
+# map_trials runs at most this many chunks at once, the caller's included. The gain
+# was measured on two CPUs only; each fork costs about 4 ms, so more workers on a
+# larger host could cost more than they save.
+MAX_WORKERS = 2
+
+
 def map_trials(fn: Callable, items: Sequence) -> List:
     """[fn(x) for x in items], in order and by value, over one contiguous chunk of
-    items per CPU the process may use (os.sched_getaffinity; 1 where that is
-    missing), never more chunks than items. Chunk 0 runs here; each other chunk
-    runs in a forked child, which pickles ("ok", results) or ("err", exception)
-    into its own pipe and leaves by os._exit, so it runs no atexit handler and
-    flushes no stdio. A child's exception is raised again here; a child that leaves
-    no result (killed, out of memory) is an NnscaleError naming how it ended. Every
-    child is killed and reaped before this returns or raises, also on an interrupt.
-    With one CPU there is no child, and this loop is the serial run.
+    items per worker: one per CPU the process may use (os.sched_getaffinity; 1 where
+    that is missing), at most MAX_WORKERS and never more than items. Chunk 0 runs
+    here; each other chunk runs in a forked child, which pickles ("ok", results) or
+    ("err", exception) into its own pipe and leaves by os._exit, so it runs no atexit
+    handler and flushes no stdio. A child's exception is raised again here; a child
+    that leaves no result (killed, out of memory) is an NnscaleError naming how it
+    ended. Every child is killed and reaped before this returns or raises, also on an
+    interrupt. With one worker there is no child, and this loop is the serial run.
 
-    numpy's batched SVD holds the GIL, so threads would not help; a child shares
-    the parent's memory copy-on-write and needs no pickling of fn or items."""
+    Processes, not threads: numpy's batched SVD holds the GIL, and a forked child
+    needs no pickling of fn or items."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = max(1, min(cpus, len(items)))
+    workers = max(1, min(cpus, MAX_WORKERS, len(items)))
     bounds = [len(items) * i // workers for i in range(workers + 1)]
-    children = []  # (pid, read end of its pipe), until reaped
+    children = []  # (pid, read end of its pipe) of each child the finally must reap
     try:
         for i in range(1, workers):
             read_end, write_end = os.pipe()
@@ -193,16 +196,18 @@ def map_trials(fn: Callable, items: Sequence) -> List:
                 raise
             if pid == 0:
                 _run_chunk(fn, items[bounds[i]:bounds[i + 1]], read_end, write_end)
-            os.close(write_end)
             children.append((pid, read_end))
+            os.close(write_end)
         results = [fn(x) for x in items[:bounds[1]]]
         while children:
             pid, read_end = children[0]
             with open(read_end, "rb", closefd=False) as pipe:
                 data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            os.close(read_end)
+            # The child has closed its pipe, so it is ending. Drop it before the reap:
+            # a reaped pid may be reused, and the finally must not kill or wait for it.
             del children[0]
+            os.close(read_end)
+            status = os.waitpid(pid, 0)[1]
             if status or not data:
                 code = os.waitstatus_to_exitcode(status)
                 how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"

@@ -588,16 +588,14 @@ def test_descriptor_commands_do_not_load_numpy(tmp_path):
 TRIAL_RUNS = [
     ["ldi", "--width", "8", "--depth", "6", "--skips", "4", "--trials", "50", "--seed", "3"],
     ["regions", "--layers", "2,3", "--trials", "3", "--grid", "64", "--seed", "2"],
-    ["collapse-verify", "--trials", "9", "--size", "8", "--seed", "4"],
-    ["collapse-verify", "--trials", "9", "--size", "8", "--seed", "4", "--biased"],
 ]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs sched_setaffinity and two CPUs")
 def test_trial_commands_write_the_same_bytes_on_one_cpu(tmp_path):
-    """ldi, regions and collapse-verify in fresh interpreters: pinned to one CPU
-    (no trial worker) and unpinned (one per CPU), every output byte is the same."""
+    """ldi and regions in fresh interpreters: pinned to one CPU (no trial worker)
+    and unpinned (with trial workers), every output byte is the same."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     cpu = min(os.sched_getaffinity(0))
     def outputs(argv, pinned):

@@ -11,6 +11,7 @@ from scipy.signal import correlate2d
 
 import nnscale.restructure as R
 import nnscale.tensor as T
+import nnscale.verify as V
 from nnscale.archspec import NnscaleError
 from nnscale.cli import main
 
@@ -259,8 +260,10 @@ def test_rand_tensor_sample_variance():
 
 @pytest.fixture(params=[1, 2, 3, 4], ids=lambda n: f"{n}cpu")
 def cpus(request, monkeypatch):
-    """map_trials sees this many CPUs; no child may outlive the test."""
+    """map_trials sees this many CPUs and may use them all; no child may outlive the
+    test."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    monkeypatch.setattr(T, "MAX_WORKERS", 4)
     yield request.param
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -282,6 +285,13 @@ def test_map_trials_is_the_list_comprehension(cpus, n_items):
     # one process per chunk, and chunk 0 runs in the caller
     pids = T.map_trials(lambda x: os.getpid(), range(n_items))
     assert (len(set(pids)) == min(cpus, n_items)) and (not pids or pids[0] == parent)
+
+
+def test_map_trials_uses_at_most_max_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert len(set(T.map_trials(lambda x: os.getpid(), range(7)))) == T.MAX_WORKERS == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("n_items", [1, 2, 3, 7])
@@ -334,16 +344,36 @@ def test_map_trials_interrupt_kills_every_child(cpus):
     assert time.perf_counter() - start < 10
 
 
+def test_map_trials_interrupt_after_a_reap_leaves_that_child_alone(cpus, monkeypatch):
+    """An interrupt just after a child is reaped comes through as it is, and the
+    finally kills and reaps every other child but never touches the reaped pid."""
+    waitpid = os.waitpid
+    reaped = []
+    def reap_then_interrupt(pid, options):
+        status = waitpid(pid, options)
+        if not reaped:
+            reaped.append(pid)
+            raise KeyboardInterrupt
+        return status
+    monkeypatch.setattr(os, "waitpid", reap_then_interrupt)
+    if cpus == 1:  # no child to reap
+        assert T.map_trials(abs, range(7)) == list(range(7))
+        return
+    with pytest.raises(KeyboardInterrupt):
+        T.map_trials(abs, range(7))
+    assert len(reaped) == 1
+
+
 def test_cli_maps_a_lost_trial_worker_to_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     parent = os.getpid()
-    trial = R.collapse_trial
-    def exit_in_child(*args, **kwargs):
+    trial = V._mean_singular_values
+    def exit_in_child(cfg):
         if in_child(parent):
             os._exit(3)
-        return trial(*args, **kwargs)
-    monkeypatch.setattr(R, "collapse_trial", exit_in_child)
-    code = main(["collapse-verify", "--trials", "4", "--size", "6"])
+        return trial(cfg)
+    monkeypatch.setattr(V, "_mean_singular_values", exit_in_child)
+    code = main(["ldi", "--width", "4", "--depth", "3", "--skips", "2", "--trials", "50"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (
         1, "", "error: a trial worker ended without a result (exit code 3)\n")
