@@ -882,10 +882,15 @@ BYTE_STABLE_RUNS = [
                             "--wmax", "1.5", "--wsteps", "3", "--dmin", "1", "--dmax", "2",
                             "--dsteps", "2", "--budget-macs", "9e5", "--tol", "0.1",
                             "--format", "csv", "--out", "split_scan.csv"], ["split_scan.csv"]),
+    ("afrb-search-moons", ["afrb-search", "--dataset", "moons", "--epochs", "20", "--lr", "0.05",
+                           "--out", "moons.csv"], ["moons.csv"]),
+    ("afrb-search-tail-batch", ["afrb-search", "--variants", "a1,a2,a3", "--width", "6",
+                                "--samples", "37", "--epochs", "12"], []),
 ]
 
-# SHA-256 of each run's stdout, non-empty stderr and written files; none of these commands
-# touches BLAS, so the bytes are the same on every machine.
+# SHA-256 of each run's stdout, non-empty stderr and written files. Only the afrb-search
+# runs touch BLAS (small float64 matrix products), so only their bytes may depend on the
+# BLAS build and CPU; the digests here were taken with numpy 2.4's bundled OpenBLAS.
 BYTE_STABLE_DIGESTS = {
     "arch-validate:stdout": "e94cd79cbf7ca367074043ffdb43c2ec04215f96c17cfbfef5e9b223281b3b68",
     "cost:stdout": "2e506ce42fc843866f2bb7bf6025ccc29ee3d7ffb9876e19142bd65b7c371f93",
@@ -930,6 +935,12 @@ BYTE_STABLE_DIGESTS = {
         "aadd8848536957e41f209ee9e93c0cca47262b67f36276eb20c2f35909c9f9e8",
     "scale-split-stages:split_scan.csv":
         "4672b4cb2ad2eee0a340ce7834b9317e7cefc55b4a8f8d2df637c5240e7556ca",
+    "afrb-search-moons:stdout":
+        "a417b1b87fb9410581e452c2b0d6fb8bfbd294433d1f15eb2245f27c31d9c311",
+    "afrb-search-moons:moons.csv":
+        "0523a010b936ae4c9aea286402df92f3ba3afd3815cfa9113b787cb5c53e8675",
+    "afrb-search-tail-batch:stdout":
+        "2565421f1859f0270a9bcdeb973c23e74a7a1cb2ef7cb49c5fd6f7a59e2c3bf9",
 }
 
 

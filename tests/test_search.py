@@ -281,21 +281,25 @@ def test_backward_keeps_the_bits_of_the_reference(variants):
 
 
 # 37 samples leave a last batch of 5; 256 at width 8 is the CLI's default model, and
-# with moons or xor at lr 0.05 the benchmark's afrb-search.
+# with moons or xor at lr 0.05 the benchmark's afrb-search. Batch 1 makes every matrix
+# product a one-row product; batch 64 takes all 37 samples in one step.
 REFERENCE_LOOP_CASES = [
-    pytest.param(samples, variants, lam, "moons", 0.1, id=f"{samples}-{variants}-{lam}")
+    pytest.param(samples, variants, lam, "moons", 0.1, 8, id=f"{samples}-{variants}-{lam}")
     for samples in (37, 256) for variants in MIXES for lam in (0.0, 1e-3)
-] + [pytest.param(256, "a1,a1,a1", 1e-3, dataset, 0.05, id=f"bench-{dataset}")
-     for dataset in ("moons", "xor")]
+] + [pytest.param(256, "a1,a1,a1", 1e-3, dataset, 0.05, 8, id=f"bench-{dataset}")
+     for dataset in ("moons", "xor")
+] + [pytest.param(37, "a1,a2,a3", 1e-3, "moons", 0.1, batch, id=f"37-a1,a2,a3-batch{batch}")
+     for batch in (1, 64)]
 
 
-@pytest.mark.parametrize("samples,variants,lam,dataset,lr", REFERENCE_LOOP_CASES)
-def test_train_search_keeps_the_bits_of_the_reference_loop(samples, variants, lam, dataset, lr):
+@pytest.mark.parametrize("samples,variants,lam,dataset,lr,batch", REFERENCE_LOOP_CASES)
+def test_train_search_keeps_the_bits_of_the_reference_loop(samples, variants, lam, dataset, lr,
+                                                           batch):
     vs = variants.split(",")
     width, epochs = (6, 12) if samples == 37 else (8, 6)
     models = [S.make_model([2] + [width] * len(vs), vs, seed=11) for _ in range(2)]
     data = S.make_dataset(dataset, samples, 0.3, seed=12)
-    cfg = S.SearchConfig(lam=lam, lr=lr, epochs=epochs, batch=8, seed=13)
+    cfg = S.SearchConfig(lam=lam, lr=lr, epochs=epochs, batch=batch, seed=13)
     trace = S.train_search(models[0], data, cfg)
     want = reference_train_search(models[1], data, cfg)
     assert (trace.loss, trace.accuracy, trace.regularizer, trace.alphas) == want
