@@ -141,45 +141,126 @@ def make_dataset(kind: str, n: int, noise: float, seed: int):
 _ZERO = np.zeros(())
 
 
-def _prelu(x: np.ndarray, a: float):
-    """-> (prelu(x; a), min(x, 0)); backward reuses the second term for the slope
-    gradient."""
-    neg = np.minimum(x, _ZERO)
-    return np.maximum(x, _ZERO) + a * neg, neg
+def _prelu(x: np.ndarray, a: float, neg: np.ndarray, prod: np.ndarray,
+           out: np.ndarray) -> np.ndarray:
+    """prelu(x; a) into out, min(x, 0) into neg (backward reuses it for the slope
+    gradient) and a * min(x, 0) into prod. prod may be neg and out may be x, as in a
+    forward-only workspace; out must not be neg or prod."""
+    np.minimum(x, _ZERO, out=neg)
+    np.maximum(x, _ZERO, out=out)
+    np.multiply(neg, a, out=prod)
+    return np.add(out, prod, out=out)
 
 
-def _forward(model: MlpModel, x: np.ndarray):
-    """-> (logits, last features, per-block caches of (x, min(x, 0), h0, z, min(z, 0),
-    h1) for backward)."""
-    caches = []
+class _BlockSpace:
+    """One block's arrays in a _Workspace, with its weights and their transposes
+    as views. Backward reads neg_x, h0, z, neg_z and h1 of the forward pass; d_x is
+    the gradient the block below takes as d_out."""
+
+    __slots__ = ("w_e", "w_p", "w_e_t", "w_p_t", "x", "neg_x", "prod_x", "h0", "z",
+                 "neg_z", "prod_z", "h1", "out", "d_out", "d_out_t", "d_h1", "mask_z",
+                 "d_z", "d_z_t", "d_h0", "d_x", "mask_x")
+
+
+class _Workspace:
+    """Every temporary of a forward pass on `rows` rows of model, and with train
+    also of its backward pass, allocated once, so that a step writes each result
+    through out= into one of these arrays. The transposed weights are views taken
+    once: they stay valid while train_search updates its flat parameter buffer in
+    place. Temporaries that live only within one block's step are shared by the
+    blocks: in a training step the forward pass keeps its PReLU products in the
+    backward's d_h0 and d_z, which are free until then, and backward writes each
+    alpha product over the min(., 0) term it is the last to read. A forward-only
+    workspace also shares the blocks' forward terms, which nothing reads back, and
+    computes each PReLU in place (z becomes h1), so the full-data loss holds two
+    expanded-width arrays."""
+
+    def __init__(self, model: MlpModel, rows: int, train: bool = True):
+        shared = {}
+
+        def array(name, cols, block=None, dtype=np.float64):
+            """A [rows, cols] array; the blocks share one per name and width unless
+            block names its owner."""
+            key = (name, cols, block)
+            if key not in shared:
+                shared[key] = np.empty((rows, cols), dtype)
+            return shared[key]
+
+        self.model, self.rows = model, rows
+        self.blocks = []
+        for i, blk in enumerate(model.blocks):
+            b = _BlockSpace()
+            m, d_in = blk.w_expand.shape
+            d_out = blk.w_project.shape[0]
+            own = i if train else None
+            b.w_e, b.w_p = blk.w_expand, blk.w_project
+            b.w_e_t, b.w_p_t = b.w_e.T, b.w_p.T
+            b.x = self.blocks[-1].out if i else None
+            b.neg_x, b.h0 = array("neg_x", d_in, own), array("h0", d_in, own)
+            b.z, b.neg_z = array("z", m, own), array("neg_z", m, own)
+            b.out = array("out", d_out, i)
+            if train:
+                b.h1 = array("h1", m, i)
+                b.d_h1, b.d_z, b.d_h0 = array("d_h1", m), array("d_z", m), array("d_h0", d_in)
+                b.d_z_t = b.d_z.T
+                b.prod_x, b.prod_z = b.d_h0, b.d_z
+                b.mask_z = array("mask_z", m, dtype=bool)
+                b.mask_x = array("mask_x", d_in, dtype=bool)
+                b.d_x = array("d_x", d_in, i)
+            else:
+                b.prod_x, b.prod_z, b.h1 = b.neg_x, b.neg_z, b.z
+            self.blocks.append(b)
+        self.w_h, self.w_h_t, self.b_h = model.w_head, model.w_head.T, model.b_head
+        self.logits = np.empty((rows, 2))
+        self.probs = np.empty((rows, 2))
+        self.row = np.empty(rows)
+        self.row_col = self.row[:, None]
+        self.logit_0, self.logit_1 = self.logits[:, 0], self.logits[:, 1]
+        self.prob_0, self.prob_1 = self.probs[:, 0], self.probs[:, 1]
+        self.probs_t = self.probs.T
+        if train:
+            self.d_feats = np.empty((rows, model.w_head.shape[1]))
+            d_outs = [b.d_x for b in self.blocks[1:]] + [self.d_feats]
+            for b, d_out in zip(self.blocks, d_outs):
+                b.d_out, b.d_out_t = d_out, d_out.T
+
+
+def _forward(ws: _Workspace, x: np.ndarray) -> np.ndarray:
+    """The model's forward pass on x into ws -> the last block's output; the logits
+    are in ws.logits."""
     h = x
-    for blk in model.blocks:
-        h0, neg_x = _prelu(h, 1.0 - blk.alpha)
-        z = h0 @ blk.w_expand.T
-        h1, neg_z = _prelu(z, blk.alpha)
-        out = h1 @ blk.w_project.T
-        caches.append((h, neg_x, h0, z, neg_z, h1))
-        h = out + h if blk.residual else out
-    logits = h @ model.w_head.T + model.b_head
-    return logits, h, caches
+    for blk, b in zip(ws.model.blocks, ws.blocks):
+        a = blk.alpha
+        _prelu(h, 1.0 - a, b.neg_x, b.prod_x, b.h0)
+        np.dot(b.h0, b.w_e_t, out=b.z)
+        _prelu(b.z, a, b.neg_z, b.prod_z, b.h1)
+        np.dot(b.h1, b.w_p_t, out=b.out)
+        if blk.residual:
+            np.add(b.out, h, out=b.out)
+        h = b.out
+    np.dot(h, ws.w_h_t, out=ws.logits)
+    np.add(ws.logits, ws.b_h, out=ws.logits)
+    return h
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax of two-class logits [n, 2]. Column ops give the same bits as a
-    row max and a row sum, and cost less than those two axis reductions."""
-    expv = np.exp(logits - np.maximum(logits[:, 0], logits[:, 1])[:, None])
-    return expv / (expv[:, 0] + expv[:, 1])[:, None]
+def _softmax(ws: _Workspace) -> np.ndarray:
+    """Row softmax of the two-class logits in ws -> ws.probs. Column ops give the
+    same bits as a row max and a row sum, and cost less than those two axis
+    reductions."""
+    np.maximum(ws.logit_0, ws.logit_1, out=ws.row)
+    np.subtract(ws.logits, ws.row_col, out=ws.probs)
+    np.exp(ws.probs, out=ws.probs)
+    np.add(ws.prob_0, ws.prob_1, out=ws.row)
+    return np.divide(ws.probs, ws.row_col, out=ws.probs)
 
 
-def forward_loss(model: MlpModel, batch, lam: float) -> dict:
-    """Full objective on a batch -> {loss, accuracy, regularizer, cross_entropy}."""
-    x, y = batch
-    logits, _, _ = _forward(model, x)
-    if not np.all(np.isfinite(logits)):
+def _loss(ws: _Workspace, x: np.ndarray, y: np.ndarray, lam: float) -> dict:
+    _forward(ws, x)
+    if not np.all(np.isfinite(ws.logits)):
         raise SearchError("non-finite activations in forward pass")
-    probs = _softmax(logits)
+    probs = _softmax(ws)
     ce = -np.log(probs[np.arange(len(y)), y] + 1e-300).mean()
-    reg = float(sum((b.alpha - 1.0) ** 2 for b in model.blocks))
+    reg = float(sum((b.alpha - 1.0) ** 2 for b in ws.model.blocks))
     acc = float((np.argmax(probs, axis=1) == y).mean())
     return {
         "loss": float(ce + lam * reg),
@@ -187,6 +268,12 @@ def forward_loss(model: MlpModel, batch, lam: float) -> dict:
         "regularizer": reg,
         "cross_entropy": float(ce),
     }
+
+
+def forward_loss(model: MlpModel, batch, lam: float) -> dict:
+    """Full objective on a batch -> {loss, accuracy, regularizer, cross_entropy}."""
+    x, y = batch
+    return _loss(_Workspace(model, len(y), train=False), x, y, lam)
 
 
 class Grads:
@@ -227,13 +314,14 @@ def backward(model: MlpModel, batch, lam: float) -> Grads:
     the first PReLU site (chain factor -1), the second site (+1), and 2 lam (a-1)."""
     x, y = batch
     grads = _grads_in(model, np.empty(sum(a.size for a in _weights(model))))
-    _backward(model, x, np.eye(2)[y], lam, grads)
+    _backward(_Workspace(model, len(y)), x, np.eye(2)[y], lam, grads)
     return grads
 
 
-def _backward(model: MlpModel, x: np.ndarray, onehot: np.ndarray, lam: float,
+def _backward(ws: _Workspace, x: np.ndarray, onehot: np.ndarray, lam: float,
               grads: Grads) -> None:
-    """backward on inputs x and one-hot labels, writing into the arrays of grads.
+    """backward on inputs x and one-hot labels, through the training workspace ws
+    (x has ws.rows rows), writing into the arrays of grads.
 
     A PReLU site's input gradient is the slope times its output gradient, into which
     np.copyto puts the output gradient back where the site's input is positive: the
@@ -244,34 +332,37 @@ def _backward(model: MlpModel, x: np.ndarray, onehot: np.ndarray, lam: float,
     entry, and w - lr * g ignores the sign of a zero g unless w is -0.0, which no
     update makes from a weight that is not. Each alpha sum starts from 0.0, so a zero
     sum's sign does not reach alpha either."""
-    logits, feats, caches = _forward(model, x)
+    feats = _forward(ws, x)
     # d(mean cross-entropy)/d logits = (softmax - onehot) / n
-    dlogits = _softmax(logits)
-    dlogits -= onehot
-    dlogits /= len(x)
-    np.matmul(dlogits.T, feats, out=grads.w_head)
+    dlogits = _softmax(ws)
+    np.subtract(dlogits, onehot, out=dlogits)
+    np.divide(dlogits, ws.rows, out=dlogits)
+    np.dot(ws.probs_t, feats, out=grads.w_head)
     np.add.reduce(dlogits, 0, out=grads.b_head)
-    d_out = dlogits @ model.w_head
-    for i in range(len(model.blocks) - 1, -1, -1):
-        blk = model.blocks[i]
+    np.dot(dlogits, ws.w_h, out=ws.d_feats)
+    blocks = ws.model.blocks
+    for i in range(len(blocks) - 1, -1, -1):
+        blk, b = blocks[i], ws.blocks[i]
         a = blk.alpha
-        x_in, neg_x, h0, z, neg_z, h1 = caches[i]
-        np.matmul(d_out.T, h1, out=grads.w_project[i])
-        d_h1 = d_out @ blk.w_project
+        np.dot(b.d_out_t, b.h1, out=grads.w_project[i])
+        np.dot(b.d_out, b.w_p, out=b.d_h1)
         # second PReLU site, slope alpha on the negative part
-        d_z = a * d_h1
-        np.copyto(d_z, d_h1, where=z > _ZERO)
+        np.multiply(b.d_h1, a, out=b.d_z)
+        np.greater(b.z, _ZERO, out=b.mask_z)
+        np.copyto(b.d_z, b.d_h1, where=b.mask_z)
         g_a = 0.0
-        g_a += float(np.add.reduce(d_h1 * neg_z, None))
-        np.matmul(d_z.T, h0, out=grads.w_expand[i])
-        d_h0 = d_z @ blk.w_expand
+        g_a += float(np.add.reduce(np.multiply(b.d_h1, b.neg_z, out=b.neg_z), None))
+        np.dot(b.d_z_t, b.h0, out=grads.w_expand[i])
+        np.dot(b.d_z, b.w_e, out=b.d_h0)
         # first PReLU site, slope (1 - alpha) on the negative part
-        g_a -= float(np.add.reduce(d_h0 * neg_x, None))
+        g_a -= float(np.add.reduce(np.multiply(b.d_h0, b.neg_x, out=b.neg_x), None))
         grads.alpha[i] = g_a + 2.0 * lam * (a - 1.0)
         if i:
-            d_x = (1.0 - a) * d_h0
-            np.copyto(d_x, d_h0, where=x_in > _ZERO)
-            d_out = d_x + d_out if blk.residual else d_x
+            np.multiply(b.d_h0, 1.0 - a, out=b.d_x)
+            np.greater(b.x, _ZERO, out=b.mask_x)
+            np.copyto(b.d_x, b.d_h0, where=b.mask_x)
+            if blk.residual:
+                np.add(b.d_x, b.d_out, out=b.d_x)
 
 
 class SearchConfig(Record):
@@ -310,9 +401,11 @@ def train_search(model: MlpModel, dataset, cfg: SearchConfig) -> SearchTrace:
 
     The model's weight arrays are first copied into one flat buffer and rebound as
     views of it, so one update of the buffer is each step's whole weight update; the
-    alphas stay Python floats. Each epoch's full-data forward_loss runs inside the
-    same np.errstate block and try as the steps, so a diverging run raises only its
-    SearchError."""
+    alphas stay Python floats. One training workspace per batch row count (the full
+    batch, and a shorter last batch when batch does not divide the samples) and one
+    n-row workspace for the per-epoch full-data loss are built once, so a step
+    allocates no array. Each epoch's loss runs inside the same np.errstate block and
+    try as the steps, so a diverging run raises only its SearchError."""
     x, y = dataset
     n = len(y)
     if n * cfg.epochs > MAX_SAMPLE_EPOCHS:
@@ -329,22 +422,29 @@ def train_search(model: MlpModel, dataset, cfg: SearchConfig) -> SearchTrace:
     model.w_head, model.b_head = views[-2:]
     grad_buf = np.empty_like(params)
     grads = _grads_in(model, grad_buf)
+    batch = cfg.batch
+    spaces = {rows: _Workspace(model, rows) for rows in {min(batch, n), n % batch} - {0}}
+    full = spaces.get(n) or _Workspace(model, n, train=False)
     eye = np.eye(2)
+    x_perm, onehot = np.empty(x.shape, x.dtype), np.empty((n, 2))
+    steps = [(spaces[len(x_perm[start:start + batch])], x_perm[start:start + batch],
+              onehot[start:start + batch]) for start in range(0, n, batch)]
     gen = generator(cfg.seed, index=1)
     trace = SearchTrace()
-    blocks, lam, lr, batch = model.blocks, cfg.lam, cfg.lr, cfg.batch
+    blocks, lam, lr = model.blocks, cfg.lam, cfg.lr
     for epoch in range(cfg.epochs):
         perm = gen.permutation(n)
-        x_perm, onehot = x[perm], eye[y[perm]]
+        np.take(x, perm, axis=0, out=x_perm)
+        np.take(eye, y[perm], axis=0, out=onehot)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                for start in range(0, n, batch):
-                    stop = start + batch
-                    _backward(model, x_perm[start:stop], onehot[start:stop], lam, grads)
-                    params -= lr * grad_buf
+                for ws, x_batch, onehot_batch in steps:
+                    _backward(ws, x_batch, onehot_batch, lam, grads)
+                    grad_buf *= lr
+                    params -= grad_buf
                     for blk, g_a in zip(blocks, grads.alpha):
                         blk.alpha -= lr * g_a
-                stats = forward_loss(model, (x, y), lam)
+                stats = _loss(full, x, y, lam)
         except SearchError as exc:
             raise SearchError(f"training diverged at epoch {epoch}: {exc}") from exc
         if not math.isfinite(stats["loss"]):

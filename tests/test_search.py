@@ -232,15 +232,22 @@ def test_alpha_one_blocks_collapse_to_dense_layers():
     for blk in model.blocks:
         h = h + h @ (blk.w_project @ blk.w_expand).T
         assert np.all(h >= 0)  # the next block's ReLU passes it unchanged
-    logits, _, _ = S._forward(model, x)
-    assert np.abs(logits - (h @ model.w_head.T + model.b_head)).max() <= 1e-12
+    ws = S._Workspace(model, len(x), train=False)
+    S._forward(ws, x)
+    assert np.abs(ws.logits - (h @ model.w_head.T + model.b_head)).max() <= 1e-12
+
+
+def prelu(x, a):
+    """S._prelu into fresh arrays -> (prelu(x; a), min(x, 0))."""
+    neg, prod, out = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    return S._prelu(x, a, neg, prod, out), neg
 
 
 def test_prelu_limits():
     x = np.random.default_rng(8).standard_normal(100) * 2.0
-    assert np.array_equal(S._prelu(x, 1.0)[0], x)
-    assert np.array_equal(S._prelu(x, 0.0)[0], np.maximum(x, 0))
-    assert np.array_equal(S._prelu(x, 0.5)[1], np.minimum(x, 0))
+    assert np.array_equal(prelu(x, 1.0)[0], x)
+    assert np.array_equal(prelu(x, 0.0)[0], np.maximum(x, 0))
+    assert np.array_equal(prelu(x, 0.5)[1], np.minimum(x, 0))
 
 
 def test_divergence_reports_epoch():
