@@ -2,7 +2,7 @@
 Pareto frontiers, collapse verification, restructuring, the toy non-linearity
 search, and the theory harnesses.
 
-Exit codes: 0 success, 1 domain error, 2 usage error. File outputs are written
+Exit codes: 0 success, 1 domain error, 2 usage error, 130 interrupted (Ctrl-C). File outputs are written
 to a temp file and renamed so partial files never appear. Every report is
 rendered here, by _json and _csv; only the scan CSV, which report reads back,
 has its writer beside its reader in scaler.
@@ -442,6 +442,9 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except KeyboardInterrupt:
+        sys.stderr.write("error: interrupted\n")
+        return 130
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
 import time
@@ -520,6 +521,25 @@ def test_diverging_search_prints_only_the_error():
     assert proc.stdout == ""
     assert proc.stderr == ("error: training diverged at epoch 0: "
                            "non-finite activations in forward pass\n")
+
+
+def test_interrupt_exits_130_with_one_error_line():
+    # 256 x 8000 sample-epochs is inside the 2**21 bound and runs for many seconds
+    argv = ["afrb-search", "--samples", "256", "--epochs", "8000"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen([sys.executable, "-m", "nnscale.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        time.sleep(1.0)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert out == ""
+    assert err == "error: interrupted\n"
+    assert "Traceback" not in err
 
 
 def test_report_rejects_non_finite_mass(tmp_path, capsys):
