@@ -229,7 +229,10 @@ def candidates_to_csv(
 
 
 def _finite(text: str, name: str, positive: bool = False) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not a number") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} {text!r} is not finite")
     if positive and not value > 0:

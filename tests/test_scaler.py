@@ -245,6 +245,9 @@ def test_csv_rejects_malformed_row():
         ("1.0,1.0,24||48,1|1,5,2,3.0,4,1,0,0",
          "widths '24||48' is not a '|'-separated list of integers"),
         ("1.0,1.0,8,1,5,2,3.0,x4,1,0,0", "nonlinear_units 'x4' is not an integer"),
+        ("abc,1.0,8,1,5,2,3.0,4,1,0,0", "w_m 'abc' is not a number"),
+        ("1.0,1..0,8,1,5,2,3.0,4,1,0,0", "d_m '1..0' is not a number"),
+        ("1.0,1.0,8,1,5,2,,4,1,0,0", "mass '' is not a number"),
         ("nan,1.0,8,1,5,2,3.0,4,1,0,0", "w_m 'nan' is not finite"),
         ("1.0,inf,8,1,5,2,3.0,4,1,0,0", "d_m 'inf' is not finite"),
         ("1.0,1.0,8,1,5,2,nan,4,1,0,0", "mass 'nan' is not finite"),
