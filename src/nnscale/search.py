@@ -153,11 +153,11 @@ def _prelu(x: np.ndarray, a: float, neg: np.ndarray, prod: np.ndarray,
 
 
 class _BlockSpace:
-    """One block's arrays in a _Workspace, with its weights and their transposes
-    as views. Backward reads neg_x, h0, z, neg_z and h1 of the forward pass; d_x is
-    the gradient the block below takes as d_out."""
+    """One block's arrays in a _Workspace, with its weights' transposes as views.
+    Backward reads neg_x, h0, z, neg_z and h1 of the forward pass; d_x is the
+    gradient the block below takes as d_out."""
 
-    __slots__ = ("w_e", "w_p", "w_e_t", "w_p_t", "x", "neg_x", "prod_x", "h0", "z",
+    __slots__ = ("w_e_t", "w_p_t", "x", "neg_x", "prod_x", "h0", "z",
                  "neg_z", "prod_z", "h1", "out", "d_out", "d_out_t", "d_h1", "mask_z",
                  "d_z", "d_z_t", "d_h0", "d_x", "mask_x")
 
@@ -193,8 +193,7 @@ class _Workspace:
             m, d_in = blk.w_expand.shape
             d_out = blk.w_project.shape[0]
             own = i if train else None
-            b.w_e, b.w_p = blk.w_expand, blk.w_project
-            b.w_e_t, b.w_p_t = b.w_e.T, b.w_p.T
+            b.w_e_t, b.w_p_t = blk.w_expand.T, blk.w_project.T
             b.x = self.blocks[-1].out if i else None
             b.neg_x, b.h0 = array("neg_x", d_in, own), array("h0", d_in, own)
             b.z, b.neg_z = array("z", m, own), array("neg_z", m, own)
@@ -210,7 +209,7 @@ class _Workspace:
             else:
                 b.prod_x, b.prod_z, b.h1 = b.neg_x, b.neg_z, b.z
             self.blocks.append(b)
-        self.w_h, self.w_h_t, self.b_h = model.w_head, model.w_head.T, model.b_head
+        self.w_h_t = model.w_head.T
         self.logits = np.empty((rows, 2))
         self.probs = np.empty((rows, 2))
         self.row = np.empty(rows)
@@ -227,19 +226,21 @@ class _Workspace:
 
 def _forward(ws: _Workspace, x: np.ndarray) -> np.ndarray:
     """The model's forward pass on x into ws -> the last block's output; the logits
-    are in ws.logits."""
+    are in ws.logits. A product is the ndarray.dot method: np.dot's bits, without
+    its __array_function__ dispatch."""
+    model = ws.model
     h = x
-    for blk, b in zip(ws.model.blocks, ws.blocks):
+    for blk, b in zip(model.blocks, ws.blocks):
         a = blk.alpha
         _prelu(h, 1.0 - a, b.neg_x, b.prod_x, b.h0)
-        np.dot(b.h0, b.w_e_t, out=b.z)
+        b.h0.dot(b.w_e_t, out=b.z)
         _prelu(b.z, a, b.neg_z, b.prod_z, b.h1)
-        np.dot(b.h1, b.w_p_t, out=b.out)
+        b.h1.dot(b.w_p_t, out=b.out)
         if blk.residual:
             np.add(b.out, h, out=b.out)
         h = b.out
-    np.dot(h, ws.w_h_t, out=ws.logits)
-    np.add(ws.logits, ws.b_h, out=ws.logits)
+    h.dot(ws.w_h_t, out=ws.logits)
+    np.add(ws.logits, model.b_head, out=ws.logits)
     return h
 
 
@@ -324,10 +325,10 @@ def _backward(ws: _Workspace, x: np.ndarray, onehot: np.ndarray, lam: float,
     (x has ws.rows rows), writing into the arrays of grads.
 
     A PReLU site's input gradient is the slope times its output gradient, into which
-    np.copyto puts the output gradient back where the site's input is positive: the
-    selection np.where makes, without its dispatch. The alpha terms reuse the
-    forward's min(x, 0) and min(z, 0). Block 0's input gradient is not formed, as
-    nothing reads it. A plain block hands d_x on without adding 0.0, which would only
+    np.putmask puts the output gradient back where the site's input is positive: the
+    selection np.where makes, without its dispatch, at about half the cost of
+    np.copyto(where=). The alpha terms reuse the forward's min(x, 0) and min(z, 0).
+    Block 0's input gradient is not formed, as nothing reads it. A plain block hands d_x on without adding 0.0, which would only
     turn its -0.0 entries into +0.0. That can flip only the sign of a zero gradient
     entry, and w - lr * g ignores the sign of a zero g unless w is -0.0, which no
     update makes from a weight that is not. Each alpha sum starts from 0.0, so a zero
@@ -337,30 +338,31 @@ def _backward(ws: _Workspace, x: np.ndarray, onehot: np.ndarray, lam: float,
     dlogits = _softmax(ws)
     np.subtract(dlogits, onehot, out=dlogits)
     np.divide(dlogits, ws.rows, out=dlogits)
-    np.dot(ws.probs_t, feats, out=grads.w_head)
+    ws.probs_t.dot(feats, out=grads.w_head)
     np.add.reduce(dlogits, 0, out=grads.b_head)
-    np.dot(dlogits, ws.w_h, out=ws.d_feats)
-    blocks = ws.model.blocks
+    model = ws.model
+    dlogits.dot(model.w_head, out=ws.d_feats)
+    blocks = model.blocks
     for i in range(len(blocks) - 1, -1, -1):
         blk, b = blocks[i], ws.blocks[i]
         a = blk.alpha
-        np.dot(b.d_out_t, b.h1, out=grads.w_project[i])
-        np.dot(b.d_out, b.w_p, out=b.d_h1)
+        b.d_out_t.dot(b.h1, out=grads.w_project[i])
+        b.d_out.dot(blk.w_project, out=b.d_h1)
         # second PReLU site, slope alpha on the negative part
         np.multiply(b.d_h1, a, out=b.d_z)
         np.greater(b.z, _ZERO, out=b.mask_z)
-        np.copyto(b.d_z, b.d_h1, where=b.mask_z)
+        np.putmask(b.d_z, b.mask_z, b.d_h1)
         g_a = 0.0
         g_a += float(np.add.reduce(np.multiply(b.d_h1, b.neg_z, out=b.neg_z), None))
-        np.dot(b.d_z_t, b.h0, out=grads.w_expand[i])
-        np.dot(b.d_z, b.w_e, out=b.d_h0)
+        b.d_z_t.dot(b.h0, out=grads.w_expand[i])
+        b.d_z.dot(blk.w_expand, out=b.d_h0)
         # first PReLU site, slope (1 - alpha) on the negative part
         g_a -= float(np.add.reduce(np.multiply(b.d_h0, b.neg_x, out=b.neg_x), None))
         grads.alpha[i] = g_a + 2.0 * lam * (a - 1.0)
         if i:
             np.multiply(b.d_h0, 1.0 - a, out=b.d_x)
             np.greater(b.x, _ZERO, out=b.mask_x)
-            np.copyto(b.d_x, b.d_h0, where=b.mask_x)
+            np.putmask(b.d_x, b.mask_x, b.d_h0)
             if blk.residual:
                 np.add(b.d_x, b.d_out, out=b.d_x)
 
