@@ -98,7 +98,7 @@ def make_model(
     return MlpModel(blocks=blocks, w_head=w_head, b_head=b_head)
 
 
-# Training time grows with samples x epochs; 2**21 is about 32 s at batch 8 for the
+# Training time grows with samples x epochs; 2**21 is about 21 s at batch 8 for the
 # default three-block width-8 model on two cores.
 MAX_SAMPLE_EPOCHS = 2**21
 
@@ -392,8 +392,9 @@ class SearchTrace:
         return len(self.loss)
 
 
-# The per-epoch loss runs the whole dataset at once, holding samples x expanded
-# width activations per block: 2**23 is 8192 samples at width 1024 (290 MB peak).
+# The per-epoch loss runs the whole dataset at once through a forward-only workspace
+# that holds two samples x expanded width arrays: 2**23 is 8192 samples at width
+# 1024 (about 300 MB peak RSS for the default three blocks at --width 256).
 MAX_ACTIVATIONS = 2**23
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nnscale.search as S
-from conftest import reference_backward, reference_train_search
+from conftest import reference_backward, reference_train_search, traced_peak_mb
 
 
 def best_linear_probe_accuracy(x, y):
@@ -285,6 +285,22 @@ def test_backward_keeps_the_bits_of_the_reference(variants):
         assert all(np.array_equal(g, w) for g, w in zip(getattr(got, field), getattr(want, field)))
     assert np.array_equal(got.w_head, want.w_head)
     assert np.array_equal(got.b_head, want.b_head)
+
+
+def test_a_training_step_allocates_no_array():
+    # What a warm step still allocates (Python scalars, numpy's iterator buffers for
+    # the softmax's broadcasts) does not grow with the width, while a single
+    # [16, 1024] activation of the wide model would take 128 KB.
+    peaks = []
+    for width in (8, 256):
+        model = S.make_model([2] + [width] * 3, ["a1", "a1", "a1"], seed=0)
+        x, y = S.make_dataset("moons", 16, 0.3, seed=1)
+        ws = S._Workspace(model, len(y))
+        grads = S._grads_in(model, np.empty(sum(a.size for a in S._weights(model))))
+        onehot = np.eye(2)[y]
+        S._backward(ws, x, onehot, 1e-3, grads)
+        peaks.append(traced_peak_mb(S._backward, ws, x, onehot, 1e-3, grads) * 2**20)
+    assert peaks[1] <= peaks[0] + 1024
 
 
 # 37 samples leave a last batch of 5; 256 at width 8 is the CLI's default model, and
