@@ -530,6 +530,14 @@ def test_interrupt_exits_130_with_one_error_line():
     proc = subprocess.Popen([sys.executable, "-m", "nnscale.cli", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
+        # numpy loads only inside main's try (the descriptor modules never import
+        # it), so an interrupt after that point tests main and not the start-up
+        maps, deadline = f"/proc/{proc.pid}/maps", time.monotonic() + 30
+        while os.path.exists(maps) and time.monotonic() < deadline:
+            with open(maps) as fh:
+                if "_multiarray_umath" in fh.read():
+                    break
+            time.sleep(0.05)
         time.sleep(1.0)
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=60)
