@@ -914,11 +914,16 @@ BYTE_STABLE_RUNS = [
                            "--out", "moons.csv"], ["moons.csv"]),
     ("afrb-search-tail-batch", ["afrb-search", "--variants", "a1,a2,a3", "--width", "6",
                                 "--samples", "37", "--epochs", "12"], []),
+    ("regions-bench", ["regions", "--n", "4", "--n0", "2", "--layers", "2,3,4", "--grid", "256",
+                       "--trials", "8", "--out", "regions.json"], ["regions.json"]),
+    ("regions-unsorted-repeated", ["regions", "--n", "4", "--n0", "1", "--layers", "3,1,3",
+                                   "--grid", "512", "--trials", "5", "--seed", "7"], []),
 ]
 
 # SHA-256 of each run's stdout, non-empty stderr and written files. Only the afrb-search
-# runs touch BLAS (small float64 matrix products), so only their bytes may depend on the
-# BLAS build and CPU; the digests here were taken with numpy 2.4's bundled OpenBLAS.
+# and regions runs touch BLAS (small float64 matrix products), so only their bytes may
+# depend on the BLAS build and CPU; the digests here were taken with numpy 2.4's bundled
+# OpenBLAS.
 BYTE_STABLE_DIGESTS = {
     "arch-validate:stdout": "e94cd79cbf7ca367074043ffdb43c2ec04215f96c17cfbfef5e9b223281b3b68",
     "cost:stdout": "2e506ce42fc843866f2bb7bf6025ccc29ee3d7ffb9876e19142bd65b7c371f93",
@@ -969,6 +974,11 @@ BYTE_STABLE_DIGESTS = {
         "0523a010b936ae4c9aea286402df92f3ba3afd3815cfa9113b787cb5c53e8675",
     "afrb-search-tail-batch:stdout":
         "2565421f1859f0270a9bcdeb973c23e74a7a1cb2ef7cb49c5fd6f7a59e2c3bf9",
+    "regions-bench:stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "regions-bench:regions.json":
+        "d9429f51475e6fb35a005fcc56edce0a0c75f2ba518464605899dbe7dc2a6f7b",
+    "regions-unsorted-repeated:stdout":
+        "e6895ef8c358000e781e90b89d7c188089a7301c5749459db47af6ab57bdd3b1",
 }
 
 
