@@ -66,8 +66,10 @@ def make_model(
     alpha_init: float = 0.5,
 ) -> MlpModel:
     """Seeded two-class model with He-scaled weights, each block expanded and added
-    as its VARIANTS entry says. An unknown variant, a non-finite alpha_init or a
-    residual block that changes width is refused before any weight is drawn."""
+    as its VARIANTS entry says. An empty or unknown variant, a non-finite alpha_init
+    or a residual block that changes width is refused before any weight is drawn."""
+    if not variants:
+        raise SearchError("need at least one block variant")
     if len(layer_dims) != len(variants) + 1:
         raise SearchError("need len(layer_dims) == len(variants) + 1")
     if not math.isfinite(alpha_init):

@@ -152,9 +152,10 @@ class RegionCount(Record):
     relu_units: int
 
 
-# A trend evaluates trials x depths x grid^n0 lattice points; the default run 9.8M.
-# This bounds work, not memory: a count holds one net's lattice as one int64 code
-# per point (and a 1-byte mask while counting), plus one chunk's activations, and
+# A trend's limit counts trials x depths x grid^n0 lattice points, but it walks only
+# each trial's deepest net: the default run 3.3M points, not 9.8M; the limit is the
+# same. This bounds work, not memory: a count holds one net's lattice as one int64
+# code per point (and a 1-byte mask while counting), plus one chunk's activations, and
 # each worker process of montufar_trend holds one count at a time.
 MAX_LATTICE_POINTS = 2**26
 LATTICE_CHUNK = 2**13
@@ -174,13 +175,12 @@ def _check_lattice(d: int, x_units: int, grid: int, box_radius: float, nets: int
                           f"exceeds {MAX_LATTICE_POINTS}")
 
 
-def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCount:
-    """Lower-bound region count: distinct ReLU sign patterns over a grid x grid
-    lattice on [-r, r]^d. The count can never exceed 2^X for X ReLU units."""
-    x_units, d = net.relu_units, net.input_dim
-    _check_lattice(d, x_units, grid, box_radius)
+def _sorted_codes(net: ReluNet, box_radius: float, grid: int) -> np.ndarray:
+    """The sign code of every point of the grid x grid lattice on [-r, r]^d, sorted:
+    one bit per ReLU unit, set where the unit is active, the first layer's units in
+    the highest bits. X <= 24 units fit an int64."""
     axis = np.linspace(-box_radius, box_radius, grid)
-    # one bit per ReLU unit, set where the unit is active; X <= 24 fits an int64
+    d = net.input_dim
     codes = np.zeros(grid ** d, dtype=np.int64)
     for start in range(0, codes.size, LATTICE_CHUNK):
         stop = min(start + LATTICE_CHUNK, codes.size)
@@ -195,10 +195,25 @@ def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCo
                 chunk |= unit
             h = np.maximum(pre, 0.0, out=pre)
     codes.sort()
+    return codes
+
+
+def _distinct(codes: np.ndarray, x_units: int) -> int:
+    """The number of distinct values in sorted codes, checked against 2^X."""
     distinct = int(np.count_nonzero(codes[1:] != codes[:-1])) + int(codes.size > 0)
     if distinct > 2 ** x_units:
         raise VerifyError("pattern count exceeded 2^X; counter is broken")
-    return RegionCount(distinct, grid, x_units)
+    return distinct
+
+
+def count_linear_regions(net: ReluNet, box_radius: float, grid: int) -> RegionCount:
+    """Lower-bound region count: distinct ReLU sign patterns over a grid x grid
+    lattice on [-r, r]^d. The count can never exceed 2^X for X ReLU units."""
+    x_units = net.relu_units
+    if grid < 1:
+        raise VerifyError(f"grid must be at least 1, got {grid}")
+    _check_lattice(net.input_dim, x_units, grid, box_radius)
+    return RegionCount(_distinct(_sorted_codes(net, box_radius, grid), x_units), grid, x_units)
 
 
 def _consistency(n: int, n0: int, layers: int, trials: int, grid: int, counts: list) -> dict:
@@ -244,19 +259,34 @@ def montufar_trend(
 ) -> dict:
     """Reports per-depth consistency plus whether mean observed patterns were
     non-decreasing in depth. Every input is checked before any network is built.
-    Trial t's net has seed seed * 100003 + t at every depth, and all (depth, trial)
-    nets are counted in one map_trials call, so the report is the same on any
-    number of CPUs."""
+    Trial t's net has seed seed * 100003 + t at every depth. random_relu_net draws
+    the hidden layers before the readout, so the depth-L net is the first L hidden
+    layers of the deepest one, and its sign code is the deepest code shifted right by
+    n bits per layer dropped. Each trial therefore walks the lattice of its deepest
+    net once and counts every depth from its sorted codes, shifted in place from the
+    deepest depth to the shallowest (a right shift keeps the order). The trials run
+    through one map_trials call, so the report is the same on any number of CPUs."""
+    if not layer_counts:
+        raise VerifyError("need at least one depth")
+    if trials < 1:
+        raise VerifyError(f"trials must be at least 1, got {trials}")
+    if grid < 1:
+        raise VerifyError(f"grid must be at least 1, got {grid}")
     log2_montufar_bound(n, n0, min(layer_counts))  # refuses unless n >= n0 >= 1, layers >= 1
     _check_lattice(n0, n * max(layer_counts), grid, box_radius, trials * len(layer_counts))
+    depths = sorted(set(layer_counts), reverse=True)
 
-    def count(job) -> int:
-        layers, t = job
-        net = random_relu_net(n0, n, layers, seed=seed * 100003 + t)
-        return count_linear_regions(net, box_radius, grid).distinct_patterns
-    counts = map_trials(count, [(layers, t) for layers in layer_counts for t in range(trials)])
-    reports = [_consistency(n, n0, layers, trials, grid, counts[i * trials:(i + 1) * trials])
-               for i, layers in enumerate(layer_counts)]
+    def count(t: int) -> dict:
+        net = random_relu_net(n0, n, depths[0], seed=seed * 100003 + t)
+        codes = _sorted_codes(net, box_radius, grid)
+        counts = {}
+        for deeper, layers in zip(depths[:1] + depths, depths):
+            codes >>= n * (deeper - layers)
+            counts[layers] = _distinct(codes, n * layers)
+        return counts
+    counts = map_trials(count, range(trials))
+    reports = [_consistency(n, n0, layers, trials, grid, [c[layers] for c in counts])
+               for layers in layer_counts]
     means = [r["mean_patterns"] for r in reports]
     return {
         "reports": reports,

@@ -262,6 +262,13 @@ def test_unknown_variant_is_refused_before_the_weight_bound():
         S.make_model([2, 2000, 2000], ["a1", "zz"])
 
 
+@pytest.mark.parametrize("dims", [[2], []])
+def test_empty_variant_list_is_refused_before_any_weight_is_drawn(monkeypatch, dims):
+    monkeypatch.setattr(S, "generator", lambda seed: pytest.fail("a weight was drawn"))
+    with pytest.raises(S.SearchError, match="^need at least one block variant$"):
+        S.make_model(dims, [])
+
+
 def test_non_finite_alpha_init_is_refused():
     with pytest.raises(S.SearchError, match="^alpha must be finite$"):
         S.make_model([2, 8], ["a1"], alpha_init=float("nan"))

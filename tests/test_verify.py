@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from conftest import traced_peak_mb
+from conftest import PROFILE, traced_peak_mb
+from hypothesis import given, settings, strategies as st
 
+import nnscale.tensor as T
 import nnscale.verify as V
 from nnscale.tensor import singular_values_batch
 from nnscale.topology import ldi_bounds
@@ -211,6 +213,9 @@ def test_region_counting_limits():
     for radius in (0.0, -1.0):
         with pytest.raises(V.VerifyError, match="radius must be positive"):
             V.count_linear_regions(V.random_relu_net(2, 4, 2, seed=0), radius, 64)
+    for grid in (0, -3):
+        with pytest.raises(V.VerifyError, match=f"^grid must be at least 1, got {grid}$"):
+            V.count_linear_regions(V.random_relu_net(2, 4, 2, seed=0), 2.0, grid)
 
 
 def test_montufar_consistency_report_fields():
@@ -226,3 +231,76 @@ def test_montufar_depth_trend():
     trend = V.montufar_trend(4, 2, [2, 3], trials=50, grid=128)
     assert trend["mean_patterns"][1] >= trend["mean_patterns"][0]
     assert trend["non_decreasing"]
+
+
+@st.composite
+def trends(draw):
+    """Arguments of a small montufar_trend: depths in any order, with repeats."""
+    n0 = draw(st.sampled_from([1, 2]))
+    return dict(n=draw(st.integers(n0, 2)), n0=n0,
+                layer_counts=draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)),
+                trials=draw(st.integers(1, 4)), grid=draw(st.integers(1, 40)),
+                box_radius=draw(st.sampled_from([0.5, 2.0, 7.0])),
+                seed=draw(st.integers(-2**31 + 1, 2**31 - 1)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@settings(**PROFILE)
+@given(trends())
+def test_trend_counts_each_depth_as_its_own_net(workers, args):
+    """Every depth's per-trial counts are count_linear_regions on that depth's own net,
+    which the trend never builds."""
+    seen = []
+    consistency = V._consistency
+
+    def spy(n, n0, layers, trials, grid, counts):
+        seen.append((layers, list(counts)))
+        return consistency(n, n0, layers, trials, grid, counts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "MAX_WORKERS", workers)
+        mp.setattr(V, "_consistency", spy)
+        V.montufar_trend(**args)
+    n, n0, grid, radius = args["n"], args["n0"], args["grid"], args["box_radius"]
+    assert seen == [
+        (layers, [V.count_linear_regions(
+            V.random_relu_net(n0, n, layers, seed=args["seed"] * 100003 + t), radius, grid
+        ).distinct_patterns for t in range(args["trials"])])
+        for layers in args["layer_counts"]]
+
+
+def test_trend_builds_one_net_per_trial(monkeypatch):
+    built = []
+    build = V.random_relu_net
+
+    def spy(n0, n, layers, seed):
+        built.append(layers)
+        return build(n0, n, layers, seed)
+
+    monkeypatch.setattr(T, "MAX_WORKERS", 1)  # a forked worker's calls are not seen here
+    monkeypatch.setattr(V, "random_relu_net", spy)
+    V.montufar_trend(4, 2, [3, 2, 4, 3], trials=5, grid=32, seed=3)
+    assert built == [4] * 5
+
+
+def test_trend_holds_one_count(monkeypatch):
+    # 2^20 points of the deepest net: 8 MB of codes, 1 MB of mask and one chunk, the
+    # bound of one count_linear_regions
+    monkeypatch.setattr(T, "MAX_WORKERS", 1)
+    assert traced_peak_mb(V.montufar_trend, 4, 2, [2, 3, 4], 1, 1024) < 16
+
+
+@pytest.mark.parametrize("layers,trials,grid,message", [
+    ([], 3, 64, "^need at least one depth$"),
+    ([2], 0, 64, "^trials must be at least 1, got 0$"),
+    ([2], -2, 64, "^trials must be at least 1, got -2$"),
+    ([2], 3, 0, "^grid must be at least 1, got 0$"),
+])
+def test_trend_refuses_bad_arguments_before_building_a_net(monkeypatch, layers, trials, grid,
+                                                           message):
+    monkeypatch.setattr(V, "random_relu_net", lambda *a, **k: pytest.fail("a net was built"))
+    with pytest.raises(V.VerifyError, match=message):
+        V.montufar_trend(4, 2, layers, trials, grid)
+    if layers:
+        with pytest.raises(V.VerifyError, match=message):
+            V.montufar_consistency(4, 2, layers[0], trials, grid)
