@@ -152,11 +152,12 @@ class RegionCount(Record):
     relu_units: int
 
 
-# A trend's limit counts trials x depths x grid^n0 lattice points, but it walks only
-# each trial's deepest net: the default run 3.3M points, not 9.8M; the limit is the
-# same. This bounds work, not memory: a count holds one net's lattice as one int64
-# code per point (and a 1-byte mask while counting), plus one chunk's activations, and
-# each worker process of montufar_trend holds one count at a time.
+# The bound counts trials x depths x grid^n0 lattice points (9.8M for the default run),
+# though a trend walks only each trial's deepest net (3.3M points for the default run);
+# it is kept so that every input is accepted or refused as it always was. This bounds
+# work, not memory: a count holds one net's lattice as one int64 code per point (and a
+# 1-byte mask while counting), plus one chunk's activations, and each worker process
+# of montufar_trend holds one count at a time.
 MAX_LATTICE_POINTS = 2**26
 LATTICE_CHUNK = 2**13
 
