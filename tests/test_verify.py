@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from conftest import PROFILE, traced_peak_mb
 from hypothesis import given, settings, strategies as st
+from conftest import PROFILE, traced_peak_mb
 
 import nnscale.tensor as T
 import nnscale.verify as V
