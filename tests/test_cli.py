@@ -998,3 +998,80 @@ def test_outputs_are_byte_stable(tmp_path, monkeypatch, capsys):
         for f in files:
             digests[f"{name}:{f}"] = hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
     assert digests == BYTE_STABLE_DIGESTS
+
+
+COMMANDS = ["arch-validate", "cost", "mass", "scale", "pareto", "collapse-verify",
+            "restructure", "afrb-search", "ldi", "regions", "report"]
+PARSER_RUNS = [
+    ("help", ["--help"]),
+    *((f"{command}-help", [command, "--help"]) for command in COMMANDS),
+    ("unknown-command", ["frobnicate"]),
+    ("missing-required", ["cost"]),
+    ("bad-choice", ["pareto", "--cost-axis", "z"]),
+    ("malformed-number", ["ldi", "--trials", "x"]),
+]
+
+# Exit code and SHA-256 of stdout and stderr of each parser run at 80 columns, as
+# Python 3.11's argparse lays them out.
+PARSER_DIGESTS = {
+    "help": [0,
+        "0d52e0bc147369417ef53dd1973369c2c5e2281650a63b3939cc22b628cc95cb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "arch-validate-help": [0,
+        "e68bbeff8238cf20b384259f3812dc238753975888a6f2ba4b9879c3dff0ae86",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "cost-help": [0,
+        "6fea8694114d495c1356b1d0e9ac6a958bcec61ff783e3cb93fedb13396d994d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "mass-help": [0,
+        "b909ab86357fb5da72cd26da74d7266b53361ae9b3b62cb503e5210b977d90a3",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "scale-help": [0,
+        "be649fb5eb01a52c590d37fafab71f8038af33fff99147f144112c4c7ff262bb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "pareto-help": [0,
+        "58c4d74e2d990c6436807334d4bdec535e56de2b31071f85db859f6d9b47ea98",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "collapse-verify-help": [0,
+        "9f22f2ead2998ac31c9d7dc974478d452244c9748de9711b62af1ed251535556",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "restructure-help": [0,
+        "8142cd6343d5d348ed643eae7ace2f5cf0250712d86cd6f9d0ff78513a02d508",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "afrb-search-help": [0,
+        "dd989b13c3ab30e264db3954783de494f4497ec987b5d58b620b5739441f1c16",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "ldi-help": [0,
+        "a153f8234a610110946410a6b0e3d1b611de847a3453c2e0963da3fafa554d56",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "regions-help": [0,
+        "58dde0845741587cdd1d15e5aa430e327118850d28b4561d076e1902452cf8b6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "report-help": [0,
+        "fa0d6f1ec2fdf14414ef582990bcb40ce511b7293a677d2666b6b041bbe54727",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "unknown-command": [2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "0f6f74399b2511a83acaf7fa1198084905aa907410681f4722f6340762009aa0"],
+    "missing-required": [2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3e66090fec1ccc9c32de6a798b4be7b3dcea66782e6c3c0be8dd500869c16663"],
+    "bad-choice": [2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "12ec0e13cfdc70b17922f15fdfa1c0bff1c5a00bf9f6b3645fd87ace0c73be75"],
+    "malformed-number": [2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "cf422251cdd78a588a4c7783b36bac90d86d68712a9b4dd855a9a18d345ec752"],
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests of Python 3.11's argparse")
+@pytest.mark.parametrize("name, argv", PARSER_RUNS, ids=[name for name, _ in PARSER_RUNS])
+def test_help_and_usage_errors_are_byte_stable(monkeypatch, capsys, name, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    digests = [exc.value.code, hashlib.sha256(captured.out.encode()).hexdigest(),
+               hashlib.sha256(captured.err.encode()).hexdigest()]
+    assert digests == PARSER_DIGESTS[name]
