@@ -14,7 +14,6 @@ topology add up the block rules at the shapes it gives.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from fractions import Fraction
@@ -838,6 +837,7 @@ _TOP_KEYS_STAGE = _TOP_KEYS_FULL - {"blocks"} | {
 
 def parse_arch(text: str) -> ArchDescriptor:
     """Parse an architecture file (full block list or stage shorthand); validates."""
+    import json
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -892,6 +892,7 @@ def parse_arch(text: str) -> ArchDescriptor:
 
 def serialize_arch(arch: ArchDescriptor) -> str:
     """Canonical JSON text; deterministic, round-trips through parse_arch."""
+    import json
     obj = {key: getattr(arch, key) for key in _TOP_KEYS_FULL - {"blocks"}}
     st = arch.stages
     if st is None:

@@ -10,15 +10,19 @@ has its writer beside its reader in scaler.
 Only collapse-verify, afrb-search, ldi and regions need numpy. They import the
 modules that use it (restructure, search, verify) when they run, so the
 descriptor commands start without loading numpy.
+
+Start-up builds and loads only what the command uses. A subcommand's parser adds
+its arguments when that command runs or shows its help. json loads to read an
+--arch file or to write JSON (--format json, mass --out, restructure --out, and the
+collapse-verify, afrb-search, ldi and regions reports); csv loads to write or read
+CSV (cost --per-block or --out, scale and pareto in CSV, afrb-search, report).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -62,10 +66,12 @@ def _float_fraction(value):
 
 def _json(obj) -> str:
     """The one JSON rendering: records become field dicts, Fractions floats."""
+    import json
     return json.dumps(asdict(obj), sort_keys=True, indent=2, default=_float_fraction) + "\n"
 
 
 def _csv(header, rows) -> str:
+    import csv
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)
@@ -334,61 +340,54 @@ def _cmd_report(args) -> int:
 RESOLUTION_HELP = "input resolution to cost at (default: the descriptor's input_resolution)"
 
 
-@functools.lru_cache(maxsize=None)  # parse_args leaves a parser as it was, so main reuses one
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="nnscale", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("arch-validate", help="validate an architecture file or preset")
-    _add_arch_flags(p)
-    p.set_defaults(fn=_cmd_arch_validate)
-
-    p = sub.add_parser("cost", help="MAC/parameter report")
+def _cost_args(p: argparse.ArgumentParser) -> None:
     _add_arch_flags(p)
     p.add_argument("--resolution", type=int, help=RESOLUTION_HELP)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--per-block", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_cost)
 
-    p = sub.add_parser("mass", help="NN-Mass summary")
+
+def _mass_args(p: argparse.ArgumentParser) -> None:
     _add_arch_flags(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_mass)
 
-    for name, fn in (("scale", _cmd_scale), ("pareto", _cmd_pareto)):
-        p = sub.add_parser(name, help=f"{name} over a multiplier grid")
-        _add_arch_flags(p)
-        _add_grid_flags(p)
-        p.add_argument("--resolution", type=int, help=RESOLUTION_HELP)
-        p.add_argument("--budget-macs", type=_finite_float)
-        p.add_argument("--budget-params", type=_finite_float)
-        p.add_argument("--tol", type=_finite_float, default=0.025)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out")
-        if name == "pareto":
-            p.add_argument("--cost-axis", choices=["macs", "params"], default="macs")
-        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("collapse-verify", help="two-path collapse equivalence trials")
+def _scale_args(p: argparse.ArgumentParser) -> None:
+    _add_arch_flags(p)
+    _add_grid_flags(p)
+    p.add_argument("--resolution", type=int, help=RESOLUTION_HELP)
+    p.add_argument("--budget-macs", type=_finite_float)
+    p.add_argument("--budget-params", type=_finite_float)
+    p.add_argument("--tol", type=_finite_float, default=0.025)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--out")
+
+
+def _pareto_args(p: argparse.ArgumentParser) -> None:
+    _scale_args(p)
+    p.add_argument("--cost-axis", choices=["macs", "params"], default="macs")
+
+
+def _collapse_verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--size", type=_positive_int, default=12)
     p.add_argument("--biased", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_collapse_verify)
 
-    p = sub.add_parser("restructure", help="split every ConvNext block MLP")
+
+def _restructure_args(p: argparse.ArgumentParser) -> None:
     _add_arch_flags(p)
     p.add_argument("--fraction", type=_finite_float, default=0.6,
                    help="fraction of expanded channels kept non-linear")
     p.add_argument("--activation", choices=["none", "gelu", "exp"], default="none")
     p.add_argument("--resolution", type=int, help=RESOLUTION_HELP)
     p.add_argument("--out", help="write the restructured architecture file here")
-    p.set_defaults(fn=_cmd_restructure)
 
-    p = sub.add_parser("afrb-search", help="toy non-linearity search on 2-D data")
+
+def _afrb_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", choices=["blobs", "moons", "xor"], default="blobs")
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--noise", type=_finite_float, default=0.4)
@@ -400,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_afrb_search)
 
-    p = sub.add_parser("ldi", help="layerwise isometry Monte-Carlo report")
+
+def _ldi_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--depth", type=int, default=16)
     p.add_argument("--skips", type=int, default=32)
@@ -410,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_ldi)
 
-    p = sub.add_parser("regions", help="linear-region counting trend report")
+
+def _regions_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_positive_int, default=4)
     p.add_argument("--n0", type=_positive_int, default=2)
     p.add_argument("--layers", type=_int_list, default="2,3,4", help="comma list of depths")
@@ -421,16 +420,71 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=_finite_float, default=2.0)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_regions)
 
-    p = sub.add_parser("report", help="budget sections + frontier data from a scan CSV")
+
+def _report_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scan", required=True, help="CSV produced by the scale command")
     p.add_argument("--budget", type=_budget_spec, action="append", default=[],
                    help="MACS:PARAMS, repeatable")
     p.add_argument("--tol", type=_finite_float, default=0.025)
     p.add_argument("--frontier-out")
-    p.set_defaults(fn=_cmd_report)
 
+
+# name, help line, the function that adds the command's arguments, the command
+COMMANDS = [
+    ("arch-validate", "validate an architecture file or preset", _add_arch_flags,
+     _cmd_arch_validate),
+    ("cost", "MAC/parameter report", _cost_args, _cmd_cost),
+    ("mass", "NN-Mass summary", _mass_args, _cmd_mass),
+    ("scale", "scale over a multiplier grid", _scale_args, _cmd_scale),
+    ("pareto", "pareto over a multiplier grid", _pareto_args, _cmd_pareto),
+    ("collapse-verify", "two-path collapse equivalence trials", _collapse_verify_args,
+     _cmd_collapse_verify),
+    ("restructure", "split every ConvNext block MLP", _restructure_args, _cmd_restructure),
+    ("afrb-search", "toy non-linearity search on 2-D data", _afrb_search_args,
+     _cmd_afrb_search),
+    ("ldi", "layerwise isometry Monte-Carlo report", _ldi_args, _cmd_ldi),
+    ("regions", "linear-region counting trend report", _regions_args, _cmd_regions),
+    ("report", "budget sections + frontier data from a scan CSV", _report_args, _cmd_report),
+]
+
+
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments the first time it parses or
+    formats its help or usage, so a run builds only the command it invokes (each
+    add_argument builds a help formatter, which asks for the terminal size)."""
+
+    def __init__(self, *args, setup, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._setup = setup
+
+    def _set_up(self) -> None:
+        if self._setup is not None:
+            setup, self._setup = self._setup, None
+            setup(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._set_up()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._set_up()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._set_up()
+        return super().format_help()
+
+
+# parse_args adds a command's arguments on its first use and otherwise leaves a parser
+# as it was, so main reuses one
+@functools.lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    # --help shows the module docstring up to its last paragraph, on what loads when
+    ap = argparse.ArgumentParser(prog="nnscale", description=__doc__.rsplit("\n\n", 1)[0])
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Command)
+    for name, help_line, setup, fn in COMMANDS:
+        sub.add_parser(name, help=help_line, setup=setup).set_defaults(fn=fn)
     return ap
 
 

@@ -11,7 +11,6 @@ stage depths.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from typing import List, Optional, Sequence
@@ -219,6 +218,7 @@ def candidates_to_csv(
     in_budget: Optional[Sequence[ScaleCandidate]] = None,
     selected: Optional[ScaleCandidate] = None,
 ) -> str:
+    import csv
     budget_set = set(id(c) for c in (in_budget or []))
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -242,10 +242,10 @@ def _finite(text: str, name: str, positive: bool = False) -> float:
 
 def _sizes(text: str, name: str) -> tuple:
     try:
-        values = tuple(int(v) for v in text.split("|")) if text else ()
+        values = tuple(map(int, text.split("|"))) if text else ()
     except ValueError:
         raise ValueError(f"{name} {text!r} is not a '|'-separated list of integers") from None
-    if any(v <= 0 for v in values):
+    if values and min(values) <= 0:
         raise ValueError(f"{name} {text!r} has an entry that is not positive")
     return values
 
@@ -262,6 +262,7 @@ def _count(text: str, name: str) -> int:
 
 def _rows(reader):
     """The reader's rows; a CSV error is refused with its line number."""
+    import csv
     try:
         yield from reader
     except csv.Error as exc:  # such as a field past the field size limit
@@ -277,6 +278,7 @@ def candidates_from_csv(text: str) -> List[ScaleCandidate]:
     writer renders the row (an invalid one as _invalid), or its flags are not ones
     a scan writes (in_budget or selected on an invalid row, selected on a row not in
     the budget, a second selected row); blank lines are skipped."""
+    import csv
     reader = csv.reader(io.StringIO(text))
     rows = _rows(reader)
     header = next(rows, None)
@@ -294,17 +296,12 @@ def candidates_from_csv(text: str) -> List[ScaleCandidate]:
             for name, flag in zip(CSV_COLUMNS[8:], row[8:]):
                 if flag not in ("0", "1"):
                     raise ValueError(f"{name} {flag!r} is not 0 or 1")
-            c = ScaleCandidate(
-                w_m=_finite(row[0], "w_m", positive=True),
-                d_m=_finite(row[1], "d_m", positive=True),
-                widths=_sizes(row[2], "widths"),
-                depths=_sizes(row[3], "depths"),
-                params=_count(row[4], "params"),
-                macs=_count(row[5], "macs"),
-                mass=_finite(row[6], "mass"),
-                nonlinear_units=_count(row[7], "nonlinear_units"),
-                valid=row[8] == "1",
-            )
+            # checked in column order; the record takes macs before params
+            w_m, d_m = _finite(row[0], "w_m", positive=True), _finite(row[1], "d_m", positive=True)
+            widths, depths = _sizes(row[2], "widths"), _sizes(row[3], "depths")
+            params, macs = _count(row[4], "params"), _count(row[5], "macs")
+            c = ScaleCandidate(w_m, d_m, widths, depths, macs, params, _finite(row[6], "mass"),
+                               _count(row[7], "nonlinear_units"), row[8] == "1")
             if c.valid and not len(c.widths) == len(c.depths) > 0:
                 raise ValueError(f"valid row needs one depth per stage width, got widths "
                                  f"{row[2]!r} and depths {row[3]!r}")

@@ -16,6 +16,7 @@ import nnscale.archspec as A
 import nnscale.scaler as S
 import nnscale.search as search
 import nnscale.verify as V
+from nnscale import cli
 from nnscale.cli import main
 
 
@@ -593,21 +594,24 @@ def test_cli_import_does_not_load_scipy():
 
 def test_descriptor_commands_do_not_load_numpy(tmp_path):
     """Each descriptor command, alone in a fresh interpreter, ends without numpy,
-    dataclasses, inspect or nnscale.tensor (with map_trials) loaded (report reads
-    the scan that scale wrote)."""
+    dataclasses, inspect or nnscale.tensor (with map_trials) loaded, nor json unless
+    it reads or writes JSON, nor csv unless it reads or writes CSV (report reads the
+    scan that scale wrote)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    for argv in (["arch-validate", "--preset", "convnext-t"],
-                 ["cost", "--preset", "convnext-t"],
-                 ["mass", "--preset", "ran-i-t"],
-                 ["scale", "--preset", "convnext-t", "--budget-macs", "4.5e9", "--out", "s.csv"],
-                 ["report", "--scan", "s.csv", "--budget", "4.5e9:28e6"],
-                 ["pareto", "--preset", "ran-i-t", "--out", "front.csv"],
-                 ["restructure", "--preset", "convnext-t", "--out", "split.json"]):
+    never = {"numpy", "dataclasses", "inspect", "nnscale.tensor"}
+    for argv, unused in (
+            (["arch-validate", "--preset", "convnext-t"], {"json", "csv"}),
+            (["cost", "--preset", "convnext-t"], {"json", "csv"}),
+            (["mass", "--preset", "ran-i-t"], {"json", "csv"}),
+            (["scale", "--preset", "convnext-t", "--budget-macs", "4.5e9", "--out", "s.csv"],
+             {"json"}),
+            (["report", "--scan", "s.csv", "--budget", "4.5e9:28e6"], {"json"}),
+            (["pareto", "--preset", "ran-i-t", "--out", "front.csv"], {"json"}),
+            (["restructure", "--preset", "convnext-t", "--out", "split.json"], {"csv"})):
         probe = ("import sys\n"
                  "from nnscale.cli import main\n"
                  f"assert main({argv!r}) == 0\n"
-                 "print(sorted({'numpy', 'dataclasses', 'inspect', 'nnscale.tensor'}"
-                 " & set(sys.modules)))")
+                 f"print(sorted({sorted(never | unused)!r} & sys.modules.keys()))")
         out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
                              capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == "[]", argv
@@ -1075,3 +1079,40 @@ def test_help_and_usage_errors_are_byte_stable(monkeypatch, capsys, name, argv):
     digests = [exc.value.code, hashlib.sha256(captured.out.encode()).hexdigest(),
                hashlib.sha256(captured.err.encode()).hexdigest()]
     assert digests == PARSER_DIGESTS[name]
+
+
+def test_parser_adds_a_commands_arguments_on_its_first_use():
+    ap = cli.build_parser.__wrapped__()
+    commands = ap._subparsers._group_actions[0].choices
+    assert list(commands) == COMMANDS
+    assert all(len(p._actions) == 1 for p in commands.values())  # only -h
+    args = ap.parse_args(["cost", "--preset", "ran-i-t", "--per-block"])
+    assert (args.fn, args.per_block, args.format) == (cli._cmd_cost, True, "csv")
+    assert len(commands["cost"]._actions) == 7
+    assert all(len(p._actions) == 1 for name, p in commands.items() if name != "cost")
+    assert ap.parse_args(["cost", "--preset", "ran-i-t"]).per_block is False
+    commands["ldi"].format_usage()
+    assert len(commands["ldi"]._actions) == 8
+
+
+def test_one_parser_runs_commands_as_fresh_processes_do(tmp_path, monkeypatch, capsys):
+    """Commands run one after another through one cached parser, from a newly built
+    one, print the bytes each prints alone in a fresh interpreter."""
+    runs = [["cost", "--preset", "ran-i-t", "--per-block"],
+            ["scale", "--preset", "convnext-t", "--wsteps", "3", "--dsteps", "2",
+             "--budget-macs", "3e9", "--tol", "0.25"],
+            ["mass", "--help"],
+            ["scale", "--wsteps", "x"]]
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    cli.build_parser.cache_clear()
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "nnscale.cli", *argv], env=env,
+                               capture_output=True)
+        assert (code, captured.out.encode(), captured.err.encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
