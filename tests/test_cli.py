@@ -1082,6 +1082,8 @@ def test_help_and_usage_errors_are_byte_stable(monkeypatch, capsys, name, argv):
 
 
 def test_parser_adds_a_commands_arguments_on_its_first_use():
+    """A new parser holds only -h in each subcommand until that command parses or
+    formats its usage."""
     ap = cli.build_parser.__wrapped__()
     commands = ap._subparsers._group_actions[0].choices
     assert list(commands) == COMMANDS
@@ -1095,7 +1097,7 @@ def test_parser_adds_a_commands_arguments_on_its_first_use():
     assert len(commands["ldi"]._actions) == 8
 
 
-def test_one_parser_runs_commands_as_fresh_processes_do(tmp_path, monkeypatch, capsys):
+def test_one_parser_runs_commands_as_fresh_processes_do(monkeypatch, capsys):
     """Commands run one after another through one cached parser, from a newly built
     one, print the bytes each prints alone in a fresh interpreter."""
     runs = [["cost", "--preset", "ran-i-t", "--per-block"],
