@@ -922,12 +922,14 @@ BYTE_STABLE_RUNS = [
                        "--trials", "8", "--out", "regions.json"], ["regions.json"]),
     ("regions-unsorted-repeated", ["regions", "--n", "4", "--n0", "1", "--layers", "3,1,3",
                                    "--grid", "512", "--trials", "5", "--seed", "7"], []),
+    ("ldi-bench", ["ldi", "--width", "32", "--depth", "16", "--skips", "32", "--trials", "50",
+                   "--out", "ldi.json"], ["ldi.json"]),
 ]
 
 # SHA-256 of each run's stdout, non-empty stderr and written files. Only the afrb-search
-# and regions runs touch BLAS (small float64 matrix products), so only their bytes may
-# depend on the BLAS build and CPU; the digests here were taken with numpy 2.4's bundled
-# OpenBLAS.
+# and regions runs touch BLAS (small float64 matrix products) and only the ldi run
+# touches LAPACK (batched SVD), so only their bytes may depend on the BLAS/LAPACK build
+# and CPU; the digests here were taken with numpy 2.4's bundled OpenBLAS.
 BYTE_STABLE_DIGESTS = {
     "arch-validate:stdout": "e94cd79cbf7ca367074043ffdb43c2ec04215f96c17cfbfef5e9b223281b3b68",
     "cost:stdout": "2e506ce42fc843866f2bb7bf6025ccc29ee3d7ffb9876e19142bd65b7c371f93",
@@ -983,6 +985,8 @@ BYTE_STABLE_DIGESTS = {
         "d9429f51475e6fb35a005fcc56edce0a0c75f2ba518464605899dbe7dc2a6f7b",
     "regions-unsorted-repeated:stdout":
         "e6895ef8c358000e781e90b89d7c188089a7301c5749459db47af6ab57bdd3b1",
+    "ldi-bench:stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "ldi-bench:ldi.json": "3e80079e0510ab70763ec3ad44878e60231415ad17aeca4cab9cd7d3b6b38d6b",
 }
 
 
