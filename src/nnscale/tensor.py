@@ -17,10 +17,7 @@ it makes rand_normal unsafe to call from two threads at once.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -159,86 +156,3 @@ def rand_normal(shape, var: float, seed: int, index: int = 0) -> np.ndarray:
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return math.sqrt(var) * _DRAWS.standard_normal(shape)
-
-
-# map_trials runs at most this many chunks at once, the caller's included. The gain
-# was measured on two CPUs only; each fork costs about 4 ms, so more workers on a
-# larger host could cost more than they save.
-MAX_WORKERS = 2
-
-
-def map_trials(fn: Callable, items: Sequence) -> List:
-    """[fn(x) for x in items], in order and by value, over one contiguous chunk of
-    items per worker: one per CPU the process may use (os.sched_getaffinity; 1 where
-    that is missing), at most MAX_WORKERS and never more than items. Chunk 0 runs
-    here; each other chunk runs in a forked child, which pickles ("ok", results) or
-    ("err", exception) into its own pipe and leaves by os._exit, so it runs no atexit
-    handler and flushes no stdio. A child's exception is raised again here; a child
-    that leaves no result (killed, out of memory) is an NnscaleError naming how it
-    ended. Every child is killed and reaped before this returns or raises, also on an
-    interrupt. With one worker there is no child, and this loop is the serial run.
-
-    Processes, not threads: numpy's batched SVD holds the GIL, and a forked child
-    needs no pickling of fn or items."""
-    items = list(items)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = max(1, min(cpus, MAX_WORKERS, len(items)))
-    bounds = [len(items) * i // workers for i in range(workers + 1)]
-    children = []  # (pid, read end of its pipe) of each child the finally must reap
-    try:
-        for i in range(1, workers):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                _run_chunk(fn, items[bounds[i]:bounds[i + 1]], read_end, write_end)
-            children.append((pid, read_end))
-            os.close(write_end)
-        results = [fn(x) for x in items[:bounds[1]]]
-        while children:
-            pid, read_end = children[0]
-            with open(read_end, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            # The child has closed its pipe, so it is ending. Drop it before the reap:
-            # a reaped pid may be reused, and the finally must not kill or wait for it.
-            del children[0]
-            os.close(read_end)
-            status = os.waitpid(pid, 0)[1]
-            if status or not data:
-                code = os.waitstatus_to_exitcode(status)
-                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                raise NnscaleError(f"a trial worker ended without a result ({how})")
-            kind, value = pickle.loads(data)
-            if kind == "err":
-                raise value
-            results += value
-        return results
-    finally:
-        for pid, read_end in children:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-            os.close(read_end)
-
-
-def _run_chunk(fn: Callable, chunk: list, read_end: int, write_end: int) -> None:
-    """A forked child's whole life: run the chunk, write the pickled reply, and leave
-    by os._exit, with code 0 only once the reply is written."""
-    code = 1
-    try:
-        os.close(read_end)
-        try:
-            reply = ("ok", [fn(x) for x in chunk])
-        except BaseException as exc:
-            reply = ("err", exc)
-        with open(write_end, "wb") as pipe:
-            pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .archspec import NUMBER_BOUND, NnscaleError, Record, replace
-from .tensor import generator, map_trials, singular_values_batch
+from .tensor import generator, singular_values_batch
 from .topology import IsometryBounds, ldi_bounds, log2_montufar_bound
 
 
@@ -81,8 +81,7 @@ class LdiReport(Record):
 
 
 # A run draws trials x depth x width x (width + skips) float64 weight entries but
-# each worker process holds one trial's network at a time; 2**24 entries bound the
-# work, not memory.
+# holds one trial's network at a time; 2**24 entries bound the work, not memory.
 MAX_LDI_ENTRIES = 2**24
 
 
@@ -100,8 +99,8 @@ def ldi_report(cfg: LinearDensenetConfig, trials: int) -> LdiReport:
     """Monte-Carlo check of the singular-value bounds. The layerwise Jacobian of a
     linear layer is its weight matrix; each (layer, trial) pair contributes its mean
     singular value, and fraction_within counts how many fall inside the bounds.
-    Trial t is the network at seed cfg.seed + t; the trials run through map_trials,
-    one [depth] row each, so the report is the same on any number of CPUs."""
+    Trial t is the network at seed cfg.seed + t; the trials run one after another,
+    one [depth] row each."""
     if trials < 50:
         raise VerifyError("need at least 50 trials")
     entries = trials * cfg.depth * cfg.width * (cfg.width + cfg.skip_channels)
@@ -109,8 +108,8 @@ def ldi_report(cfg: LinearDensenetConfig, trials: int) -> LdiReport:
         raise VerifyError(f"trials x depth x width x (width + skips) = {entries} "
                           f"weight entries exceeds {MAX_LDI_ENTRIES}")
     bounds = ldi_bounds(cfg.q, cfg.width, cfg.k_hat)
-    mean_sv = np.array(map_trials(
-        _mean_singular_values, [replace(cfg, seed=cfg.seed + t) for t in range(trials)]))
+    mean_sv = np.array([_mean_singular_values(replace(cfg, seed=cfg.seed + t))
+                        for t in range(trials)])
     within = (mean_sv >= bounds.lower) & (mean_sv <= bounds.upper)
     return LdiReport(
         per_layer_mean_sv=tuple(mean_sv.mean(axis=0).tolist()), k_hat=cfg.k_hat,
@@ -156,8 +155,8 @@ class RegionCount(Record):
 # though a trend walks only each trial's deepest net (3.3M points for the default run);
 # it is kept so that every input is accepted or refused as it always was. This bounds
 # work, not memory: a count holds one net's lattice as one int64 code per point (and a
-# 1-byte mask while counting), plus one chunk's activations, and each worker process
-# of montufar_trend holds one count at a time.
+# 1-byte mask while counting), plus one chunk's activations, and montufar_trend holds
+# one count at a time.
 MAX_LATTICE_POINTS = 2**26
 LATTICE_CHUNK = 2**13
 
@@ -266,7 +265,7 @@ def montufar_trend(
     n bits per layer dropped. Each trial therefore walks the lattice of its deepest
     net once and counts every depth from its sorted codes, shifted in place from the
     deepest depth to the shallowest (a right shift keeps the order). The trials run
-    through one map_trials call, so the report is the same on any number of CPUs."""
+    one after another."""
     if not layer_counts:
         raise VerifyError("need at least one depth")
     if trials < 1:
@@ -285,7 +284,7 @@ def montufar_trend(
             codes >>= n * (deeper - layers)
             counts[layers] = _distinct(codes, n * layers)
         return counts
-    counts = map_trials(count, range(trials))
+    counts = [count(t) for t in range(trials)]
     reports = [_consistency(n, n0, layers, trials, grid, [c[layers] for c in counts])
                for layers in layer_counts]
     means = [r["mean_patterns"] for r in reports]

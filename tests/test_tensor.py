@@ -1,8 +1,5 @@
 import itertools
 import math
-import os
-import signal
-import time
 
 import numpy as np
 import pytest
@@ -11,9 +8,6 @@ from scipy.signal import correlate2d
 
 import nnscale.restructure as R
 import nnscale.tensor as T
-import nnscale.verify as V
-from nnscale.archspec import NnscaleError
-from nnscale.cli import main
 
 
 def ref_conv_same(x, kernel, bias=None, stride=1):
@@ -256,126 +250,3 @@ def test_rand_tensor_zero_variance():
 def test_rand_tensor_sample_variance():
     a = T.rand_normal((1_000_000,), 0.25, seed=9)
     assert abs(a.var() - 0.25) / 0.25 <= 0.01
-
-
-@pytest.fixture(params=[1, 2, 3, 4], ids=lambda n: f"{n}cpu")
-def cpus(request, monkeypatch):
-    """map_trials sees this many CPUs and may use them all; no child may outlive the
-    test."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
-    monkeypatch.setattr(T, "MAX_WORKERS", 4)
-    yield request.param
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def in_child(parent_pid: int) -> bool:
-    return os.getpid() != parent_pid
-
-
-@pytest.mark.parametrize("n_items", [0, 1, 2, 3, 7])
-def test_map_trials_is_the_list_comprehension(cpus, n_items):
-    parent = os.getpid()
-    def fn(x):
-        return x, x / 3, np.arange(x, dtype=np.float64) ** 0.5
-    got = T.map_trials(fn, range(n_items))
-    want = [fn(x) for x in range(n_items)]
-    assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
-    assert all(np.array_equal(g[2], w[2]) for g, w in zip(got, want))
-    # one process per chunk, and chunk 0 runs in the caller
-    pids = T.map_trials(lambda x: os.getpid(), range(n_items))
-    assert (len(set(pids)) == min(cpus, n_items)) and (not pids or pids[0] == parent)
-
-
-def test_map_trials_uses_at_most_max_workers(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert len(set(T.map_trials(lambda x: os.getpid(), range(7)))) == T.MAX_WORKERS == 2
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("n_items", [1, 2, 3, 7])
-def test_map_trials_raises_a_child_exception(cpus, n_items):
-    def fn(x):
-        if x == n_items - 1:
-            raise R.RestructureError(f"trial {x} failed")
-        return x
-    with pytest.raises(R.RestructureError, match=f"^trial {n_items - 1} failed$"):
-        T.map_trials(fn, range(n_items))
-
-
-def test_map_trials_raises_the_first_failing_item(cpus):
-    def fn(x):
-        if x >= 4:
-            raise ValueError(f"item {x}")
-        return x
-    with pytest.raises(ValueError, match="^item 4$"):
-        T.map_trials(fn, range(7))
-
-
-@pytest.mark.parametrize("how,message", [
-    (lambda: os._exit(3), "exit code 3"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
-], ids=["exit_3", "sigkill"])
-@pytest.mark.parametrize("n_items", [2, 3, 7])
-def test_map_trials_child_without_a_result_is_a_domain_error(cpus, n_items, how, message):
-    parent = os.getpid()
-    def fn(x):
-        if in_child(parent):
-            how()
-        return x
-    if cpus == 1:  # no child: the serial run
-        assert T.map_trials(fn, range(n_items)) == list(range(n_items))
-        return
-    with pytest.raises(NnscaleError, match=rf"^a trial worker ended without a result "
-                                           rf"\({message}\)$"):
-        T.map_trials(fn, range(n_items))
-
-
-def test_map_trials_interrupt_kills_every_child(cpus):
-    parent = os.getpid()
-    def fn(x):
-        if in_child(parent):
-            time.sleep(60)
-        raise KeyboardInterrupt
-    start = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        T.map_trials(fn, range(7))
-    assert time.perf_counter() - start < 10
-
-
-def test_map_trials_interrupt_after_a_reap_leaves_that_child_alone(cpus, monkeypatch):
-    """An interrupt just after a child is reaped comes through as it is, and the
-    finally kills and reaps every other child but never touches the reaped pid."""
-    waitpid = os.waitpid
-    reaped = []
-    def reap_then_interrupt(pid, options):
-        status = waitpid(pid, options)
-        if not reaped:
-            reaped.append(pid)
-            raise KeyboardInterrupt
-        return status
-    monkeypatch.setattr(os, "waitpid", reap_then_interrupt)
-    if cpus == 1:  # no child to reap
-        assert T.map_trials(abs, range(7)) == list(range(7))
-        return
-    with pytest.raises(KeyboardInterrupt):
-        T.map_trials(abs, range(7))
-    assert len(reaped) == 1
-
-
-def test_cli_maps_a_lost_trial_worker_to_exit_1(monkeypatch, capsys):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    parent = os.getpid()
-    trial = V._mean_singular_values
-    def exit_in_child(cfg):
-        if in_child(parent):
-            os._exit(3)
-        return trial(cfg)
-    monkeypatch.setattr(V, "_mean_singular_values", exit_in_child)
-    code = main(["ldi", "--width", "4", "--depth", "3", "--skips", "2", "--trials", "50"])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (
-        1, "", "error: a trial worker ended without a result (exit code 3)\n")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import PROFILE, traced_peak_mb
 
-import nnscale.tensor as T
 import nnscale.verify as V
 from nnscale.tensor import singular_values_batch
 from nnscale.topology import ldi_bounds
@@ -244,10 +243,9 @@ def trends(draw):
                 seed=draw(st.integers(-2**31 + 1, 2**31 - 1)))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @settings(**PROFILE)
 @given(trends())
-def test_trend_counts_each_depth_as_its_own_net(workers, args):
+def test_trend_counts_each_depth_as_its_own_net(args):
     """Every depth's per-trial counts are count_linear_regions on that depth's own net,
     which the trend never builds."""
     seen = []
@@ -258,7 +256,6 @@ def test_trend_counts_each_depth_as_its_own_net(workers, args):
         return consistency(n, n0, layers, trials, grid, counts)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "MAX_WORKERS", workers)
         mp.setattr(V, "_consistency", spy)
         V.montufar_trend(**args)
     n, n0, grid, radius = args["n"], args["n0"], args["grid"], args["box_radius"]
@@ -277,16 +274,14 @@ def test_trend_builds_one_net_per_trial(monkeypatch):
         built.append(layers)
         return build(n0, n, layers, seed)
 
-    monkeypatch.setattr(T, "MAX_WORKERS", 1)  # a forked worker's calls are not seen here
     monkeypatch.setattr(V, "random_relu_net", spy)
     V.montufar_trend(4, 2, [3, 2, 4, 3], trials=5, grid=32, seed=3)
     assert built == [4] * 5
 
 
-def test_trend_holds_one_count(monkeypatch):
+def test_trend_holds_one_count():
     # 2^20 points of the deepest net: 8 MB of codes, 1 MB of mask and one chunk, the
     # bound of one count_linear_regions
-    monkeypatch.setattr(T, "MAX_WORKERS", 1)
     assert traced_peak_mb(V.montufar_trend, 4, 2, [2, 3, 4], 1, 1024) < 16
 
 
