@@ -21,6 +21,7 @@ CSV (cost --per-block or --out, scale and pareto in CSV, afrb-search, report).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import io
 import math
@@ -35,11 +36,34 @@ from .archspec import NONE, GELU, NnscaleError, asdict, exp_kernel, replace
 DOMAIN_ERRORS = (NnscaleError, OSError, UnicodeDecodeError)
 
 
+def _write(text: str) -> None:
+    """Write text to stdout: every encoded byte through sys.stdout.buffer (a raw
+    FileIO when Python runs unbuffered, which may write short), then flushed. A
+    closed stdout, or a failed write (a reader that has gone, a full device), is an
+    OSError naming <stdout>; fd 1 then points at the null device, so the flush at exit
+    does not fail a second time. A closed stderr cannot carry the error line; such a
+    run still exits 1."""
+    out = sys.stdout
+    if out is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    data = memoryview(text.encode(out.encoding, out.errors))
+    try:
+        out.flush()
+        while data:
+            data = data[out.buffer.write(data):]
+        out.buffer.flush()
+    except OSError as exc:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, out.fileno())
+        os.close(null)
+        raise OSError(exc.errno, exc.strerror, "<stdout>") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     """Write text to stdout, or to `out` through a renamed temp file that gets the
     mode open() gives a new file. A failed write names `out`, not the temp file."""
     if out is None:
-        sys.stdout.write(text)
+        _write(text)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
     tmp = None
@@ -154,9 +178,9 @@ def _human(v: float) -> str:
 def _cmd_arch_validate(args) -> int:
     arch = _load_arch(args)
     shapes = archspec.propagate_shapes(arch)
-    print(f"{arch.name}: family={arch.family} blocks={len(arch.blocks)} "
-          f"resolution={arch.input_resolution} "
-          f"channels={shapes[0].channels}->{shapes[-1].channels}")
+    _write(f"{arch.name}: family={arch.family} blocks={len(arch.blocks)} "
+           f"resolution={arch.input_resolution} "
+           f"channels={shapes[0].channels}->{shapes[-1].channels}\n")
     return 0
 
 
@@ -166,7 +190,7 @@ def _cmd_cost(args) -> int:
     summary = (f"{arch.name}@{arch.input_resolution}: params={_human(report.total_params)} "
                f"macs={_human(report.total_macs)}\n")
     if args.out is None:
-        sys.stdout.write(summary)
+        _write(summary)
     if args.format == "json":
         _emit(_json(report), args.out)
     elif args.out is not None or args.per_block:
@@ -182,7 +206,7 @@ def _cmd_mass(args) -> int:
     report = topology.nn_mass(arch)
     line = (f"{arch.name}: m={report.mass:g} X={report.nonlinear_units} "
             f"k={float(report.k):g} k_hat={report.avg_degree:.2f}\n")
-    sys.stdout.write(line)
+    _write(line)
     if args.out is not None or args.format == "json":
         _emit(_json(report), args.out)
     return 0
@@ -248,7 +272,7 @@ def _cmd_restructure(args) -> int:
     act = {"none": NONE, "gelu": GELU, "exp": exp_kernel()}[args.activation]
     new = archspec.restage(arch, split_fraction=args.fraction, split_activation=act)
     report = costmodel.count_arch(new)
-    sys.stdout.write(
+    _write(
         f"{new.name} split(keep={args.fraction:g}, psi={args.activation}): "
         f"params={_human(report.total_params)} macs={_human(report.total_macs)}\n"
     )
@@ -278,7 +302,7 @@ def _cmd_afrb_search(args) -> int:
         "final_accuracy": trace.accuracy[-1] if len(trace) else None,
         "nonlinear_units_left": search.nonlinearity_count(model),
     }
-    sys.stdout.write(_json(summary))
+    _write(_json(summary))
     return 0
 
 
@@ -330,7 +354,7 @@ def _cmd_report(args) -> int:
             lines.append("  no candidates")
             continue
         lines.append("  " + _selected_line(scaler.select_max_mass(matches)))
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write("\n".join(lines) + "\n")
     if args.frontier_out:
         rows = ([c.macs, repr(c.mass)] for c in scaler.pareto_frontier(cands, "macs"))
         _emit(_csv(["macs", "mass"], rows), args.frontier_out)

@@ -551,6 +551,70 @@ def test_interrupt_exits_130_with_one_error_line():
     assert "Traceback" not in err
 
 
+def _fresh_run(argv, stdout, unbuffered=True, preexec_fn=None):
+    """`nnscale argv` started in a fresh interpreter, its stderr a text pipe."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "nnscale.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True,
+                            preexec_fn=preexec_fn)
+
+
+def _one_error_line(proc, message):
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, f"error: {message}: '<stdout>'\n")
+
+
+@pytest.mark.parametrize("argv", [["cost", "--preset", "convnext-t"],
+                                  ["regions", "--trials", "2", "--grid", "16"]])
+def test_closed_stdout_is_a_domain_error(argv):
+    proc = _fresh_run(argv, None, preexec_fn=lambda: os.close(1))
+    _one_error_line(proc, "[Errno 9] Bad file descriptor")
+
+
+# 454 KB of scan CSV, far more than a pipe holds, so the command is still writing when
+# the reader goes
+BIG_STDOUT = ["scale", "--preset", "ran-i-t", "--wsteps", "100", "--dsteps", "50"]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_reader_that_stops_early_is_a_domain_error(unbuffered):
+    """A reader that takes 10 bytes and closes the pipe: unbuffered, stdout's raw
+    FileIO writes short, and the rest must not be dropped without a word."""
+    read_end, write_end = os.pipe()
+    try:
+        proc = _fresh_run(BIG_STDOUT, write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    try:
+        assert len(os.read(read_end, 10)) > 0
+    finally:
+        os.close(read_end)
+    _one_error_line(proc, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_pipe_closed_before_the_first_write_is_a_domain_error(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _fresh_run(["cost", "--preset", "convnext-t"], write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    _one_error_line(proc, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_full_device_on_stdout_is_a_domain_error(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _fresh_run(["cost", "--preset", "convnext-t"], full, unbuffered)
+    _one_error_line(proc, "[Errno 28] No space left on device")
+
+
 def test_report_rejects_non_finite_mass(tmp_path, capsys):
     scan = tmp_path / "scan.csv"
     scan.write_text("w_m,d_m,widths,depths,params,macs,mass,nonlinear_units,valid,"
