@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,6 +204,43 @@ def test_region_count_matches_tuple_oracle(n0, n, layers, grid):
         rc = V.count_linear_regions(net, 2.0, grid)
         assert rc.relu_units == n * layers
         assert rc.distinct_patterns == _oracle_patterns(net, 2.0, grid)
+
+
+def _exact_patterns(net, box_radius):
+    """Every sign pattern a one-input net takes on [-r, r], counted, and the width of
+    the narrowest interval on which its pattern is constant. Walk the layers keeping,
+    for each interval, the affine map t -> slope * t + icept of the layer's
+    activations; split each interval at every unit's zero crossing inside it."""
+    pieces = [(-box_radius, box_radius, np.ones(1), np.zeros(1), ())]
+    for w, b in net.hidden:
+        split = []
+        for lo, hi, slope, icept, bits in pieces:
+            a, c = w @ slope, w @ icept + b
+            with np.errstate(divide="ignore", invalid="ignore"):
+                roots = -c / a  # a unit with a == 0 has no crossing: inf or nan
+            edges = [lo, *sorted({t for t in roots.tolist() if lo < t < hi}), hi]
+            for left, right in zip(edges, edges[1:]):
+                active = a * ((left + right) / 2) + c > 0
+                split.append((left, right, np.where(active, a, 0.0), np.where(active, c, 0.0),
+                              bits + tuple(active.tolist())))
+        pieces = split
+    return len({bits for *_, bits in pieces}), min(hi - lo for lo, hi, *_ in pieces)
+
+
+@settings(**PROFILE)
+@given(n=st.integers(1, 6), layers=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
+       box_radius=st.sampled_from([0.5, 2.0, 7.0]), grid=st.integers(1, 2048))
+def test_region_count_meets_the_exact_count_at_one_input(n, layers, seed, box_radius, grid):
+    """At n0 = 1 the lattice count never exceeds the exact count, and equals it once
+    the lattice step is below the narrowest interval, so every interval holds a
+    lattice point: at any grid above 2r / narrowest + 1 within the 2048 limit."""
+    net = V.random_relu_net(1, n, layers, seed=seed)
+    exact, narrowest = _exact_patterns(net, box_radius)
+    assert V.count_linear_regions(net, box_radius, grid).distinct_patterns <= exact
+    saturating = math.floor(2 * box_radius / narrowest) + 2
+    if saturating <= 2048:  # count_linear_regions' grid limit
+        for fine in (saturating, 2048):
+            assert V.count_linear_regions(net, box_radius, fine).distinct_patterns == exact
 
 
 def test_region_counting_limits():
