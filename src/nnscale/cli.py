@@ -46,6 +46,9 @@ def _write(text: str) -> None:
     out = sys.stdout
     if out is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    if not hasattr(out, "buffer"):  # a text-only stream, such as redirect_stdout's StringIO
+        out.write(text)
+        return
     data = memoryview(text.encode(out.encoding, out.errors))
     try:
         out.flush()
