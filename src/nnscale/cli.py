@@ -51,7 +51,6 @@ def _write(text: str) -> None:
         return
     data = memoryview(text.encode(out.encoding, out.errors))
     try:
-        out.flush()
         while data:
             data = data[out.buffer.write(data):]
         out.buffer.flush()
