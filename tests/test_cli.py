@@ -681,6 +681,34 @@ def test_descriptor_commands_do_not_load_numpy(tmp_path):
         assert out.splitlines()[-1] == "[]", argv
 
 
+TRIAL_RUNS = [
+    ["ldi", "--width", "8", "--depth", "6", "--skips", "4", "--trials", "50", "--seed", "3"],
+    ["regions", "--layers", "2,3", "--trials", "3", "--grid", "64", "--seed", "2"],
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and two CPUs")
+def test_trial_commands_write_the_same_bytes_on_one_cpu(tmp_path):
+    """ldi and regions in fresh interpreters, pinned to one CPU and unpinned: every
+    output byte is the same, so no BLAS or LAPACK thread count taken from the CPUs
+    the process may use reaches the trials."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    cpu = min(os.sched_getaffinity(0))
+    def outputs(argv, pinned):
+        directory = tmp_path / f"{argv[0]}-{len(argv)}-{pinned}"
+        directory.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "nnscale.cli", *argv, "--out", "out.json"], env=env,
+            cwd=directory, capture_output=True,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pinned else None)
+        return proc.returncode, proc.stdout, proc.stderr, (directory / "out.json").read_bytes()
+    for argv in TRIAL_RUNS:
+        pinned = outputs(argv, True)
+        assert pinned[:3] == (0, b"", b"") and pinned[3].startswith(b"{"), argv
+        assert outputs(argv, False) == pinned, argv
+
+
 def test_every_module_error_shares_one_base():
     modules = [importlib.import_module(f"nnscale.{m.name}")
                for m in pkgutil.iter_modules(nnscale.__path__)]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.signal import correlate2d
 
 import nnscale.restructure as R
 import nnscale.tensor as T
+import nnscale.verify as V
 
 
 def ref_conv_same(x, kernel, bias=None, stride=1):
@@ -250,3 +252,30 @@ def test_rand_tensor_zero_variance():
 def test_rand_tensor_sample_variance():
     a = T.rand_normal((1_000_000,), 0.25, seed=9)
     assert abs(a.var() - 0.25) / 0.25 <= 0.01
+
+
+@pytest.fixture(params=[1, 2, 3, 4], ids=lambda n: f"{n}cpu")
+def cpus(request, monkeypatch):
+    """The process sees this many CPUs; no child process may outlive the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    yield request.param
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_trials_raises_the_first_failing_item(cpus, monkeypatch):
+    """ldi_report maps its trials over the seeds in order, in the caller's process,
+    on any number of CPUs: the first failing trial's error comes through as it is and
+    no later trial runs."""
+    parent, seen = os.getpid(), []
+    trial = V._mean_singular_values
+    def fail_from_seed_14(cfg):
+        seen.append((os.getpid(), cfg.seed))
+        if cfg.seed >= 14:
+            raise V.VerifyError(f"trial at seed {cfg.seed}")
+        return trial(cfg)
+    monkeypatch.setattr(V, "_mean_singular_values", fail_from_seed_14)
+    cfg = V.LinearDensenetConfig(width=4, depth=3, skip_channels=2, q=0.5, seed=10)
+    with pytest.raises(V.VerifyError, match="^trial at seed 14$"):
+        V.ldi_report(cfg, 50)
+    assert seen == [(parent, 10 + t) for t in range(5)]

@@ -272,9 +272,9 @@ def test_montufar_depth_trend():
 
 
 @st.composite
-def trends(draw):
-    """Arguments of a small montufar_trend: depths in any order, with repeats."""
-    n0 = draw(st.sampled_from([1, 2]))
+def trends(draw, n0):
+    """Arguments of a small montufar_trend on n0 inputs: depths in any order, with
+    repeats."""
     return dict(n=draw(st.integers(n0, 2)), n0=n0,
                 layer_counts=draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)),
                 trials=draw(st.integers(1, 4)), grid=draw(st.integers(1, 40)),
@@ -282,11 +282,13 @@ def trends(draw):
                 seed=draw(st.integers(-2**31 + 1, 2**31 - 1)))
 
 
+@pytest.mark.parametrize("n0", [1, 2])
 @settings(**PROFILE)
-@given(trends())
-def test_trend_counts_each_depth_as_its_own_net(args):
+@given(data=st.data())
+def test_trend_counts_each_depth_as_its_own_net(n0, data):
     """Every depth's per-trial counts are count_linear_regions on that depth's own net,
-    which the trend never builds."""
+    which the trend never builds; one run each for one and two inputs."""
+    args = data.draw(trends(n0))
     seen = []
     consistency = V._consistency
 
