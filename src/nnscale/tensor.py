@@ -1,5 +1,5 @@
-"""Float64 numeric substrate: direct 2-D convolution, batched LAPACK singular
-values, and seeded tensor generation.
+"""Float64 numeric substrate: direct 2-D convolution, batched singular values (LAPACK
+eigvalsh of Gram matrices, or SVD), and seeded tensor generation.
 
 Tensors are plain C-contiguous float64 numpy arrays. A convolution is one batched
 matmul per block of groups over that block's patch matrices, so its temporaries are
@@ -27,6 +27,12 @@ from .archspec import NnscaleError, Record
 # A conv2d patch block holds at most this many entries (512 KB), and never less than
 # one group.
 PATCH_ENTRIES = 2**16
+
+# A Gram matrix squares a matrix's condition number, and its eigenvalues carry an
+# error of about eps times the largest. Above this ratio of its smallest eigenvalue to
+# its largest, each singular value from it agrees with the SVD's to about 1e-12
+# relative; at or below it, the matrix takes the SVD.
+GRAM_CUTOFF = 1e-4
 
 
 class TensorError(NnscaleError):
@@ -124,7 +130,15 @@ def conv2d(x: np.ndarray, w: ConvWeights) -> np.ndarray:
 
 def singular_values_batch(ms: np.ndarray) -> np.ndarray:
     """Singular values (descending) of a batch of equally-shaped matrices [B, r, c].
-    Entries must be finite and sides are limited to 512 (desk scale)."""
+    Entries must be finite and sides are limited to 512 (desk scale).
+
+    Square matrices take LAPACK's SVD. A non-square matrix A takes the square roots of
+    the eigenvalues of its smaller Gram matrix (A Aᵀ or Aᵀ A), after scaling A by the
+    power of two that brings its largest entry into [0.5, 1), so the Gram matrix
+    neither overflows nor underflows and σ scales back exactly. Where that Gram
+    matrix's smallest eigenvalue is at most GRAM_CUTOFF times its largest, the matrix
+    takes the SVD instead. Both choices are made per matrix, so a matrix's values are
+    the same alone or in any batch."""
     ms = _as_f64(ms)
     if ms.ndim != 3:
         raise TensorError("expected a batch [B, r, c]")
@@ -133,7 +147,17 @@ def singular_values_batch(ms: np.ndarray) -> np.ndarray:
     _, r, c = ms.shape
     if r > 512 or c > 512:
         raise TensorError(f"matrix sides limited to 512, got {r}x{c}")
-    return np.linalg.svd(ms, compute_uv=False)
+    if r == c or min(r, c) == 0:
+        return np.linalg.svd(ms, compute_uv=False)
+    wide = ms if r < c else ms.transpose(0, 2, 1)
+    _, exponent = np.frexp(np.abs(wide).max(axis=(1, 2)))
+    scaled = np.ldexp(wide, -exponent[:, None, None])
+    eig = np.linalg.eigvalsh(scaled @ scaled.transpose(0, 2, 1))  # ascending
+    sv = np.ldexp(np.sqrt(np.maximum(eig[:, ::-1], 0.0)), exponent[:, None])
+    ill = eig[:, 0] <= GRAM_CUTOFF * eig[:, -1]
+    if ill.any():
+        sv[ill] = np.linalg.svd(ms[ill], compute_uv=False)
+    return sv
 
 
 def generator(seed: int, index: int = 0) -> np.random.Generator:

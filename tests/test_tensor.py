@@ -4,7 +4,8 @@ import os
 
 import numpy as np
 import pytest
-from conftest import batch_norm, fold_bn, traced_peak_mb
+from conftest import PROFILE, batch_norm, fold_bn, traced_peak_mb
+from hypothesis import given, settings, strategies as st
 from scipy.signal import correlate2d
 
 import nnscale.restructure as R
@@ -209,6 +210,42 @@ def test_singular_values_mean_within_isometry_bounds():
         mean_sv = sv(m).mean()
         hits += b.lower <= mean_sv <= b.upper
     assert hits / trials >= 0.99
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """A rows x cols matrix, with repeated columns at times (rank-deficient when it has
+    fewer distinct columns than its shorter side) and graded columns at times (column
+    j scaled by 2^-(grade j), ill-conditioned but of full rank), scaled by a power of
+    two from 2^-1070 to 2^1000."""
+    distinct = draw(st.one_of(st.just(cols), st.integers(1, cols)))
+    base = T.rand_normal((rows, distinct), 1.0, seed=draw(st.integers(0, 2**31 - 1)))
+    base = np.ldexp(base, -draw(st.integers(0, 4)) * np.arange(distinct))
+    return np.ldexp(base[:, np.arange(cols) % distinct], draw(st.integers(-1070, 1000)))
+
+
+@st.composite
+def non_square_matrices(draw):
+    """A wide or tall matrix, near-square (one side longer by 1) at times."""
+    short = draw(st.integers(1, 12))
+    long = short + draw(st.one_of(st.just(1), st.integers(1, 20)))
+    return draw(matrices(*((short, long) if draw(st.booleans()) else (long, short))))
+
+
+@settings(**PROFILE)
+@given(data=st.data())
+def test_gram_route_matches_lapack_in_any_batch(data):
+    """Each singular value agrees with LAPACK's SVD to 1e-10 relative, and a matrix
+    gets the same bits alone as anywhere in a batch of others of its shape."""
+    m = data.draw(non_square_matrices())
+    want = np.linalg.svd(m, compute_uv=False)
+    # Below 2^-1022 a float keeps fewer bits: each route rounds to the subnormal grid
+    # and the two may land one step (2^-1074) apart.
+    assert np.all(np.abs(sv(m) - want) <= 1e-10 * want + np.spacing(0.0))
+    batch = data.draw(st.lists(matrices(*m.shape), max_size=3))
+    at = data.draw(st.integers(0, len(batch)))
+    batch.insert(at, m)
+    assert T.singular_values_batch(np.stack(batch))[at].tobytes() == sv(m).tobytes()
 
 
 def test_rand_tensor_deterministic():
