@@ -993,8 +993,9 @@ BYTE_STABLE_RUNS = [
 
 # SHA-256 of each run's stdout, non-empty stderr and written files. Only the afrb-search
 # and regions runs touch BLAS (small float64 matrix products) and only the ldi run
-# touches LAPACK (batched SVD), so only their bytes may depend on the BLAS/LAPACK build
-# and CPU; the digests here were taken with numpy 2.4's bundled OpenBLAS.
+# touches LAPACK (eigvalsh of its skip layers' Gram matrices and SVD of its square
+# layers), so only their bytes may depend on the BLAS/LAPACK build and CPU; the digests
+# here were taken with numpy 2.4's bundled OpenBLAS.
 BYTE_STABLE_DIGESTS = {
     "arch-validate:stdout": "e94cd79cbf7ca367074043ffdb43c2ec04215f96c17cfbfef5e9b223281b3b68",
     "cost:stdout": "2e506ce42fc843866f2bb7bf6025ccc29ee3d7ffb9876e19142bd65b7c371f93",
@@ -1051,7 +1052,7 @@ BYTE_STABLE_DIGESTS = {
     "regions-unsorted-repeated:stdout":
         "e6895ef8c358000e781e90b89d7c188089a7301c5749459db47af6ab57bdd3b1",
     "ldi-bench:stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "ldi-bench:ldi.json": "3e80079e0510ab70763ec3ad44878e60231415ad17aeca4cab9cd7d3b6b38d6b",
+    "ldi-bench:ldi.json": "3763f48bbbacf54fe496c94018a0a6cf1fa3861cf6b78df5e404a9a76f482c8c",
 }
 
 
