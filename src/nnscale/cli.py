@@ -36,16 +36,27 @@ from .archspec import NONE, GELU, NnscaleError, asdict, exp_kernel, replace
 DOMAIN_ERRORS = (NnscaleError, OSError, UnicodeDecodeError)
 
 
+def _stdout():
+    """sys.stdout, or, when fd 1 is closed, an OSError naming <stdout>."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    return sys.stdout
+
+
+def _to_null(stream) -> None:
+    """Point stream's file descriptor at the null device, so the flush at exit does not
+    fail a second time."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
 def _write(text: str) -> None:
     """Write text to stdout: every encoded byte through sys.stdout.buffer (a raw
     FileIO when Python runs unbuffered, which may write short), then flushed. A
     closed stdout, or a failed write (a reader that has gone, a full device), is an
-    OSError naming <stdout>; fd 1 then points at the null device, so the flush at exit
-    does not fail a second time. A closed stderr cannot carry the error line; such a
-    run still exits 1."""
-    out = sys.stdout
-    if out is None:
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    OSError naming <stdout>; fd 1 then points at the null device."""
+    out = _stdout()
     if not hasattr(out, "buffer"):  # a text-only stream, such as redirect_stdout's StringIO
         out.write(text)
         return
@@ -55,10 +66,21 @@ def _write(text: str) -> None:
             data = data[out.buffer.write(data):]
         out.buffer.flush()
     except OSError as exc:
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, out.fileno())
-        os.close(null)
+        _to_null(out)
         raise OSError(exc.errno, exc.strerror, "<stdout>") from None
+
+
+def _note(line: str) -> None:
+    """Write one line to stderr, best effort: nothing when stderr is closed, and a
+    failed write points fd 2 at the null device. The exit code stays the command's."""
+    err = sys.stderr
+    if err is None:
+        return
+    try:
+        err.write(line + "\n")
+        err.flush()
+    except OSError:
+        _to_null(err)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -91,9 +113,15 @@ def _float_fraction(value):
 
 
 def _json(obj) -> str:
-    """The one JSON rendering: records become field dicts, Fractions floats."""
+    """The one JSON rendering: records become field dicts, Fractions floats. JSON has
+    no NaN or infinity, so a report holding one is a domain error."""
     import json
-    return json.dumps(asdict(obj), sort_keys=True, indent=2, default=_float_fraction) + "\n"
+    try:
+        text = json.dumps(asdict(obj), sort_keys=True, indent=2, default=_float_fraction,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NnscaleError(f"cannot write JSON: {exc}") from None
+    return text + "\n"
 
 
 def _csv(header, rows) -> str:
@@ -252,7 +280,7 @@ def _cmd_scale(args) -> int:
     cands, in_budget, selected = _scan(args)
     _emit_candidates(args, cands, in_budget, selected)
     if selected is not None:
-        sys.stderr.write(_selected_line(selected) + "\n")
+        _note(_selected_line(selected))
     return 0
 
 
@@ -309,6 +337,8 @@ def _cmd_afrb_search(args) -> int:
 
 
 def _cmd_ldi(args) -> int:
+    if args.out is None:
+        _stdout()  # a closed stdout fails before the trials run
     from . import verify
     cfg = verify.LinearDensenetConfig(
         width=args.width, depth=args.depth, skip_channels=args.skips,
@@ -319,6 +349,8 @@ def _cmd_ldi(args) -> int:
 
 
 def _cmd_regions(args) -> int:
+    if args.out is None:
+        _stdout()  # a closed stdout fails before the trials run
     from . import verify
     trend = verify.montufar_trend(
         args.n, args.n0, args.layers, args.trials,
@@ -332,7 +364,7 @@ def _parse_budgets(specs, tol: float):
     seen = set()
     for macs, params in specs:
         if (macs, params) in seen:
-            sys.stderr.write(f"warning: duplicate budget {macs:g}:{params:g} ignored\n")
+            _note(f"warning: duplicate budget {macs:g}:{params:g} ignored")
             continue
         seen.add((macs, params))
         budgets.append(scaler.Budget(
@@ -520,10 +552,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except DOMAIN_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _note(f"error: {exc}")
         return 1
     except KeyboardInterrupt:
-        sys.stderr.write("error: interrupted\n")
+        _note("error: interrupted")
         return 130
 
 

@@ -102,6 +102,8 @@ def ldi_bounds(q: float, w: float, k_hat: float) -> IsometryBounds:
         raise TopologyError("q must be positive")
     if not k_hat >= w > 0:
         raise TopologyError(f"need k_hat >= w > 0, got k_hat={k_hat}, w={w}")
+    if not math.isfinite(q * k_hat):
+        raise TopologyError(f"q * k_hat must be finite, got {q:g} * {k_hat:g}")
     centre = math.sqrt(q * k_hat)
     spread = math.sqrt(q * w)
     return IsometryBounds(centre - spread, centre + spread)

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import importlib
 import json
+import math
 import os
 import pkgutil
 import signal
@@ -241,6 +242,24 @@ def test_json_writes_fractions_as_floats_and_refuses_other_values():
         "k": 0.75, "shape": {"channels": 1, "height": 2, "width": 3}}
     with pytest.raises(TypeError, match="^Decimal is not JSON serializable$"):
         _json({"k": Decimal("0.75")})
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(A.NnscaleError, match="^cannot write JSON: Out of range float"):
+            _json({"k": value})
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("q", ["5e-324", "1e307"])
+def test_ldi_at_extreme_variance_writes_strict_json(capsys, q):
+    code, out, err = run(capsys, "ldi", "--q", q, "--width", "4", "--depth", "3",
+                         "--skips", "1", "--trials", "50")
+    assert (code, err) == (0, "")
+    report = _strict_json(out)
+    assert all(v > 0 for v in report["per_layer_mean_sv"])
 
 
 def test_scale_json_format(tmp_path, capsys):
@@ -366,8 +385,11 @@ def test_malformed_number_is_usage_error(capsys, argv):
     (["afrb-search", "--batch", "0"], "bad optimizer settings"),
     (["afrb-search", "--epochs", "-1"], "bad optimizer settings"),
     (["ldi", "--skips", "-1"], "skip_channels must be >= 0"),
+    (["ldi", "--q", "1e308", "--width", "4", "--depth", "3", "--skips", "1", "--trials", "50"],
+     "q * k_hat must be finite, got 1e+308 * 5"),
     (["scale", "--preset", "convnext-t", "--wsteps", "0"], "steps must be >= 1"),
-], ids=["afrb_lam", "afrb_lr", "afrb_batch", "afrb_epochs", "ldi_skips", "scale_wsteps"])
+], ids=["afrb_lam", "afrb_lr", "afrb_batch", "afrb_epochs", "ldi_skips", "ldi_q_overflow",
+        "scale_wsteps"])
 def test_bad_setting_is_domain_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -573,6 +595,44 @@ def _one_error_line(proc, message):
 def test_closed_stdout_is_a_domain_error(argv):
     proc = _fresh_run(argv, None, preexec_fn=lambda: os.close(1))
     _one_error_line(proc, "[Errno 9] Bad file descriptor")
+
+
+@pytest.mark.parametrize("argv,build", [
+    (["ldi", "--trials", "200"], "build_linear_densenet"),
+    (["regions", "--trials", "50"], "random_relu_net"),
+], ids=["ldi", "regions"])
+def test_closed_stdout_fails_before_the_trials(monkeypatch, capsys, argv, build):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr(V, build, refuse)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: [Errno 9] Bad file descriptor: '<stdout>'\n"
+
+
+@pytest.mark.parametrize("stderr", ["closed", "broken_pipe"])
+def test_stderr_that_cannot_be_written_keeps_the_exit_code(tmp_path, stderr):
+    """The scale selection line, report's duplicate-budget warning and main's error
+    line go to stderr best effort: with fd 2 closed (2>&-), or a pipe whose reader
+    has gone, each command still exits as it would with stderr open."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv, code in (
+            (["scale", "--preset", "convnext-t", "--budget-macs", "4.5e9", "--out", "s.csv"], 0),
+            (["report", "--scan", "s.csv", "--budget", "4.5e9:28e6", "--budget", "4.5e9:28e6"],
+             0),
+            (["cost", "--arch", "missing.json"], 1)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nnscale.cli", *argv], env=env, cwd=tmp_path,
+                stdout=subprocess.DEVNULL, stderr=write_end,
+                preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code, argv
+    assert (tmp_path / "s.csv").read_text().startswith("w_m,")
 
 
 # 454 KB of scan CSV, far more than a pipe holds, so the command is still writing when

@@ -197,6 +197,8 @@ def test_ldi_bounds_values():
     assert (b.lower, b.upper) == (1.0, 3.0)
     with pytest.raises(T.TopologyError):
         T.ldi_bounds(1.0, 4, 1)
+    with pytest.raises(T.TopologyError, match="^q \\* k_hat must be finite"):
+        T.ldi_bounds(1e308, 4, 5)  # q * k_hat overflows
 
 
 def test_ldi_bounds_bracket_one_at_matched_variance():
