@@ -247,18 +247,15 @@ def test_json_writes_fractions_as_floats_and_refuses_other_values():
             _json({"k": value})
 
 
-def _strict_json(text):
-    def refuse(name):
-        raise ValueError(f"{name} is not JSON")
-    return json.loads(text, parse_constant=refuse)
-
-
 @pytest.mark.parametrize("q", ["5e-324", "1e307"])
 def test_ldi_at_extreme_variance_writes_strict_json(capsys, q):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
     code, out, err = run(capsys, "ldi", "--q", q, "--width", "4", "--depth", "3",
                          "--skips", "1", "--trials", "50")
     assert (code, err) == (0, "")
-    report = _strict_json(out)
+    report = json.loads(out, parse_constant=refuse)
     assert all(v > 0 for v in report["per_layer_mean_sv"])
 
 
