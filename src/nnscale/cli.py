@@ -559,5 +559,36 @@ def main(argv=None) -> int:
         return 130
 
 
+def run() -> None:
+    """The `nnscale` program: run main, then end the process with os._exit once its
+    outputs are flushed, which skips interpreter teardown (clearing every module and
+    freeing every object, which writes nothing). That is safe because:
+
+    - every --out file is closed and renamed before main returns (_emit);
+    - _write flushes every write to stdout;
+    - nnscale starts no thread;
+    - the registered atexit handlers still run here: numpy registers none, but a site
+      .pth file may.
+
+    A stdout that fails to flush is an error naming <stdout> and exit 1, as in _write;
+    the stderr flush is best effort, as in _note. A SystemExit from argparse (--help, a
+    usage error) leaves the normal way."""
+    import atexit
+    code = main()
+    atexit._run_exitfuncs()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            _note(f"error: {OSError(exc.errno, exc.strerror, '<stdout>')}")
+            code = code or 1
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -618,7 +618,8 @@ def test_stderr_that_cannot_be_written_keeps_the_exit_code(tmp_path, stderr):
             (["scale", "--preset", "convnext-t", "--budget-macs", "4.5e9", "--out", "s.csv"], 0),
             (["report", "--scan", "s.csv", "--budget", "4.5e9:28e6", "--budget", "4.5e9:28e6"],
              0),
-            (["cost", "--arch", "missing.json"], 1)):
+            (["cost", "--arch", "missing.json"], 1),
+            (["scale", "--wsteps", "x"], 2)):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -670,6 +671,67 @@ def test_full_device_on_stdout_is_a_domain_error(unbuffered):
     with open("/dev/full", "w") as full:
         proc = _fresh_run(["cost", "--preset", "convnext-t"], full, unbuffered)
     _one_error_line(proc, "[Errno 28] No space left on device")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_big_stdout_to_a_pipe_arrives_whole(capsysbinary, unbuffered):
+    """The process ends with os._exit (cli.run): every byte written before it, the
+    CSV's CR LF line ends too, reaches the reader, the bytes main writes in-process."""
+    assert main(BIG_STDOUT) == 0
+    expected = capsysbinary.readouterr().out
+    proc = _fresh_run(BIG_STDOUT, subprocess.PIPE, unbuffered)
+    out = proc.stdout.buffer.read()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, "")
+    assert len(out) == len(expected) > 400_000
+    assert hashlib.sha256(out).digest() == hashlib.sha256(expected).digest()
+
+
+def _run_module_after_an_atexit_handler(argv, cwd, stdout):
+    """`nnscale argv` started as `python -m nnscale.cli` does, through runpy, in a
+    fresh interpreter with block-buffered stdout, after an atexit handler that prints
+    one line has been registered."""
+    probe = ("import atexit, runpy, sys\n"
+             "atexit.register(print, 'atexit handler ran')\n"
+             f"sys.argv = ['nnscale', *{argv!r}]\n"
+             "runpy.run_module('nnscale.cli', run_name='__main__')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["cost", "--preset", "convnext-t"], 0),
+    (["ldi", "--width", "8", "--depth", "4", "--skips", "4", "--trials", "50"], 0),
+    (["cost", "--arch", "missing.json"], 1),
+    (["cost", "--preset", "not-a-preset"], 2),
+    (["cost", "--help"], 0),
+], ids=["cost", "ldi", "domain_error", "usage_error", "help"])
+def test_atexit_handlers_run_before_the_process_ends(tmp_path, argv, code):
+    """The handler runs once, after the command, and its line is flushed, whether the
+    process ends through cli.run's os._exit or, for argparse's SystemExit, the normal
+    way."""
+    proc = _run_module_after_an_atexit_handler(argv, tmp_path, subprocess.PIPE)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.endswith("atexit handler ran\n")
+    assert proc.stdout.count("atexit handler ran") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_that_fails_at_the_last_flush_is_a_domain_error(tmp_path):
+    """The command writes only its --out file, so the handler's line is the first
+    stdout byte; it waits in the buffer until cli.run flushes it to the full device:
+    one error line naming <stdout> and exit 1, not a silent 0."""
+    with open("/dev/full", "w") as full:
+        proc = _run_module_after_an_atexit_handler(
+            ["cost", "--preset", "convnext-t", "--out", "cost.csv"], tmp_path, full)
+    assert (tmp_path / "cost.csv").read_text().startswith("block_index,")
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: [Errno 28] No space left on device: '<stdout>'\n")
 
 
 def test_report_rejects_non_finite_mass(tmp_path, capsys):
