@@ -122,6 +122,42 @@ def test_ldi_report_equals_stacked_oracle(width, depth, skips, q, seed, trials):
     )
 
 
+def _mp_mean_sqrt(ratio, points=64):
+    """∫ √x dMP(x) for the Marchenko–Pastur law at 0 < ratio <= 1: the limit law of the
+    eigenvalues of W Wᵀ / k for a w x k matrix W of unit-variance entries, ratio = w / k.
+    Gauss–Legendre in θ, where x = a + (b - a)(1 - cos θ) / 2 runs over the support
+    [a, b]; that takes the density's square roots at the edges out of the integrand."""
+    a, b = (1 - math.sqrt(ratio)) ** 2, (1 + math.sqrt(ratio)) ** 2
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    theta = (nodes + 1) * math.pi / 2
+    x = a + (b - a) * (1 - np.cos(theta)) / 2
+    # √x times the density √((b - x)(x - a)) / (2π ratio x), times dx / dθ
+    integrand = (b - a) ** 2 / (8 * math.pi * ratio) * np.sin(theta) ** 2 / np.sqrt(x)
+    return math.pi / 2 * float(weights @ integrand)
+
+
+def test_marchenko_pastur_quadrature_meets_the_square_closed_form():
+    assert _mp_mean_sqrt(1.0) == pytest.approx(8 / (3 * math.pi), rel=1e-13)
+
+
+@settings(**dict(PROFILE, max_examples=25))
+@given(width=st.integers(16, 48), skips=st.integers(4, 48), q=st.floats(2**-10, 4.0),
+       seed=st.integers(0, 2**31 - 1))
+def test_ldi_layers_meet_the_marchenko_pastur_mean(width, skips, q, seed):
+    """The mean singular value of a w x k layer with entries of variance q tends to
+    √(q k) ∫ √x dMP_{w/k}(x) (Marchenko & Pastur 1967); k is w on the two square layers
+    and w + skips on the skip layers. Pooled over 50 trials of a depth-6 net, the
+    finite-size bias is negative and shrinks as 1/k: a sweep of 9 shapes (w 16-64,
+    skips 4-48) x 100 seeds put k times the relative error at -0.15 with sd 0.08, within
+    [-0.39, 0.11]. One skip column short moves it by -0.54 to -0.69; variance q/2 moves
+    the relative error by -29%, and square layers drawn w x (w + skips) by +6% or more."""
+    mean_sv = np.array(V.ldi_report(V.LinearDensenetConfig(width, 6, skips, q, seed),
+                                    50).per_layer_mean_sv)
+    for layers, k in ((mean_sv[:2], width), (mean_sv[2:], width + skips)):
+        expected = math.sqrt(q * k) * _mp_mean_sqrt(width / k)
+        assert -0.5 <= k * (layers.mean() / expected - 1) <= 0.3, k
+
+
 def test_ldi_report_holds_one_trial_at_a_time():
     # all 50 trials' weights together are 14 MB
     cfg = V.LinearDensenetConfig(width=32, depth=16, skip_channels=32, q=1 / 64, seed=0)
@@ -170,6 +206,26 @@ def test_grid_refinement_never_decreases():
         c512 = V.count_linear_regions(net, 2.0, 512).distinct_patterns
         c1024 = V.count_linear_regions(net, 2.0, 1024).distinct_patterns
         assert c1024 >= c512
+
+
+@settings(**dict(PROFILE, max_examples=60))
+@given(n0=st.sampled_from([1, 2]), n=st.integers(1, 6), layers=st.integers(1, 4),
+       seed=st.integers(0, 2**31 - 1), box_radius=st.floats(2**-10, 2**10),
+       data=st.data())
+def test_lattice_patterns_are_kept_by_the_nested_finer_lattice(n0, n, layers, seed,
+                                                              box_radius, data):
+    """np.linspace(-r, r, 2k - 1)[::2] is np.linspace(-r, r, k) bit for bit (the step
+    halves exactly), so the grid-k lattice is a sublattice of the grid-(2k - 1) one and
+    each of its patterns is a pattern there too: the count never falls on that
+    refinement, while grids 512 and 1024 are not nested."""
+    grid = data.draw(st.integers(1, 1024 if n0 == 1 else 256))
+    coarse = np.linspace(-box_radius, box_radius, grid)
+    fine = np.linspace(-box_radius, box_radius, 2 * grid - 1)
+    assert np.array_equal(fine[::2], coarse)
+    net = V.random_relu_net(n0, n, layers, seed=seed)
+    coarse_codes = np.unique(V._sorted_codes(net, box_radius, grid))
+    fine_codes = np.unique(V._sorted_codes(net, box_radius, 2 * grid - 1))
+    assert np.isin(coarse_codes, fine_codes).all()
 
 
 def _oracle_patterns(net, box_radius, grid):
