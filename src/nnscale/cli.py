@@ -15,7 +15,10 @@ Start-up builds and loads only what the command uses. A subcommand's parser adds
 its arguments when that command runs or shows its help. json loads to read an
 --arch file or to write JSON (--format json, mass --out, restructure --out, and the
 collapse-verify, afrb-search, ldi and regions reports); csv loads to write or read
-CSV (cost --per-block or --out, scale and pareto in CSV, afrb-search, report).
+CSV (cost --per-block or --out, scale and pareto in CSV, afrb-search, report). The
+process ends as soon as its outputs are flushed: `nnscale` and `python -m nnscale.cli`
+go through run, which runs the atexit handlers, flushes stdout and stderr and calls
+os._exit, skipping interpreter teardown; main returns to an in-process caller.
 """
 
 from __future__ import annotations
